@@ -37,6 +37,8 @@ class DirichletConstraints {
 
   /// Zero the constrained entries of v (the projector P).
   void project(DistVector& v) const;
+  /// P applied to every lane of a panel.
+  void project(DistMultiVector& v) const;
 
   /// Write the prescribed values into the constrained entries of v.
   void apply_values(DistVector& v) const;
@@ -50,7 +52,9 @@ class DirichletConstraints {
   bool finalized_ = false;
 };
 
-/// The symmetric constrained wrapper Â = P A P + (I − P).
+/// The symmetric constrained wrapper Â = P A P + (I − P). Panels forward
+/// to the inner operator's apply_multi, so a k-lane apply streams the inner
+/// operator once, not once per lane.
 class ConstrainedOperator final : public LinearOperator {
  public:
   /// `inner` and `constraints` must outlive this wrapper.
@@ -61,6 +65,8 @@ class ConstrainedOperator final : public LinearOperator {
     return inner_->layout();
   }
   void apply(simmpi::Comm& comm, const DistVector& x, DistVector& y) override;
+  void apply_multi(simmpi::Comm& comm, const DistMultiVector& x,
+                   DistMultiVector& y) override;
   std::vector<double> diagonal(simmpi::Comm& comm) override;
   CsrMatrix owned_block(simmpi::Comm& comm) override;
   [[nodiscard]] std::int64_t apply_flops() const override {
@@ -69,11 +75,18 @@ class ConstrainedOperator final : public LinearOperator {
   [[nodiscard]] std::int64_t apply_bytes() const override {
     return inner_->apply_bytes();
   }
+  [[nodiscard]] std::int64_t apply_flops_multi(int nrhs) const override {
+    return inner_->apply_flops_multi(nrhs);
+  }
+  [[nodiscard]] std::int64_t apply_bytes_multi(int nrhs) const override {
+    return inner_->apply_bytes_multi(nrhs);
+  }
 
  private:
   LinearOperator* inner_;
   const DirichletConstraints* constraints_;
   DistVector scratch_;
+  DistMultiVector scratch_panel_;  ///< sized on first use per panel width
 };
 
 /// Transform the right-hand side: b ← P (b − A u_D) + u_D on constrained

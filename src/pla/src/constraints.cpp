@@ -46,6 +46,15 @@ void DirichletConstraints::project(DistVector& v) const {
   }
 }
 
+void DirichletConstraints::project(DistMultiVector& v) const {
+  HYMV_CHECK_MSG(finalized_, "DirichletConstraints: not finalized");
+  for (const std::int64_t d : dofs_) {
+    for (int j = 0; j < v.width(); ++j) {
+      v.at(d, j) = 0.0;
+    }
+  }
+}
+
 void DirichletConstraints::apply_values(DistVector& v) const {
   HYMV_CHECK_MSG(finalized_, "DirichletConstraints: not finalized");
   for (std::size_t k = 0; k < dofs_.size(); ++k) {
@@ -75,6 +84,26 @@ void ConstrainedOperator::apply(simmpi::Comm& comm, const DistVector& x,
   constraints_->project(y);
   for (const std::int64_t d : constraints_->dofs()) {
     y[d] = x[d];
+  }
+}
+
+void ConstrainedOperator::apply_multi(simmpi::Comm& comm,
+                                      const DistMultiVector& x,
+                                      DistMultiVector& y) {
+  // The same Â as apply(), lane by lane, through ONE inner panel apply.
+  const int k = x.width();
+  HYMV_CHECK_MSG(k >= 1 && y.width() == k,
+                 "ConstrainedOperator::apply_multi: panel width mismatch");
+  if (scratch_panel_.width() != k) {
+    scratch_panel_ = DistMultiVector(layout(), k);
+  }
+  copy(x, scratch_panel_);
+  constraints_->project(scratch_panel_);
+  inner_->apply_multi(comm, scratch_panel_, y);
+  for (const std::int64_t d : constraints_->dofs()) {
+    for (int j = 0; j < k; ++j) {
+      y.at(d, j) = x.at(d, j);
+    }
   }
 }
 

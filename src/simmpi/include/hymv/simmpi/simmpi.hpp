@@ -5,13 +5,14 @@
 ///
 /// The paper's HYMV library targets MPI on a cluster. This environment has
 /// no MPI and one machine, so simmpi provides the same programming model
-/// in-process: `simmpi::run(nranks, fn)` launches `nranks` std::threads,
-/// each receiving a `Comm` handle exposing ranked, tagged, nonblocking
-/// point-to-point messaging and the collectives the HYMV/PETSc-sim layers
-/// need. Message matching is real (posted receives vs. unexpected-message
-/// queue, FIFO per (source, tag)), so the ghost-exchange and assembly-
-/// migration code paths execute genuine concurrent message passing with the
-/// same ordering and deadlock semantics they would have under MPI.
+/// in-process: `simmpi::run(nranks, fn)` runs rank 0 on the calling thread
+/// and ranks 1..nranks-1 on std::threads of their own. Each rank receives
+/// a `Comm` handle exposing ranked, tagged, nonblocking point-to-point
+/// messaging and the collectives the HYMV/PETSc-sim layers need. Message
+/// matching is real (posted receives vs. unexpected-message queue, FIFO per
+/// (source, tag)), so the ghost-exchange and assembly-migration code paths
+/// execute genuine concurrent message passing with the same ordering and
+/// deadlock semantics they would have under MPI.
 ///
 /// Collectives are implemented on top of the point-to-point layer using the
 /// standard tree/dissemination algorithms, so per-rank traffic counters
@@ -400,9 +401,12 @@ class Comm {
   int rank_ = -1;
 };
 
-/// Launch `nranks` threads each running `fn(comm)`. Blocks until all ranks
-/// return. If any rank throws, the job is aborted (ranks blocked in simmpi
-/// calls receive AbortError) and the first original exception is rethrown.
+/// Run `fn(comm)` on `nranks` ranks: rank 0 on the calling thread, ranks
+/// 1..nranks-1 on threads spawned for the job, so a 1-rank job spawns none.
+/// Blocks until all ranks return. The calling thread's obs rank tag,
+/// OpenMP thread count and CPU affinity are restored after rank 0 returns.
+/// If any rank throws, the job is aborted (ranks blocked in simmpi calls
+/// receive AbortError) and the first original exception is rethrown.
 /// This overload resolves RunOptions::from_env(), so fault campaigns can
 /// target existing binaries via HYMV_FAULT_SPEC without code changes; with
 /// the environment unset it behaves exactly as before.

@@ -11,6 +11,14 @@
 #include <mutex>
 #include <thread>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "hymv/common/env.hpp"
 #include "hymv/obs/metrics.hpp"
 #include "hymv/obs/trace.hpp"
@@ -796,23 +804,52 @@ void run(int nranks, const std::function<void(Comm&)>& fn,
   HYMV_CHECK_MSG(nranks > 0, "simmpi::run: nranks must be positive");
   detail::Context ctx(nranks, options);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
+  const auto rank_main = [&](int r) {
+    // Tag the rank's thread so its trace spans group under this rank's
+    // "process" row in the Chrome-trace export.
+    hymv::obs::set_current_rank(r);
+    Comm comm(&ctx, r);
+    try {
+      HYMV_TRACE_SCOPE("rank", "simmpi");
+      fn(comm);
+    } catch (...) {
+      errors[static_cast<std::size_t>(r)] = std::current_exception();
+      ctx.abort();
+    }
+  };
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
+  threads.reserve(static_cast<std::size_t>(nranks - 1));
+  for (int r = 1; r < nranks; ++r) {
     threads.emplace_back([&, r] {
-      // Tag the rank thread so its trace spans group under this rank's
-      // "process" row in the Chrome-trace export.
-      hymv::obs::set_current_rank(r);
-      Comm comm(&ctx, r);
-      try {
-        HYMV_TRACE_SCOPE("rank", "simmpi");
-        fn(comm);
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        ctx.abort();
-      }
+      rank_main(r);
       hymv::obs::set_current_rank(-1);
     });
+  }
+  // Rank 0 runs on the calling thread, so a 1-rank job spawns no thread
+  // and allocates from the caller's malloc arena. Whatever rank 0 does to
+  // the thread's rank tag, OpenMP thread count or CPU affinity is undone
+  // afterwards: opt-in pinning (numa.hpp) pins the first team's master,
+  // and threads the caller spawns later would inherit that one CPU.
+  {
+    const int caller_rank = hymv::obs::current_rank();
+#ifdef _OPENMP
+    const int caller_threads = omp_get_max_threads();
+#endif
+#if defined(__linux__)
+    cpu_set_t caller_cpus;
+    const bool have_cpus =
+        sched_getaffinity(0, sizeof(caller_cpus), &caller_cpus) == 0;
+#endif
+    rank_main(0);
+    hymv::obs::set_current_rank(caller_rank);
+#ifdef _OPENMP
+    omp_set_num_threads(caller_threads);
+#endif
+#if defined(__linux__)
+    if (have_cpus) {
+      (void)sched_setaffinity(0, sizeof(caller_cpus), &caller_cpus);
+    }
+#endif
   }
   for (auto& t : threads) {
     t.join();

@@ -315,19 +315,25 @@ TEST_P(BackendEquivalenceTest, AllBackendsAndRankCountsAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BackendEquivalenceTest,
-    ::testing::Values(
-        BackendCase{ElementType::kHex8, 1, 2, mesh::Partitioner::kSlab},
-        BackendCase{ElementType::kHex8, 1, 4, mesh::Partitioner::kRcb},
-        BackendCase{ElementType::kHex8, 3, 3, mesh::Partitioner::kGreedy},
-        BackendCase{ElementType::kHex20, 1, 2, mesh::Partitioner::kSlab},
-        BackendCase{ElementType::kHex20, 3, 4, mesh::Partitioner::kRcb},
-        BackendCase{ElementType::kHex27, 1, 3, mesh::Partitioner::kGreedy},
-        BackendCase{ElementType::kHex27, 3, 2, mesh::Partitioner::kSlab},
-        BackendCase{ElementType::kTet4, 1, 4, mesh::Partitioner::kGreedy},
-        BackendCase{ElementType::kTet10, 1, 3, mesh::Partitioner::kRcb},
-        BackendCase{ElementType::kTet10, 3, 2, mesh::Partitioner::kGreedy}));
+// gtest names each case after the raw bytes of its parameter, padding
+// included. The table lives in static storage, whose padding is zero, so
+// the ctest names are the same on every discovery; stack temporaries passed
+// to ::testing::Values leaked uninitialised padding into them.
+const BackendCase kBackendCases[] = {
+    {ElementType::kHex8, 1, 2, mesh::Partitioner::kSlab},
+    {ElementType::kHex8, 1, 4, mesh::Partitioner::kRcb},
+    {ElementType::kHex8, 3, 3, mesh::Partitioner::kGreedy},
+    {ElementType::kHex20, 1, 2, mesh::Partitioner::kSlab},
+    {ElementType::kHex20, 3, 4, mesh::Partitioner::kRcb},
+    {ElementType::kHex27, 1, 3, mesh::Partitioner::kGreedy},
+    {ElementType::kHex27, 3, 2, mesh::Partitioner::kSlab},
+    {ElementType::kTet4, 1, 4, mesh::Partitioner::kGreedy},
+    {ElementType::kTet10, 1, 3, mesh::Partitioner::kRcb},
+    {ElementType::kTet10, 3, 2, mesh::Partitioner::kGreedy},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BackendEquivalenceTest,
+                         ::testing::ValuesIn(kBackendCases));
 
 // ---------------------------------------------------------------------------
 // HYMV-specific behaviour

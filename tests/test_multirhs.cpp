@@ -5,9 +5,9 @@
 // default of plain LinearOperators), the serial-vs-threaded bitwise
 // guarantee the colored schedule extends to panels, the k-true
 // flops/bytes models, golden panel-apply bits, the HYMV_NRHS env knob,
-// the fused axpy_dot/xpay vector ops, and cg_solve_multi against
-// independent single-lane solves. These tests carry the ctest label
-// `multirhs`.
+// the fused axpy_dot/xpay vector ops, the Dirichlet wrapper's panel
+// forwarding, and cg_solve_multi against independent single-lane solves.
+// These tests carry the ctest label `multirhs`.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
 #include "hymv/pla/cg.hpp"
+#include "hymv/pla/constraints.hpp"
 #include "hymv/pla/dist_csr.hpp"
 #include "hymv/pla/dist_multi_vector.hpp"
 #include "hymv/pla/dist_vector.hpp"
@@ -353,6 +355,153 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 8)));
 
 // ---------------------------------------------------------------------------
+// ConstrainedOperator forwards panels: every layout × k, against its own
+// per-lane apply
+// ---------------------------------------------------------------------------
+
+/// Every fourth owned DoF is a Dirichlet row.
+DirichletConstraints every_fourth_dof(const Layout& layout) {
+  DirichletConstraints c;
+  for (std::int64_t i = 0; i < layout.owned(); i += 4) {
+    c.add(i, 0.0);
+  }
+  c.finalize();
+  return c;
+}
+
+class ConstrainedApplyMultiTest
+    : public ::testing::TestWithParam<std::tuple<StoreLayout, int>> {};
+
+TEST_P(ConstrainedApplyMultiTest, MatchesPerLaneConstrainedApply) {
+  const auto [layout, k] = GetParam();
+  const mesh::Mesh m = mesh::build_structured_hex(
+      {.nx = 4, .ny = 3, .nz = 5}, mesh::ElementType::kHex8);
+  const auto ids = mesh::partition_elements(m, 2, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, 2);
+  simmpi::run(2, [&, layout = layout, k = k](Comm& comm) {
+    const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+    const fem::PoissonOperator op(mesh::ElementType::kHex8);
+    HymvOperator hop(comm, part, op, {.use_openmp = false, .layout = layout});
+    const DirichletConstraints constraints = every_fourth_dof(hop.layout());
+    ASSERT_GT(constraints.size(), 0);
+    ConstrainedOperator ac(hop, constraints);
+    DistMultiVector x(ac.layout(), k), y(ac.layout(), k);
+    fill_panel(ac.layout(), x);
+    ac.apply_multi(comm, x, y);
+
+    // kPadded's panel kernel keeps the single-vector accumulation order, so
+    // its lanes are the per-lane apply bit for bit; the other layouts get
+    // the ApplyMultiLayoutTest tolerances.
+    const bool bitwise = layout == StoreLayout::kPadded;
+    const double tol = layout == StoreLayout::kFp32 ? 5e-6 : 1e-11;
+    DistVector xl(ac.layout()), yl(ac.layout());
+    for (int j = 0; j < k; ++j) {
+      x.get_lane(j, xl);
+      ac.apply(comm, xl, yl);
+      for (std::int64_t i = 0; i < yl.owned_size(); ++i) {
+        if (bitwise) {
+          ASSERT_EQ(y.at(i, j), yl[i]) << "k=" << k << " lane=" << j;
+        } else {
+          ASSERT_NEAR(y.at(i, j), yl[i], tol * (1.0 + std::abs(yl[i])))
+              << to_string(layout) << " k=" << k << " lane=" << j;
+        }
+      }
+      // Dirichlet rows pass x through exactly, in every layout.
+      for (const std::int64_t d : constraints.dofs()) {
+        ASSERT_EQ(y.at(d, j), x.at(d, j)) << "lane " << j;
+      }
+    }
+    // A second panel apply reuses the wrapper's scratch panel cleanly.
+    DistMultiVector y2(ac.layout(), k);
+    ac.apply_multi(comm, x, y2);
+    EXPECT_EQ(std::memcmp(y2.values().data(), y.values().data(),
+                          y.values().size() * sizeof(double)),
+              0);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ConstrainedApplyMultiTest,
+    ::testing::Combine(::testing::Values(StoreLayout::kPadded,
+                                         StoreLayout::kInterleaved,
+                                         StoreLayout::kSymPacked,
+                                         StoreLayout::kFp32),
+                       ::testing::Values(1, 2, 8)));
+
+/// Counts the calls a solver makes into the operator it wraps.
+class CountingOperator final : public LinearOperator {
+ public:
+  explicit CountingOperator(LinearOperator& inner) : inner_(&inner) {}
+  [[nodiscard]] const Layout& layout() const override {
+    return inner_->layout();
+  }
+  void apply(Comm& comm, const DistVector& x, DistVector& y) override {
+    ++applies;
+    inner_->apply(comm, x, y);
+  }
+  void apply_multi(Comm& comm, const DistMultiVector& x,
+                   DistMultiVector& y) override {
+    ++panel_applies;
+    inner_->apply_multi(comm, x, y);
+  }
+  std::vector<double> diagonal(Comm& comm) override {
+    return inner_->diagonal(comm);
+  }
+
+  std::int64_t applies = 0;
+  std::int64_t panel_applies = 0;
+
+ private:
+  LinearOperator* inner_;
+};
+
+TEST(ConstrainedPanelSolveTest, CgSolveMultiMakesOnePanelApplyPerIteration) {
+  simmpi::run(2, [](Comm& comm) {
+    const std::int64_t local = 16;
+    const Layout layout = Layout::from_owned_count(comm, local);
+    const std::int64_t n = layout.global_size;
+    DistCsrMatrix a(layout);
+    for (std::int64_t g = layout.begin; g < layout.end_excl; ++g) {
+      a.add_value(g, g, 2.5);
+      if (g > 0) a.add_value(g, g - 1, -1.0);
+      if (g < n - 1) a.add_value(g, g + 1, -1.0);
+    }
+    a.assemble(comm);
+    CountingOperator counting(a);
+    DirichletConstraints constraints;  // one Dirichlet row per rank
+    constraints.add(0, 0.0);
+    constraints.finalize();
+    ConstrainedOperator ac(counting, constraints);
+    JacobiPreconditioner jac(comm, ac);
+
+    const int k = 8;
+    DistMultiVector b(layout, k), x(layout, k);
+    for (std::int64_t i = 0; i < local; ++i) {
+      const auto g = static_cast<double>(layout.begin + i + 1);
+      for (int j = 0; j < k; ++j) {
+        b.at(i, j) = constraints.is_constrained(i)
+                         ? 0.0
+                         : std::sin(g * (1.0 + 0.37 * j)) + 0.1 * j;
+      }
+    }
+    const std::vector<CgResult> results = cg_solve_multi(
+        comm, ac, jac, b, x,
+        {.rtol = 1e-10, .max_iters = 200, .true_residual_every = 4});
+
+    std::int64_t iterations = 0;
+    for (const CgResult& r : results) {
+      EXPECT_TRUE(r.converged);
+      iterations = std::max(iterations, r.iterations);
+    }
+    const std::int64_t replacements = results.front().residual_replacements;
+    ASSERT_GT(replacements, 0);
+    EXPECT_EQ(counting.applies, 0);
+    // The initial residual, one per iteration, one per replacement.
+    EXPECT_EQ(counting.panel_applies, 1 + iterations + replacements);
+  });
+}
+
+// ---------------------------------------------------------------------------
 // serial vs threaded apply_multi: BITWISE for every layout and width
 // ---------------------------------------------------------------------------
 
@@ -541,6 +690,23 @@ TEST(PanelModelTest, WidthOneReducesToSingleVectorModel) {
     MatrixFreeOperator mf(comm, dist.parts[0], op);
     EXPECT_EQ(mf.apply_flops_multi(1), mf.apply_flops());
     EXPECT_EQ(mf.apply_bytes_multi(1), mf.apply_bytes());
+  });
+}
+
+TEST(PanelModelTest, ConstrainedWrapperReportsInnerPanelModel) {
+  const mesh::Mesh m = mesh::build_structured_hex(
+      {.nx = 4, .ny = 4, .nz = 4}, mesh::ElementType::kHex8);
+  const auto ids = mesh::partition_elements(m, 1, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, 1);
+  simmpi::run(1, [&](Comm& comm) {
+    const fem::PoissonOperator op(mesh::ElementType::kHex8);
+    HymvOperator hop(comm, dist.parts[0], op);
+    const DirichletConstraints constraints = every_fourth_dof(hop.layout());
+    const ConstrainedOperator ac(hop, constraints);
+    for (const int k : {1, 8}) {
+      EXPECT_EQ(ac.apply_flops_multi(k), hop.apply_flops_multi(k)) << k;
+      EXPECT_EQ(ac.apply_bytes_multi(k), hop.apply_bytes_multi(k)) << k;
+    }
   });
 }
 

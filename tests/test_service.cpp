@@ -255,15 +255,41 @@ TEST(SolveTest, CoalescesCompatibleRequestsIntoOnePanel) {
   set_threads(1);
 }
 
+/// endless_request() on an unstructured tet4 mesh and without a
+/// preconditioner: its CG runs ~0.9 s on an idle host before the residual
+/// underflows (longer on a busy or instrumented one), ~40× the structured
+/// box's window.
+SolveRequest slow_endless_request() {
+  SolveRequest r = endless_request();
+  r.spec.element = mesh::ElementType::kTet4;
+  r.spec.unstructured = true;
+  r.precond = driver::Precond::kNone;
+  return r;
+}
+
 TEST(DeadlineTest, ExpiringMidCgCancelsCooperatively) {
+  // The deadline must expire after the cold build and before CG ends on its
+  // own, however slow the host. So the deadline leaves a generous allowance
+  // for the build, and the attempt hook — called between the build and CG —
+  // holds CG back until kMargin before the deadline. CG then starts before
+  // the deadline (the margin covers the right-hand side set-up) and it
+  // is still iterating when it expires (the margin is a third of CG's run).
+  constexpr std::chrono::milliseconds kBuildAllowance{1500};
+  constexpr std::chrono::milliseconds kMargin{300};
+  std::chrono::steady_clock::time_point cg_start;
+
   ServiceOptions opt;
   opt.workers = 1;
   opt.batch_window_ms = 0.0;
   opt.watchdog_ms = 10000.0;  // far beyond the deadline: must not fire
+  opt.attempt_hook = [&](pla::LinearOperator&, int) {
+    std::this_thread::sleep_until(cg_start);
+  };
   SolveService service(opt);
 
-  SolveRequest r = endless_request();
-  r.deadline_ms = 10.0;
+  SolveRequest r = slow_endless_request();
+  r.deadline_ms = static_cast<double>((kBuildAllowance + kMargin).count());
+  cg_start = std::chrono::steady_clock::now() + kBuildAllowance;
   const SolveResponse resp = service.submit(r).get();
   EXPECT_EQ(resp.outcome, Outcome::kDeadlineMissed);
   EXPECT_EQ(resp.reason, "deadline");

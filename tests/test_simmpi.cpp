@@ -1,21 +1,48 @@
 // Tests for the in-process message-passing runtime (simmpi): point-to-point
 // matching semantics, wildcards, ordering, collectives, failure propagation,
-// and traffic accounting.
+// rank-to-thread placement, and traffic accounting. ctest label `threading`.
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "hymv/obs/trace.hpp"
 #include "hymv/simmpi/simmpi.hpp"
 
 namespace {
 
 using simmpi::Comm;
 using simmpi::ReduceOp;
+
+int omp_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+void set_threads(int n) {
+#ifdef _OPENMP
+  omp_set_num_threads(n);
+#else
+  (void)n;
+#endif
+}
 
 TEST(SimMpi, SingleRankRuns) {
   simmpi::run(1, [](Comm& comm) {
@@ -189,6 +216,99 @@ TEST(SimMpi, ExceptionOnOneRankPropagatesAndUnblocksOthers) {
     EXPECT_STREQ(e.what(), "rank 1 failed");
   }
 }
+
+TEST(SimMpi, RankOneExceptionSurfacesOverAbortErrors) {
+  // Rank 1 throws while rank 0 (on the calling thread) and rank 2 wait in a
+  // barrier. The AbortErrors that release them must not mask the original.
+  try {
+    simmpi::run(3, [](Comm& comm) {
+      if (comm.rank() == 1) {
+        throw std::logic_error("rank 1 failed");
+      }
+      comm.barrier();
+    });
+    FAIL() << "expected exception";
+  } catch (const simmpi::AbortError&) {
+    FAIL() << "the original exception was masked by AbortError";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 failed");
+  }
+}
+
+TEST(SimMpi, RankZeroRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int p : {1, 2, 4}) {
+    std::vector<std::thread::id> ids(static_cast<std::size_t>(p));
+    simmpi::run(p, [&](Comm& comm) {
+      ids[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
+      comm.barrier();  // every rank is alive at once
+    });
+    EXPECT_EQ(ids[0], caller) << "p=" << p;
+    for (int r = 1; r < p; ++r) {
+      EXPECT_NE(ids[static_cast<std::size_t>(r)], caller) << "p=" << p;
+      for (int q = 1; q < r; ++q) {
+        EXPECT_NE(ids[static_cast<std::size_t>(r)],
+                  ids[static_cast<std::size_t>(q)])
+            << "p=" << p;
+      }
+    }
+  }
+}
+
+TEST(SimMpi, CallerRankTagAndOmpThreadsSurviveTheJob) {
+  const int threads0 = omp_threads();
+  hymv::obs::set_current_rank(7);
+  set_threads(3);
+  const int caller_threads = omp_threads();
+  for (const bool rank0_throws : {false, true}) {
+    try {
+      simmpi::run(2, [&](Comm& comm) {
+        EXPECT_EQ(hymv::obs::current_rank(), comm.rank());
+        if (comm.rank() == 0) {
+          hymv::obs::set_current_rank(42);
+          set_threads(1);
+          if (rank0_throws) {
+            throw std::runtime_error("rank 0 failed");
+          }
+        }
+        comm.barrier();
+      });
+      EXPECT_FALSE(rank0_throws);
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(rank0_throws);
+      EXPECT_STREQ(e.what(), "rank 0 failed");
+    }
+    EXPECT_EQ(hymv::obs::current_rank(), 7) << "throws=" << rank0_throws;
+    EXPECT_EQ(omp_threads(), caller_threads) << "throws=" << rank0_throws;
+  }
+  hymv::obs::set_current_rank(-1);
+  set_threads(threads0);
+}
+
+#if defined(__linux__)
+TEST(SimMpi, CallerCpuAffinitySurvivesTheJob) {
+  // Opt-in thread pinning may pin rank 0's thread; threads the caller
+  // spawns afterwards must not inherit that one CPU.
+  cpu_set_t before;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+  int first_cpu = 0;
+  while (!CPU_ISSET(first_cpu, &before)) {
+    ++first_cpu;
+  }
+  simmpi::run(2, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(first_cpu, &one);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    }
+    comm.barrier();
+  });
+  cpu_set_t after;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+}
+#endif
 
 TEST(SimMpi, BarrierCompletes) {
   for (int p : {1, 2, 3, 5, 8}) {
