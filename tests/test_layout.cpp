@@ -24,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "hymv/common/isa.hpp"
 #include "hymv/common/rng.hpp"
 #include "hymv/core/element_store.hpp"
 #include "hymv/core/gpu_operator.hpp"
@@ -632,6 +633,198 @@ TEST(GoldenPaddedTest, ElasticityApplyBitwiseUnchanged) {
                {141, 0x42c382d26a6f0da3ULL, -109.375,
                 -55.162704772079749}});
 }
+
+// ---------------------------------------------------------------------------
+// golden default-path bits for every layout × row-tile class
+// ---------------------------------------------------------------------------
+
+/// One element shape per class of SIMD row tiles in a padded column
+/// (ld / 8 = 1, 1, 3, 8 and 11 AVX-512 tiles; twice as many AVX2 tiles).
+enum class GoldenShape : int {
+  kTet4Poisson,       // n = 4
+  kHex8Poisson,       // n = 8
+  kHex8Elasticity,    // n = 24
+  kHex20Elasticity,   // n = 60
+  kHex27Elasticity,   // n = 81
+};
+
+const char* shape_name(GoldenShape shape) {
+  switch (shape) {
+    case GoldenShape::kTet4Poisson:
+      return "tet4_poisson";
+    case GoldenShape::kHex8Poisson:
+      return "hex8_poisson";
+    case GoldenShape::kHex8Elasticity:
+      return "hex8_elasticity";
+    case GoldenShape::kHex20Elasticity:
+      return "hex20_elasticity";
+    case GoldenShape::kHex27Elasticity:
+      return "hex27_elasticity";
+  }
+  return "?";
+}
+
+struct LayoutGoldenCase {
+  StoreLayout layout;
+  GoldenShape shape;
+  std::uint64_t apply_hash;  ///< FNV-1a of apply(), ranks concatenated
+  std::uint64_t panel_hash;  ///< FNV-1a of the 8-lane apply_multi()
+};
+
+/// Levels this host can run: force() clamps to detected(), so asking for
+/// more than the CPU has would silently retest a lower level.
+std::vector<isa::IsaLevel> runnable_levels() {
+  std::vector<isa::IsaLevel> levels{isa::IsaLevel::kScalar};
+  if (isa::detected() >= isa::IsaLevel::kAvx2) {
+    levels.push_back(isa::IsaLevel::kAvx2);
+  }
+  if (isa::detected() >= isa::IsaLevel::kAvx512) {
+    levels.push_back(isa::IsaLevel::kAvx512);
+  }
+  return levels;
+}
+
+class LayoutGoldenTest : public ::testing::TestWithParam<LayoutGoldenCase> {
+ protected:
+  void TearDown() override {
+    isa::reset();
+    set_threads(1);
+  }
+};
+
+/// The default-options operator (kSimd, colored, overlap) in every layout
+/// must reproduce the values captured before the register-resident EMV
+/// sweep, for apply() and an 8-lane apply_multi(), at every runnable
+/// forced ISA level and at 1 and 4 threads. Inputs are exact binary
+/// fractions, as in golden_case.
+TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
+#endif
+  const LayoutGoldenCase c = GetParam();
+  constexpr int kRanks = 2;
+  constexpr int kLanes = 8;
+  const bool tet = c.shape == GoldenShape::kTet4Poisson;
+  const mesh::ElementType type =
+      tet ? mesh::ElementType::kTet4
+      : c.shape == GoldenShape::kHex20Elasticity ? mesh::ElementType::kHex20
+      : c.shape == GoldenShape::kHex27Elasticity ? mesh::ElementType::kHex27
+                                                 : mesh::ElementType::kHex8;
+  const mesh::Mesh m =
+      tet ? mesh::build_unstructured_tet(
+                {.box = {.nx = 3, .ny = 3, .nz = 3}, .jitter = 0.2, .seed = 7},
+                type)
+          : mesh::build_structured_hex({.nx = 4, .ny = 3, .nz = 4}, type);
+  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, kRanks);
+  std::unique_ptr<fem::ElementOperator> op;
+  if (c.shape == GoldenShape::kTet4Poisson ||
+      c.shape == GoldenShape::kHex8Poisson) {
+    op = std::make_unique<fem::PoissonOperator>(type);
+  } else {
+    op = std::make_unique<fem::ElasticityOperator>(type, 700.0, 0.3);
+  }
+
+  for (const isa::IsaLevel level : runnable_levels()) {
+    isa::force(level);
+    for (const int threads : {1, 4}) {
+      std::vector<std::vector<double>> y1(kRanks), y8(kRanks);
+      simmpi::run(kRanks, [&](Comm& comm) {
+        set_threads(threads);
+        const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+        HymvOperator hop(comm, part, *op, {.layout = c.layout});
+        ASSERT_EQ(hop.store().layout(), c.layout);
+        const pla::Layout& lay = hop.layout();
+        pla::DistVector x(lay), y(lay);
+        pla::DistMultiVector xm(lay, kLanes), ym(lay, kLanes);
+        for (std::int64_t i = 0; i < x.owned_size(); ++i) {
+          const std::int64_t g = lay.begin + i;
+          x[i] = static_cast<double>(g * 13 % 64 - 32) * 0.03125 +
+                 static_cast<double>(i % 5) * 0.25;
+          for (int l = 0; l < kLanes; ++l) {
+            xm.at(i, l) = static_cast<double>((g * 13 + l * 7) % 64 - 32) *
+                              0.03125 +
+                          static_cast<double>(i % 5) * 0.25;
+          }
+        }
+        hop.apply(comm, x, y);
+        hop.apply_multi(comm, xm, ym);
+        const auto r = static_cast<std::size_t>(comm.rank());
+        y1[r].assign(y.values().begin(), y.values().begin() + y.owned_size());
+        y8[r].assign(ym.values().begin(), ym.values().end());
+      });
+      std::vector<double> all1, all8;
+      for (int r = 0; r < kRanks; ++r) {
+        all1.insert(all1.end(), y1[static_cast<std::size_t>(r)].begin(),
+                    y1[static_cast<std::size_t>(r)].end());
+        all8.insert(all8.end(), y8[static_cast<std::size_t>(r)].begin(),
+                    y8[static_cast<std::size_t>(r)].end());
+      }
+      const std::uint64_t h1 = fnv1a(all1.data(), all1.size());
+      const std::uint64_t h8 = fnv1a(all8.data(), all8.size());
+      EXPECT_EQ(h1, c.apply_hash)
+          << "apply got 0x" << std::hex << h1 << std::dec
+          << " level=" << isa::to_string(level) << " threads=" << threads;
+      EXPECT_EQ(h8, c.panel_hash)
+          << "apply_multi got 0x" << std::hex << h8 << std::dec
+          << " level=" << isa::to_string(level) << " threads=" << threads;
+    }
+  }
+}
+
+// Captured from the staged (pre-register-sweep) implementation. The table
+// lives in static storage so the parameter bytes, and with them any
+// fallback ctest names, are stable; the name generator below gives every
+// case a readable name anyway.
+const LayoutGoldenCase kLayoutGoldenCases[] = {
+    {StoreLayout::kPadded, GoldenShape::kTet4Poisson,
+     0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
+    {StoreLayout::kPadded, GoldenShape::kHex8Poisson,
+     0x9224e9d7df19c9cfULL, 0x8cbd83b2f99f0823ULL},
+    {StoreLayout::kPadded, GoldenShape::kHex8Elasticity,
+     0xec35c9fef8103954ULL, 0x01847f1fa16c7a40ULL},
+    {StoreLayout::kPadded, GoldenShape::kHex20Elasticity,
+     0x3f22bd0dabb1f7efULL, 0x6d4199dbd7b67702ULL},
+    {StoreLayout::kPadded, GoldenShape::kHex27Elasticity,
+     0xb9730e23e5b817f9ULL, 0x95a59f341824e023ULL},
+    {StoreLayout::kInterleaved, GoldenShape::kTet4Poisson,
+     0x9c613559977976aeULL, 0xce9cf3284cae054dULL},
+    {StoreLayout::kInterleaved, GoldenShape::kHex8Poisson,
+     0x3554db2a31035094ULL, 0x8cbd83b2f99f0823ULL},
+    {StoreLayout::kInterleaved, GoldenShape::kHex8Elasticity,
+     0x3c2be3686eb3fa8cULL, 0x01847f1fa16c7a40ULL},
+    {StoreLayout::kInterleaved, GoldenShape::kHex20Elasticity,
+     0xde3939f017d60d2aULL, 0x6d4199dbd7b67702ULL},
+    {StoreLayout::kInterleaved, GoldenShape::kHex27Elasticity,
+     0x8e2d141c945cf50fULL, 0x95a59f341824e023ULL},
+    {StoreLayout::kSymPacked, GoldenShape::kTet4Poisson,
+     0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
+    {StoreLayout::kSymPacked, GoldenShape::kHex8Poisson,
+     0x9224e9d7df19c9cfULL, 0x8cbd83b2f99f0823ULL},
+    {StoreLayout::kSymPacked, GoldenShape::kHex8Elasticity,
+     0x626176fc6e20fbc3ULL, 0x46480350d68ba547ULL},
+    {StoreLayout::kSymPacked, GoldenShape::kHex20Elasticity,
+     0xea8219f779e1a895ULL, 0xbb401a5100d1c884ULL},
+    {StoreLayout::kSymPacked, GoldenShape::kHex27Elasticity,
+     0xff42dd95106fcc95ULL, 0xa1ce8252476ac3caULL},
+    {StoreLayout::kFp32, GoldenShape::kTet4Poisson,
+     0x8b337a17916e40d8ULL, 0xd7921b61c2a5be2fULL},
+    {StoreLayout::kFp32, GoldenShape::kHex8Poisson,
+     0x8cf081216b6c9241ULL, 0x78c246bd7a1bb575ULL},
+    {StoreLayout::kFp32, GoldenShape::kHex8Elasticity,
+     0xe4b7c7acf1cab526ULL, 0x4ac2e64b34d85cc2ULL},
+    {StoreLayout::kFp32, GoldenShape::kHex20Elasticity,
+     0x6e73c73333fcf161ULL, 0x67ad504f3137e69bULL},
+    {StoreLayout::kFp32, GoldenShape::kHex27Elasticity,
+     0xe1a984379bdfc741ULL, 0x258e89b0882f41afULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, LayoutGoldenTest, ::testing::ValuesIn(kLayoutGoldenCases),
+    [](const ::testing::TestParamInfo<LayoutGoldenCase>& info) {
+      return std::string(to_string(info.param.layout)) + "_" +
+             shape_name(info.param.shape);
+    });
 
 // ---------------------------------------------------------------------------
 // store_io: round-trips, conversion on load, corruption rejection, v1 files
