@@ -425,21 +425,26 @@ TEST_P(LayoutOperatorTest, ApplyAndDiagonalMatchPaddedReference) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LayoutOperatorTest,
-    ::testing::Values(
-        LayoutOpCase{StoreLayout::kInterleaved, EmvKernel::kScalar, false},
-        LayoutOpCase{StoreLayout::kInterleaved, EmvKernel::kSimd, false},
-        LayoutOpCase{StoreLayout::kInterleaved, EmvKernel::kAvx, false},
-        LayoutOpCase{StoreLayout::kSymPacked, EmvKernel::kScalar, false},
-        LayoutOpCase{StoreLayout::kSymPacked, EmvKernel::kSimd, false},
-        LayoutOpCase{StoreLayout::kSymPacked, EmvKernel::kAvx, false},
-        LayoutOpCase{StoreLayout::kFp32, EmvKernel::kScalar, false},
-        LayoutOpCase{StoreLayout::kFp32, EmvKernel::kSimd, false},
-        LayoutOpCase{StoreLayout::kFp32, EmvKernel::kAvx, false},
-        LayoutOpCase{StoreLayout::kInterleaved, EmvKernel::kSimd, true},
-        LayoutOpCase{StoreLayout::kSymPacked, EmvKernel::kAvx, true},
-        LayoutOpCase{StoreLayout::kFp32, EmvKernel::kSimd, true}));
+// Static storage zeroes the parameter's padding bytes, which gtest prints
+// in the case names; stack temporaries made the names change between
+// discoveries.
+const LayoutOpCase kLayoutOpCases[] = {
+    {StoreLayout::kInterleaved, EmvKernel::kScalar, false},
+    {StoreLayout::kInterleaved, EmvKernel::kSimd, false},
+    {StoreLayout::kInterleaved, EmvKernel::kAvx, false},
+    {StoreLayout::kSymPacked, EmvKernel::kScalar, false},
+    {StoreLayout::kSymPacked, EmvKernel::kSimd, false},
+    {StoreLayout::kSymPacked, EmvKernel::kAvx, false},
+    {StoreLayout::kFp32, EmvKernel::kScalar, false},
+    {StoreLayout::kFp32, EmvKernel::kSimd, false},
+    {StoreLayout::kFp32, EmvKernel::kAvx, false},
+    {StoreLayout::kInterleaved, EmvKernel::kSimd, true},
+    {StoreLayout::kSymPacked, EmvKernel::kAvx, true},
+    {StoreLayout::kFp32, EmvKernel::kSimd, true},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LayoutOperatorTest,
+                         ::testing::ValuesIn(kLayoutOpCases));
 
 TEST(LayoutOperatorTest2, UpdateElementsWorksOnEveryLayout) {
   const auto dist = layout_dist(false);

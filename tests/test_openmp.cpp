@@ -328,17 +328,18 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ColoredEquivalenceTest,
-    ::testing::Values(
-        EquivCase{core::EmvKernel::kScalar, false, 1},
-        EquivCase{core::EmvKernel::kScalar, true, 3},
-        EquivCase{core::EmvKernel::kSimd, false, 1},
-        EquivCase{core::EmvKernel::kSimd, false, 3},
-        EquivCase{core::EmvKernel::kSimd, true, 1},
-        EquivCase{core::EmvKernel::kSimd, true, 3},
-        EquivCase{core::EmvKernel::kAvx, false, 3},
-        EquivCase{core::EmvKernel::kAvx, true, 1}));
+// gtest names each case after the raw bytes of its parameter, padding
+// included; a static table has zero padding, so the ctest names are the
+// same on every discovery (stack temporaries leaked garbage into them).
+const EquivCase kEquivCases[] = {
+    {core::EmvKernel::kScalar, false, 1}, {core::EmvKernel::kScalar, true, 3},
+    {core::EmvKernel::kSimd, false, 1},   {core::EmvKernel::kSimd, false, 3},
+    {core::EmvKernel::kSimd, true, 1},    {core::EmvKernel::kSimd, true, 3},
+    {core::EmvKernel::kAvx, false, 3},    {core::EmvKernel::kAvx, true, 1},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ColoredEquivalenceTest,
+                         ::testing::ValuesIn(kEquivCases));
 
 TEST(ColoredDeterminismTest, RepeatedThreadedAppliesStayConsistent) {
   const mesh::Mesh m = mesh::build_structured_hex({.nx = 3, .ny = 3, .nz = 3},
