@@ -230,11 +230,6 @@ DenseSweepFn<Scalar> dense_sweep_body(std::size_t ld) {
   return &dense_sweep_fma<Scalar>;
 }
 
-template <class Scalar>
-void run_dense_sweep(const DenseSweep<Scalar>& a) {
-  dense_sweep_body<Scalar>(a.ld)(a);
-}
-
 }  // namespace
 
 void StoredEmvSweep::range(EmvKernel kernel,
@@ -250,14 +245,14 @@ void StoredEmvSweep::range(EmvKernel kernel,
     const auto stride = static_cast<std::size_t>(store_->stride());
     switch (store_->layout()) {
       case StoreLayout::kPadded:
-        run_dense_sweep<double>({store_->data(0), stride, ld, n, maps_,
-                                 order.data(), begin, end, u.data(),
-                                 v.data()});
+        dense_sweep_body<double>(ld)({store_->data(0), stride, ld, n, maps_,
+                                      order.data(), begin, end, u.data(),
+                                      v.data()});
         return;
       case StoreLayout::kFp32:
-        run_dense_sweep<float>({store_->data32(0), stride, ld, n, maps_,
-                                order.data(), begin, end, u.data(),
-                                v.data()});
+        dense_sweep_body<float>(ld)({store_->data32(0), stride, ld, n, maps_,
+                                     order.data(), begin, end, u.data(),
+                                     v.data()});
         return;
       case StoreLayout::kInterleaved:
       case StoreLayout::kSymPacked:

@@ -13,6 +13,7 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -644,13 +646,67 @@ TEST(GoldenPaddedTest, ElasticityApplyBitwiseUnchanged) {
 // ---------------------------------------------------------------------------
 
 /// One element shape per class of SIMD row tiles in a padded column
-/// (ld / 8 = 1, 1, 3, 8 and 11 AVX-512 tiles; twice as many AVX2 tiles).
+/// (ld / 8 = 1, 1, 3, 8, 11 and 13 AVX-512 tiles; twice as many AVX2
+/// tiles). The last class splits a column into row groups.
 enum class GoldenShape : int {
   kTet4Poisson,       // n = 4
   kHex8Poisson,       // n = 8
   kHex8Elasticity,    // n = 24
   kHex20Elasticity,   // n = 60
   kHex27Elasticity,   // n = 81
+  kHex20Block5,       // n = 100
+};
+
+/// Hex20 Poisson coupled across 5 unknowns per node, K = P ⊗ B with a
+/// fixed symmetric B of binary fractions: n = 100 and ld = 104, wider
+/// than one register group at every ISA level, with a last group that
+/// overlaps the one before it.
+class BlockPoisson final : public fem::ElementOperator {
+ public:
+  static constexpr int kBlock = 5;
+
+  BlockPoisson()
+      : fem::ElementOperator(mesh::ElementType::kHex20,
+                             fem::default_quadrature(mesh::ElementType::kHex20)),
+        inner_(mesh::ElementType::kHex20) {}
+
+  [[nodiscard]] int ndof_per_node() const override { return kBlock; }
+  void element_matrix(std::span<const mesh::Point> coords,
+                      std::span<double> ke) const override {
+    static constexpr double kCoupling[kBlock][kBlock] = {
+        {4.0, 1.0, 0.5, 0.25, 0.125},
+        {1.0, 4.0, 1.0, 0.5, 0.25},
+        {0.5, 1.0, 4.0, 1.0, 0.5},
+        {0.25, 0.5, 1.0, 4.0, 1.0},
+        {0.125, 0.25, 0.5, 1.0, 4.0}};
+    const auto m = static_cast<std::size_t>(inner_.num_dofs());
+    const std::size_t n = m * kBlock;
+    std::vector<double> p(m * m);
+    inner_.element_matrix(coords, p);
+    for (std::size_t b = 0; b < m; ++b) {
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        for (std::size_t a = 0; a < m; ++a) {
+          for (std::size_t i = 0; i < kBlock; ++i) {
+            ke[(b * kBlock + j) * n + a * kBlock + i] =
+                p[b * m + a] * kCoupling[i][j];
+          }
+        }
+      }
+    }
+  }
+  void element_rhs(std::span<const mesh::Point> /*coords*/,
+                   std::span<double> fe) const override {
+    std::fill(fe.begin(), fe.end(), 0.0);
+  }
+  [[nodiscard]] std::int64_t matrix_flops() const override {
+    return inner_.matrix_flops() * kBlock * kBlock;
+  }
+  [[nodiscard]] std::int64_t matrix_traffic_bytes() const override {
+    return inner_.matrix_traffic_bytes() * kBlock * kBlock;
+  }
+
+ private:
+  fem::PoissonOperator inner_;
 };
 
 const char* shape_name(GoldenShape shape) {
@@ -665,6 +721,8 @@ const char* shape_name(GoldenShape shape) {
       return "hex20_elasticity";
     case GoldenShape::kHex27Elasticity:
       return "hex27_elasticity";
+    case GoldenShape::kHex20Block5:
+      return "hex20_block5";
   }
   return "?";
 }
@@ -712,7 +770,9 @@ TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
   const bool tet = c.shape == GoldenShape::kTet4Poisson;
   const mesh::ElementType type =
       tet ? mesh::ElementType::kTet4
-      : c.shape == GoldenShape::kHex20Elasticity ? mesh::ElementType::kHex20
+      : c.shape == GoldenShape::kHex20Elasticity ||
+              c.shape == GoldenShape::kHex20Block5
+          ? mesh::ElementType::kHex20
       : c.shape == GoldenShape::kHex27Elasticity ? mesh::ElementType::kHex27
                                                  : mesh::ElementType::kHex8;
   const mesh::Mesh m =
@@ -726,6 +786,8 @@ TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
   if (c.shape == GoldenShape::kTet4Poisson ||
       c.shape == GoldenShape::kHex8Poisson) {
     op = std::make_unique<fem::PoissonOperator>(type);
+  } else if (c.shape == GoldenShape::kHex20Block5) {
+    op = std::make_unique<BlockPoisson>();
   } else {
     op = std::make_unique<fem::ElasticityOperator>(type, 700.0, 0.3);
   }
@@ -792,6 +854,8 @@ const LayoutGoldenCase kLayoutGoldenCases[] = {
      0x3f22bd0dabb1f7efULL, 0x6d4199dbd7b67702ULL},
     {StoreLayout::kPadded, GoldenShape::kHex27Elasticity,
      0xb9730e23e5b817f9ULL, 0x95a59f341824e023ULL},
+    {StoreLayout::kPadded, GoldenShape::kHex20Block5,
+     0xa8b3ae6fcd1ca234ULL, 0xb25a88436047dccbULL},
     {StoreLayout::kInterleaved, GoldenShape::kTet4Poisson,
      0x9c613559977976aeULL, 0xce9cf3284cae054dULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex8Poisson,
@@ -802,6 +866,8 @@ const LayoutGoldenCase kLayoutGoldenCases[] = {
      0xde3939f017d60d2aULL, 0x6d4199dbd7b67702ULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex27Elasticity,
      0x8e2d141c945cf50fULL, 0x95a59f341824e023ULL},
+    {StoreLayout::kInterleaved, GoldenShape::kHex20Block5,
+     0xf2f08eb7e03122abULL, 0xb25a88436047dccbULL},
     {StoreLayout::kSymPacked, GoldenShape::kTet4Poisson,
      0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
     {StoreLayout::kSymPacked, GoldenShape::kHex8Poisson,
@@ -812,6 +878,8 @@ const LayoutGoldenCase kLayoutGoldenCases[] = {
      0xea8219f779e1a895ULL, 0xbb401a5100d1c884ULL},
     {StoreLayout::kSymPacked, GoldenShape::kHex27Elasticity,
      0xff42dd95106fcc95ULL, 0xa1ce8252476ac3caULL},
+    {StoreLayout::kSymPacked, GoldenShape::kHex20Block5,
+     0xc80fb3c2ea8a32a3ULL, 0xb25a88436047dccbULL},
     {StoreLayout::kFp32, GoldenShape::kTet4Poisson,
      0x8b337a17916e40d8ULL, 0xd7921b61c2a5be2fULL},
     {StoreLayout::kFp32, GoldenShape::kHex8Poisson,
@@ -822,6 +890,8 @@ const LayoutGoldenCase kLayoutGoldenCases[] = {
      0x6e73c73333fcf161ULL, 0x67ad504f3137e69bULL},
     {StoreLayout::kFp32, GoldenShape::kHex27Elasticity,
      0xe1a984379bdfc741ULL, 0x258e89b0882f41afULL},
+    {StoreLayout::kFp32, GoldenShape::kHex20Block5,
+     0x7a21677cc8152908ULL, 0x19274a6ed19a9d49ULL},
 };
 
 INSTANTIATE_TEST_SUITE_P(
