@@ -839,10 +839,8 @@ TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
   }
 }
 
-// Captured from the staged (pre-register-sweep) implementation. The table
-// lives in static storage so the parameter bytes, and with them any
-// fallback ctest names, are stable; the name generator below gives every
-// case a readable name anyway.
+// Captured from the staged EMV sweep that preceded the register-resident
+// one, in the default -march=native build (DESIGN.md §5i).
 const LayoutGoldenCase kLayoutGoldenCases[] = {
     {StoreLayout::kPadded, GoldenShape::kTet4Poisson,
      0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
