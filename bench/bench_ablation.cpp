@@ -106,13 +106,15 @@ int main(int argc, char** argv) {
         {core::EmvKernel::kScalar, "scalar-rows"},
         {core::EmvKernel::kSimd, "register-sweep"},
     };
-    double sweep_s = 0.0;
+    double sweep_s = 0.0;  // the register-sweep row, for the floor ratio
     for (const auto& k : kernels) {
       const AggResult r = run_backend(
           setup,
           {.backend = driver::Backend::kHymv, .hymv = {.kernel = k.kernel}},
           napplies);
-      sweep_s = r.spmv_wall_s;
+      if (k.kernel != core::EmvKernel::kScalar) {
+        sweep_s = r.spmv_wall_s;
+      }
       std::printf("  %-14s spmv=%.4f s  (%.2f GFLOP/s)\n", k.name,
                   r.spmv_wall_s,
                   static_cast<double>(r.flops) / r.spmv_wall_s / 1e9);
