@@ -727,6 +727,28 @@ const char* shape_name(GoldenShape shape) {
   return "?";
 }
 
+std::unique_ptr<fem::ElementOperator> golden_operator(GoldenShape shape) {
+  using mesh::ElementType;
+  switch (shape) {
+    case GoldenShape::kTet4Poisson:
+      return std::make_unique<fem::PoissonOperator>(ElementType::kTet4);
+    case GoldenShape::kHex8Poisson:
+      return std::make_unique<fem::PoissonOperator>(ElementType::kHex8);
+    case GoldenShape::kHex8Elasticity:
+      return std::make_unique<fem::ElasticityOperator>(ElementType::kHex8,
+                                                       700.0, 0.3);
+    case GoldenShape::kHex20Elasticity:
+      return std::make_unique<fem::ElasticityOperator>(ElementType::kHex20,
+                                                       700.0, 0.3);
+    case GoldenShape::kHex27Elasticity:
+      return std::make_unique<fem::ElasticityOperator>(ElementType::kHex27,
+                                                       700.0, 0.3);
+    case GoldenShape::kHex20Block5:
+      return std::make_unique<BlockPoisson>();
+  }
+  return nullptr;
+}
+
 struct LayoutGoldenCase {
   StoreLayout layout;
   GoldenShape shape;
@@ -767,30 +789,16 @@ TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
   const LayoutGoldenCase c = GetParam();
   constexpr int kRanks = 2;
   constexpr int kLanes = 8;
-  const bool tet = c.shape == GoldenShape::kTet4Poisson;
-  const mesh::ElementType type =
-      tet ? mesh::ElementType::kTet4
-      : c.shape == GoldenShape::kHex20Elasticity ||
-              c.shape == GoldenShape::kHex20Block5
-          ? mesh::ElementType::kHex20
-      : c.shape == GoldenShape::kHex27Elasticity ? mesh::ElementType::kHex27
-                                                 : mesh::ElementType::kHex8;
+  const std::unique_ptr<fem::ElementOperator> op = golden_operator(c.shape);
+  const mesh::ElementType type = op->element_type();
   const mesh::Mesh m =
-      tet ? mesh::build_unstructured_tet(
+      type == mesh::ElementType::kTet4
+          ? mesh::build_unstructured_tet(
                 {.box = {.nx = 3, .ny = 3, .nz = 3}, .jitter = 0.2, .seed = 7},
                 type)
           : mesh::build_structured_hex({.nx = 4, .ny = 3, .nz = 4}, type);
   const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
   const auto dist = mesh::distribute_mesh(m, ids, kRanks);
-  std::unique_ptr<fem::ElementOperator> op;
-  if (c.shape == GoldenShape::kTet4Poisson ||
-      c.shape == GoldenShape::kHex8Poisson) {
-    op = std::make_unique<fem::PoissonOperator>(type);
-  } else if (c.shape == GoldenShape::kHex20Block5) {
-    op = std::make_unique<BlockPoisson>();
-  } else {
-    op = std::make_unique<fem::ElasticityOperator>(type, 700.0, 0.3);
-  }
 
   for (const isa::IsaLevel level : runnable_levels()) {
     isa::force(level);
