@@ -20,6 +20,7 @@
 #include <atomic>
 #include <barrier>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -272,11 +273,16 @@ TEST(ThreadScheduleTest, EnvOverrideParses) {
 // {kScalar, kSimd, kAvx} × {hex8, tet4} × {1, 3 dof/node}
 // ---------------------------------------------------------------------------
 
+// ctest names each case after the raw bytes of its parameter, so the
+// bytes between `tet` and `ndof` are spelled out rather than left as
+// padding; kEquivCases says what they hold.
 struct EquivCase {
   core::EmvKernel kernel;
   bool tet;
+  std::uint8_t name_bytes[3];  // no meaning to the test; names only
   int ndof;
 };
+static_assert(sizeof(EquivCase) == 12, "every byte of a case is set");
 
 class ColoredEquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
@@ -328,14 +334,20 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
   });
 }
 
-// gtest names each case after the raw bytes of its parameter, padding
-// included; a static table has zero padding, so the ctest names are the
-// same on every discovery (stack temporaries leaked garbage into them).
+// The name bytes fix every ctest name on every discovery (as padding of
+// stack temporaries they held whatever the stack did) and keep the names
+// the cases were first registered under. Two of those carried non-zero
+// bytes there, which also set the kSimd 1- and 3-dof names apart before
+// the ndof bytes.
 const EquivCase kEquivCases[] = {
-    {core::EmvKernel::kScalar, false, 1}, {core::EmvKernel::kScalar, true, 3},
-    {core::EmvKernel::kSimd, false, 1},   {core::EmvKernel::kSimd, false, 3},
-    {core::EmvKernel::kSimd, true, 1},    {core::EmvKernel::kSimd, true, 3},
-    {core::EmvKernel::kAvx, false, 3},    {core::EmvKernel::kAvx, true, 1},
+    {core::EmvKernel::kScalar, false, {0x00, 0x00, 0x00}, 1},
+    {core::EmvKernel::kScalar, true, {0x00, 0x00, 0x00}, 3},
+    {core::EmvKernel::kSimd, false, {0x00, 0x00, 0x00}, 1},
+    {core::EmvKernel::kSimd, false, {0x00, 0x04, 0x00}, 3},
+    {core::EmvKernel::kSimd, true, {0x00, 0xD0, 0xCA}, 1},
+    {core::EmvKernel::kSimd, true, {0x00, 0x00, 0x00}, 3},
+    {core::EmvKernel::kAvx, false, {0x00, 0x00, 0x00}, 3},
+    {core::EmvKernel::kAvx, true, {0x00, 0x00, 0x00}, 1},
 };
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ColoredEquivalenceTest,
