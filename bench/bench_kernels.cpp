@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,8 @@ namespace {
 
 using hymv::aligned_vector;
 
-/// Batch of dense element matrices + vectors for EMV benchmarks.
+/// Batch of dense element matrices + vectors for EMV benchmarks. Element
+/// b owns entries b*n .. b*n+n-1 of u and v, which is its E2L row.
 struct EmvFixture {
   std::size_t n;
   std::size_t ld;
@@ -31,10 +33,13 @@ struct EmvFixture {
   aligned_vector<double> ke;
   aligned_vector<double> u;
   aligned_vector<double> v;
+  std::vector<std::int64_t> e2l;
+  std::vector<std::int64_t> order;
 
   explicit EmvFixture(std::size_t n_, std::size_t nbatch_ = 512)
       : n(n_), ld(hymv::round_up_to(n_, 8)), nbatch(nbatch_),
-        ke(nbatch * ld * n), u(nbatch * n), v(nbatch * n) {
+        ke(nbatch * ld * n), u(nbatch * n), v(nbatch * n), e2l(nbatch * n),
+        order(nbatch) {
     hymv::Xoshiro256 rng(7);
     for (double& x : ke) {
       x = rng.uniform(-1.0, 1.0);
@@ -42,43 +47,67 @@ struct EmvFixture {
     for (double& x : u) {
       x = rng.uniform(-1.0, 1.0);
     }
+    std::iota(e2l.begin(), e2l.end(), std::int64_t{0});
+    std::iota(order.begin(), order.end(), std::int64_t{0});
+  }
+
+  /// The stored-matrix register sweep over the whole batch.
+  void sweep() {
+    hymv::core::dense_sweep_body<double>(ld)(
+        {ke.data(), ld * n, ld, n, e2l.data(), order.data(), 0,
+         static_cast<std::int64_t>(nbatch), u.data(), v.data()});
   }
 };
 
-void bench_emv(benchmark::State& state, hymv::core::EmvKernel kernel) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  EmvFixture fx(n);
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < fx.nbatch; ++b) {
-      hymv::core::emv(kernel, fx.ke.data() + b * fx.ld * fx.n, fx.ld, fx.n,
-                      fx.u.data() + b * fx.n, fx.v.data() + b * fx.n);
-    }
-    benchmark::DoNotOptimize(fx.v.data());
-  }
+void report_emv(benchmark::State& state, const EmvFixture& fx) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fx.nbatch));
   state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * static_cast<double>(n) * static_cast<double>(n) *
+      2.0 * static_cast<double>(fx.n) * static_cast<double>(fx.n) *
           static_cast<double>(fx.nbatch) *
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
+/// One single-element kernel per matrix of the batch.
+template <void (*kEmv)(const double*, std::size_t, std::size_t,
+                       const double*, double*)>
+void BM_EmvElementwise(benchmark::State& state) {
+  EmvFixture fx(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < fx.nbatch; ++b) {
+      kEmv(fx.ke.data() + b * fx.ld * fx.n, fx.ld, fx.n,
+           fx.u.data() + b * fx.n, fx.v.data() + b * fx.n);
+    }
+    benchmark::DoNotOptimize(fx.v.data());
+  }
+  report_emv(state, fx);
+}
+
+/// kScalar row-dot reference.
 void BM_EmvScalar(benchmark::State& state) {
-  bench_emv(state, hymv::core::EmvKernel::kScalar);
+  BM_EmvElementwise<&hymv::core::emv_scalar>(state);
 }
+/// The compiler-vectorized kernel the matrix-free operators run.
 void BM_EmvSimd(benchmark::State& state) {
-  bench_emv(state, hymv::core::EmvKernel::kSimd);
+  BM_EmvElementwise<&hymv::core::emv_simd>(state);
 }
-void BM_EmvAvx(benchmark::State& state) {
-  bench_emv(state, hymv::core::EmvKernel::kAvx);
+/// The register sweep stored matrices run (kSimd and kAvx), gathering and
+/// scatter-adding through the E2L row like an apply.
+void BM_EmvSweep(benchmark::State& state) {
+  EmvFixture fx(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    fx.sweep();
+    benchmark::DoNotOptimize(fx.v.data());
+  }
+  report_emv(state, fx);
 }
 
 // Element sizes: hex8 Poisson (8), hex8 elasticity (24), hex20 elasticity
 // (60), hex27 elasticity (81).
 BENCHMARK(BM_EmvScalar)->Arg(8)->Arg(24)->Arg(60)->Arg(81);
 BENCHMARK(BM_EmvSimd)->Arg(8)->Arg(24)->Arg(60)->Arg(81);
-BENCHMARK(BM_EmvAvx)->Arg(8)->Arg(24)->Arg(60)->Arg(81);
+BENCHMARK(BM_EmvSweep)->Arg(8)->Arg(24)->Arg(60)->Arg(81);
 
 /// CSR SpMV with FEM-like sparsity (27 nonzeros/row) and either local or
 /// shuffled (irregular) column indices — the access-pattern contrast that
@@ -187,17 +216,11 @@ int run_isa_sweep(const char* json_path) {
     const std::string isa_name =
         is_auto ? "auto" : std::string(isa::to_string(isa::active()));
 
-    // Dispatched dense EMV (the kAvx flavor routes through the table).
+    // Dispatched dense EMV: the stored-matrix register sweep.
     for (const std::size_t n : {std::size_t{8}, std::size_t{24},
                                 std::size_t{60}, std::size_t{81}}) {
       EmvFixture fx(n);
-      const double s = best_seconds_per_call([&fx] {
-        for (std::size_t b = 0; b < fx.nbatch; ++b) {
-          hymv::core::emv(hymv::core::EmvKernel::kAvx,
-                          fx.ke.data() + b * fx.ld * fx.n, fx.ld, fx.n,
-                          fx.u.data() + b * fx.n, fx.v.data() + b * fx.n);
-        }
-      });
+      const double s = best_seconds_per_call([&fx] { fx.sweep(); });
       const double flops = 2.0 * static_cast<double>(n) *
                            static_cast<double>(n) *
                            static_cast<double>(fx.nbatch);

@@ -6,14 +6,18 @@
 /// dimension, and v_e = K_e u_e is computed as a sum of column·scalar
 /// updates (eq. 4), which streams each column once and vectorizes cleanly.
 ///
-/// Three implementations are provided so the ablation bench can isolate
-/// the vectorization claim:
+/// Three kernel flavors let the ablation bench isolate the vectorization
+/// claim:
 ///   * kScalar — plain row-scan reference
 ///   * kSimd   — column-major accumulation with `omp simd` (compiler vec.)
 ///   * kAvx    — explicit intrinsics, RUNTIME-dispatched per ISA level
+/// The single-vector apply over a dense column-major store (kPadded,
+/// kFp32) has one non-reference kernel, the register-resident sweep, which
+/// kSimd and kAvx both run; the other families keep one kernel per flavor.
 ///
-/// The kAvx flavor (and the panel kernels' explicit variants) no longer
-/// hard-codes one ISA at compile time: each family carries a per-ISA
+/// The explicit kernels do not hard-code one ISA at compile time: each
+/// family (the dense sweep, and the panel kernels' explicit variants)
+/// carries a per-ISA
 /// function table {portable-FMA, AVX2, AVX-512} indexed by
 /// isa::active_index() (DESIGN.md §5i). Every entry of a table implements
 /// the IDENTICAL per-output accumulation chain (ascending c, one fused
@@ -25,8 +29,14 @@
 /// aligned, columns padded with zeros from n to ld (the explicit kernels
 /// read full SIMD tiles across the zero padding and mask only the stores).
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "hymv/common/isa.hpp"
 
@@ -68,7 +78,9 @@ inline void emv_scalar(const double* ke, std::size_t ld, std::size_t n,
   }
 }
 
-/// Column-major accumulation (paper eq. 4), compiler-vectorized.
+/// Column-major accumulation (paper eq. 4), compiler-vectorized. The
+/// kernel for matrices built on the fly (the matrix-free operators, where
+/// ld may equal n); stored matrices run the register sweep below.
 inline void emv_simd(const double* ke, std::size_t ld, std::size_t n,
                      const double* u, double* v) {
   for (std::size_t r = 0; r < n; ++r) {
@@ -84,121 +96,11 @@ inline void emv_simd(const double* ke, std::size_t ld, std::size_t n,
   }
 }
 
-namespace detail {
-
-using DenseEmvFn = void (*)(const double*, std::size_t, std::size_t,
-                            const double*, double*);
-
-/// Portable table entry: the same per-row ascending-c chain as the AVX
-/// entries with every step explicitly fused, so the chain is bitwise
-/// identical to one SIMD lane of the wide variants.
-inline void emv_dense_fma(const double* ke, std::size_t ld, std::size_t n,
-                          const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      sum = std::fma(ke[c * ld + r], u[c], sum);
-    }
-    v[r] = sum;
-  }
-}
-
-#if HYMV_ISA_X86
-
-/// Store mask for the final <4-lane row tile (AVX2 has no mask registers;
-/// maskstore takes a sign-bit vector).
-HYMV_TARGET_AVX2 inline __m256i avx2_tail_mask(std::size_t rem) {
-  return _mm256_setr_epi64x(rem > 0 ? -1 : 0, rem > 1 ? -1 : 0,
-                            rem > 2 ? -1 : 0, rem > 3 ? -1 : 0);
-}
-
-/// AVX2 entry: full 4-lane loads over the zero-padded leading dimension
-/// (ld is a multiple of 8, so the tile never runs past the column), tail
-/// handled by a masked STORE only — the same shape as the AVX-512 entry,
-/// replacing the old duplicated scalar-tail loop.
-HYMV_TARGET_AVX2 inline void emv_dense_avx2(const double* ke, std::size_t ld,
-                                            std::size_t n, const double* u,
-                                            double* v) {
-  constexpr std::size_t kLanes = 4;
-  for (std::size_t r = 0; r < n; r += kLanes) {
-    const std::size_t rem = n - r;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < n; ++c) {
-      const __m256d col = _mm256_load_pd(ke + c * ld + r);
-      acc = _mm256_fmadd_pd(col, _mm256_set1_pd(u[c]), acc);
-    }
-    if (rem >= kLanes) {
-      _mm256_storeu_pd(v + r, acc);
-    } else {
-      _mm256_maskstore_pd(v + r, avx2_tail_mask(rem), acc);
-    }
-  }
-}
-
-/// AVX-512 entry: 8-lane column accumulation, masked tail store.
-HYMV_TARGET_AVX512 inline void emv_dense_avx512(const double* ke,
-                                                std::size_t ld, std::size_t n,
-                                                const double* u, double* v) {
-  constexpr std::size_t kLanes = 8;
-  for (std::size_t r = 0; r < n; r += kLanes) {
-    const std::size_t rem = n - r;
-    const __mmask8 mask =
-        rem >= kLanes ? 0xFF : static_cast<__mmask8>((1u << rem) - 1u);
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < n; ++c) {
-      const __m512d col = _mm512_load_pd(ke + c * ld + r);
-      acc = _mm512_fmadd_pd(col, _mm512_set1_pd(u[c]), acc);
-    }
-    _mm512_mask_storeu_pd(v + r, mask, acc);
-  }
-}
-
-inline constexpr DenseEmvFn kDenseEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_dense_fma, &emv_dense_avx2, &emv_dense_avx512};
-
-#else  // !HYMV_ISA_X86
-
-inline constexpr DenseEmvFn kDenseEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_dense_fma, &emv_dense_fma, &emv_dense_fma};
-
-#endif  // HYMV_ISA_X86
-
-}  // namespace detail
-
-/// Explicit-SIMD column accumulation, dispatched at runtime on the active
-/// ISA level (HYMV_ISA / CPUID). All levels produce identical bits.
-inline void emv_avx(const double* ke, std::size_t ld, std::size_t n,
-                    const double* u, double* v) {
-  detail::kDenseEmvTable[hymv::isa::active_index()](ke, ld, n, u, v);
-}
-
-/// Dispatch on kernel flavor.
-inline void emv(EmvKernel kernel, const double* ke, std::size_t ld,
-                std::size_t n, const double* u, double* v) {
-  switch (kernel) {
-    case EmvKernel::kScalar:
-      emv_scalar(ke, ld, n, u, v);
-      return;
-    case EmvKernel::kSimd:
-      emv_simd(ke, ld, n, u, v);
-      return;
-    case EmvKernel::kAvx:
-      emv_avx(ke, ld, n, u, v);
-      return;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// fp32-compressed kernels (StoreLayout::kFp32)
-//
-// The matrix is stored in single precision — half the streamed bytes on the
-// bandwidth-bound apply — but every product accumulates in double, so the
-// only precision loss is the one rounding of each K_e entry to fp32
-// (~1e-7 relative on the output; quantified in DESIGN.md §5c).
-// Geometry matches the padded layout: column-major, ld >= n, zero-padded.
-// ---------------------------------------------------------------------------
-
-/// fp32 reference kernel: per-row dot products, double accumulation.
+/// fp32 reference kernel (StoreLayout::kFp32): per-row dot products with
+/// double accumulation. The matrix is stored in single precision — half
+/// the streamed bytes — and every product accumulates in double, so the
+/// only precision loss is the one rounding of each K_e entry to fp32
+/// (~1e-7 relative on the output; quantified in DESIGN.md §5c).
 inline void emv_f32_scalar(const float* ke, std::size_t ld, std::size_t n,
                            const double* u, double* v) {
   for (std::size_t r = 0; r < n; ++r) {
@@ -210,59 +112,99 @@ inline void emv_f32_scalar(const float* ke, std::size_t ld, std::size_t n,
   }
 }
 
-/// fp32 column-major accumulation (the eq. 4 sweep), compiler-vectorized;
-/// the float→double widening vectorizes as a cvt in the loop body.
-inline void emv_f32_simd(const float* ke, std::size_t ld, std::size_t n,
-                         const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    v[r] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    const double uc = u[c];
-    const float* col = ke + c * ld;
-#pragma omp simd
-    for (std::size_t r = 0; r < n; ++r) {
-      v[r] += static_cast<double>(col[r]) * uc;
-    }
-  }
-}
+// ---------------------------------------------------------------------------
+// Register-resident sweep over a dense column-major store (StoreLayout::
+// kPadded and kFp32; the kSimd and kAvx flavors)
+//
+// Per element, each u_e entry is broadcast straight from the distributed
+// array, a group of v_e row tiles stays in registers across all n columns,
+// and the group is scatter-added in ascending DoF order. Every output is
+// one ascending-column fma chain from +0 at every level and group size, so
+// the bits depend on neither (DESIGN.md §5i).
+// ---------------------------------------------------------------------------
+
+/// One sweep: v[dofs_e] += K_e u[dofs_e] for each e of order[begin, end),
+/// where dofs_e are the n entries at e2l + e * n. Scalar is the stored
+/// entry type (double or float); products accumulate in double.
+template <class Scalar>
+struct DenseSweep {
+  const Scalar* store;      ///< element 0's block
+  std::size_t stride;       ///< scalars per element
+  std::size_t ld;           ///< padded leading dimension, a multiple of 8
+  std::size_t n;            ///< element DoFs (rows == columns)
+  const std::int64_t* e2l;  ///< element-to-local DoF map, n per element
+  const std::int64_t* order;
+  std::int64_t begin;
+  std::int64_t end;
+  const double* u;
+  double* v;
+};
 
 namespace detail {
 
-using F32EmvFn = void (*)(const float*, std::size_t, std::size_t,
-                          const double*, double*);
+template <class Scalar>
+using DenseSweepFn = void (*)(const DenseSweep<Scalar>&);
 
-/// Portable fp32 entry: fused chain with exact float→double widening.
-inline void emv_f32_fma(const float* ke, std::size_t ld, std::size_t n,
-                        const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      sum = std::fma(static_cast<double>(ke[c * ld + r]), u[c], sum);
+/// Most row tiles one body keeps live: 12 accumulators plus the broadcast
+/// and a widening temporary fit AVX2's 16 registers (AVX-512 has 32).
+inline constexpr std::size_t kMaxGroupTiles = 12;
+
+/// Tiles per row group for a column of `tiles` tiles: the fewest groups
+/// that fit kMaxGroupTiles, split evenly.
+constexpr std::size_t group_tiles(std::size_t tiles) {
+  const std::size_t groups = (tiles + kMaxGroupTiles - 1) / kMaxGroupTiles;
+  return (tiles + groups - 1) / groups;
+}
+
+/// Rows of one group start at the first row not yet scattered; the last
+/// group slides back to end at ld, recomputing (never re-scattering) the
+/// rows it overlaps, so every group is a full block of tiles.
+inline std::size_t group_first_row(std::size_t fresh, std::size_t ld,
+                                   std::size_t rows) {
+  return std::min(fresh, ld - rows);
+}
+
+/// Portable entry: kTiles tiles of 8 rows, std::fma per term.
+template <class Scalar, std::size_t kTiles>
+void dense_sweep_fma(const DenseSweep<Scalar>& a) {
+  constexpr std::size_t kRows = 8 * kTiles;
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * a.n;
+    for (std::size_t fresh = 0; fresh < a.n; fresh += kRows) {
+      const std::size_t r0 = group_first_row(fresh, a.ld, kRows);
+      double acc[kRows] = {};
+      for (std::size_t c = 0; c < a.n; ++c) {
+        const double uc = a.u[dofs[c]];
+        const Scalar* col = ke + c * a.ld + r0;
+        for (std::size_t j = 0; j < kRows; ++j) {
+          acc[j] = std::fma(static_cast<double>(col[j]), uc, acc[j]);
+        }
+      }
+      const std::size_t stop = std::min(a.n, r0 + kRows);
+      for (std::size_t r = fresh; r < stop; ++r) {
+        a.v[dofs[r]] += acc[r - r0];
+      }
     }
-    v[r] = sum;
   }
 }
 
 #if HYMV_ISA_X86
 
-HYMV_TARGET_AVX2 inline void emv_f32_avx2(const float* ke, std::size_t ld,
-                                          std::size_t n, const double* u,
-                                          double* v) {
-  constexpr std::size_t kLanes = 4;
-  for (std::size_t r = 0; r < n; r += kLanes) {
-    const std::size_t rem = n - r;
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < n; ++c) {
-      const __m256d col = _mm256_cvtps_pd(_mm_loadu_ps(ke + c * ld + r));
-      acc = _mm256_fmadd_pd(col, _mm256_set1_pd(u[c]), acc);
-    }
-    if (rem >= kLanes) {
-      _mm256_storeu_pd(v + r, acc);
-    } else {
-      _mm256_maskstore_pd(v + r, avx2_tail_mask(rem), acc);
-    }
-  }
+/// Store mask for the final <4-lane row tile (AVX2 has no mask registers;
+/// maskstore takes a sign-bit vector). Used by the AVX2 panel kernels.
+HYMV_TARGET_AVX2 inline __m256i avx2_tail_mask(std::size_t rem) {
+  return _mm256_setr_epi64x(rem > 0 ? -1 : 0, rem > 1 ? -1 : 0,
+                            rem > 2 ? -1 : 0, rem > 3 ? -1 : 0);
+}
+
+/// One 4-row tile of a column, widened to double (fp32 exactly).
+HYMV_TARGET_AVX2 inline __m256d load_tile4(const double* p) {
+  return _mm256_load_pd(p);
+}
+HYMV_TARGET_AVX2 inline __m256d load_tile4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 
 // GCC 12's <avx512fintrin.h> implements _mm512_cvtps_pd by merging into an
@@ -272,59 +214,166 @@ HYMV_TARGET_AVX2 inline void emv_f32_avx2(const float* ke, std::size_t ld,
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-HYMV_TARGET_AVX512 inline void emv_f32_avx512(const float* ke, std::size_t ld,
-                                              std::size_t n, const double* u,
-                                              double* v) {
-  constexpr std::size_t kLanes = 8;
-  for (std::size_t r = 0; r < n; r += kLanes) {
-    const std::size_t rem = n - r;
-    const __mmask8 mask =
-        rem >= kLanes ? 0xFF : static_cast<__mmask8>((1u << rem) - 1u);
-    __m512d acc = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < n; ++c) {
-      const __m512d col = _mm512_cvtps_pd(_mm256_loadu_ps(ke + c * ld + r));
-      acc = _mm512_fmadd_pd(col, _mm512_set1_pd(u[c]), acc);
-    }
-    _mm512_mask_storeu_pd(v + r, mask, acc);
-  }
+/// One 8-row tile of a column, widened to double (fp32 exactly).
+HYMV_TARGET_AVX512 inline __m512d load_tile8(const double* p) {
+  return _mm512_load_pd(p);
+}
+HYMV_TARGET_AVX512 inline __m512d load_tile8(const float* p) {
+  return _mm512_cvtps_pd(_mm256_loadu_ps(p));
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
-inline constexpr F32EmvFn kF32EmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_f32_fma, &emv_f32_avx2, &emv_f32_avx512};
+/// AVX2 entry: kTiles 4-row accumulators live across all columns.
+template <class Scalar, std::size_t kTiles>
+HYMV_TARGET_AVX2 void dense_sweep_avx2(const DenseSweep<Scalar>& a) {
+  constexpr std::size_t kRows = 4 * kTiles;
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * a.n;
+    for (std::size_t fresh = 0; fresh < a.n; fresh += kRows) {
+      const std::size_t r0 = group_first_row(fresh, a.ld, kRows);
+      __m256d acc[kTiles];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kTiles; ++t) {
+        acc[t] = _mm256_setzero_pd();
+      }
+      for (std::size_t c = 0; c < a.n; ++c) {
+        const __m256d uc = _mm256_set1_pd(a.u[dofs[c]]);
+        const Scalar* col = ke + c * a.ld + r0;
+#pragma GCC unroll 16
+        for (std::size_t t = 0; t < kTiles; ++t) {
+          acc[t] = _mm256_fmadd_pd(load_tile4(col + 4 * t), uc, acc[t]);
+        }
+      }
+      alignas(32) double ve[kRows];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kTiles; ++t) {
+        _mm256_store_pd(ve + 4 * t, acc[t]);
+      }
+      const std::size_t stop = std::min(a.n, r0 + kRows);
+      for (std::size_t r = fresh; r < stop; ++r) {
+        a.v[dofs[r]] += ve[r - r0];
+      }
+    }
+  }
+}
+
+/// AVX-512 entry: kTiles 8-row accumulators live across all columns.
+template <class Scalar, std::size_t kTiles>
+HYMV_TARGET_AVX512 void dense_sweep_avx512(const DenseSweep<Scalar>& a) {
+  constexpr std::size_t kRows = 8 * kTiles;
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * a.n;
+    for (std::size_t fresh = 0; fresh < a.n; fresh += kRows) {
+      const std::size_t r0 = group_first_row(fresh, a.ld, kRows);
+      __m512d acc[kTiles];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kTiles; ++t) {
+        acc[t] = _mm512_setzero_pd();
+      }
+      for (std::size_t c = 0; c < a.n; ++c) {
+        const __m512d uc = _mm512_set1_pd(a.u[dofs[c]]);
+        const Scalar* col = ke + c * a.ld + r0;
+#pragma GCC unroll 16
+        for (std::size_t t = 0; t < kTiles; ++t) {
+          acc[t] = _mm512_fmadd_pd(load_tile8(col + 8 * t), uc, acc[t]);
+        }
+      }
+      alignas(64) double ve[kRows];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kTiles; ++t) {
+        _mm512_store_pd(ve + 8 * t, acc[t]);
+      }
+      const std::size_t stop = std::min(a.n, r0 + kRows);
+      for (std::size_t r = fresh; r < stop; ++r) {
+        a.v[dofs[r]] += ve[r - r0];
+      }
+    }
+  }
+}
+
+/// Rows per tile at each level.
+inline constexpr std::size_t kSweepTileRows[hymv::isa::kNumIsaLevels] = {
+    8, 4, 8};
+
+/// Per-level rows of entries; entry t - 1 keeps t row tiles live.
+template <class Scalar, std::size_t... kT>
+constexpr auto dense_sweep_table(std::index_sequence<kT...> /*tiles - 1*/) {
+  using Row = std::array<DenseSweepFn<Scalar>, sizeof...(kT)>;
+  return std::array<Row, hymv::isa::kNumIsaLevels>{
+      Row{&dense_sweep_fma<Scalar, kT + 1>...},
+      Row{&dense_sweep_avx2<Scalar, kT + 1>...},
+      Row{&dense_sweep_avx512<Scalar, kT + 1>...}};
+}
 
 #else  // !HYMV_ISA_X86
 
-inline constexpr F32EmvFn kF32EmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_f32_fma, &emv_f32_fma, &emv_f32_fma};
+inline constexpr std::size_t kSweepTileRows[hymv::isa::kNumIsaLevels] = {
+    8, 8, 8};
+
+template <class Scalar, std::size_t... kT>
+constexpr auto dense_sweep_table(std::index_sequence<kT...> /*tiles - 1*/) {
+  using Row = std::array<DenseSweepFn<Scalar>, sizeof...(kT)>;
+  return std::array<Row, hymv::isa::kNumIsaLevels>{
+      Row{&dense_sweep_fma<Scalar, kT + 1>...},
+      Row{&dense_sweep_fma<Scalar, kT + 1>...},
+      Row{&dense_sweep_fma<Scalar, kT + 1>...}};
+}
 
 #endif  // HYMV_ISA_X86
 
+template <class Scalar>
+inline constexpr auto kDenseSweepTable =
+    dense_sweep_table<Scalar>(std::make_index_sequence<kMaxGroupTiles>{});
+
 }  // namespace detail
 
-/// fp32 explicit column accumulation: load 8 (resp. 4) floats, widen to
-/// doubles with a cvt, fma into double accumulators. Same tile/mask shape
-/// as emv_avx; runtime-dispatched on the active ISA level.
-inline void emv_f32_avx(const float* ke, std::size_t ld, std::size_t n,
-                        const double* u, double* v) {
-  detail::kF32EmvTable[hymv::isa::active_index()](ke, ld, n, u, v);
+/// The sweep body for a store of leading dimension `ld` at the active ISA
+/// level: the row group that fits the level's registers.
+template <class Scalar>
+inline detail::DenseSweepFn<Scalar> dense_sweep_body(std::size_t ld) {
+  const int level = hymv::isa::active_index();
+  const std::size_t tiles =
+      ld / detail::kSweepTileRows[static_cast<std::size_t>(level)];
+  return detail::kDenseSweepTable<Scalar>[static_cast<std::size_t>(level)]
+                                         [detail::group_tiles(tiles) - 1];
+}
+
+/// v = K u for one dense column-major matrix through the sweep body, with
+/// the identity as its DoF map: the chains an apply computes for it.
+template <class Scalar>
+void emv_dense(const Scalar* ke, std::size_t ld, std::size_t n,
+               const double* u, double* v) {
+  std::vector<std::int64_t> dofs(n);
+  std::iota(dofs.begin(), dofs.end(), std::int64_t{0});
+  const std::int64_t first = 0;
+  std::fill_n(v, n, 0.0);
+  dense_sweep_body<Scalar>(ld)({ke, 0, ld, n, dofs.data(), &first, 0, 1, u, v});
+}
+
+/// Dispatch on kernel flavor: kScalar is the row-dot reference, kSimd and
+/// kAvx both run the register sweep.
+inline void emv(EmvKernel kernel, const double* ke, std::size_t ld,
+                std::size_t n, const double* u, double* v) {
+  if (kernel == EmvKernel::kScalar) {
+    emv_scalar(ke, ld, n, u, v);
+  } else {
+    emv_dense(ke, ld, n, u, v);
+  }
 }
 
 /// Dispatch on kernel flavor, fp32 storage.
 inline void emv_f32(EmvKernel kernel, const float* ke, std::size_t ld,
                     std::size_t n, const double* u, double* v) {
-  switch (kernel) {
-    case EmvKernel::kScalar:
-      emv_f32_scalar(ke, ld, n, u, v);
-      return;
-    case EmvKernel::kSimd:
-      emv_f32_simd(ke, ld, n, u, v);
-      return;
-    case EmvKernel::kAvx:
-      emv_f32_avx(ke, ld, n, u, v);
-      return;
+  if (kernel == EmvKernel::kScalar) {
+    emv_f32_scalar(ke, ld, n, u, v);
+  } else {
+    emv_dense(ke, ld, n, u, v);
   }
 }
 

@@ -119,8 +119,9 @@ class ElementMatrixStore {
   /// fp32 padded column-major storage of element e (kFp32 only).
   [[nodiscard]] const float* data32(std::int64_t e) const;
 
-  /// v_e = K_e u_e for one element, dispatched on layout × kernel flavor.
-  /// ue/ve hold ndofs doubles; ve is overwritten.
+  /// v_e = K_e u_e for one element, dispatched on layout × kernel flavor
+  /// (kPadded/kFp32 kSimd and kAvx run the apply's register sweep over
+  /// this one element). ue/ve hold ndofs doubles; ve is overwritten.
   void emv(EmvKernel kernel, std::int64_t e, const double* ue,
            double* ve) const;
   /// True when elements [e, e + kBatchElems) form one full interleaved

@@ -43,10 +43,11 @@ class StoredEmvSweep {
   /// Gather/EMV/scatter for order[begin, end) — one schedule block (or a
   /// whole element list). The per-element body is picked once per call.
   /// kPadded and kFp32 (any kernel but kScalar) run the register-resident
-  /// sweep: u_e is broadcast straight from u, a group of v_e row tiles
-  /// stays in registers across all columns, and the group is scatter-added
-  /// in ascending DoF order; the group size follows the active ISA level
-  /// and the SIMD row tiles of one padded column. The other layouts and
+  /// sweep of dense_kernels.hpp: u_e is broadcast straight from u, a group
+  /// of v_e row tiles stays in registers across all columns, and the group
+  /// is scatter-added in ascending DoF order; the group size follows the
+  /// active ISA level and the SIMD row tiles of one padded column. The
+  /// other layouts and
   /// kScalar stage u_e/v_e through ue/ve and call the store's kernel,
   /// taking the interleaved batch fast path for aligned runs of
   /// kBatchElems consecutive elements; the batching decision depends only

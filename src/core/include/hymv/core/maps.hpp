@@ -56,6 +56,8 @@ class DofMaps {
     return {e2l_.data() + static_cast<std::size_t>(e * ndofs_per_elem_),
             static_cast<std::size_t>(ndofs_per_elem_)};
   }
+  /// Every E2L row back to back, ndofs_per_elem() per element.
+  [[nodiscard]] const std::int64_t* e2l_data() const { return e2l_.data(); }
   /// E2G row of element e: global DoF ids.
   [[nodiscard]] std::span<const std::int64_t> e2g(std::int64_t e) const {
     return {e2g_.data() + static_cast<std::size_t>(e * ndofs_per_elem_),

@@ -4,233 +4,10 @@
 #include <omp.h>
 #endif
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <utility>
-
 #include "hymv/common/aligned.hpp"
-#include "hymv/common/isa.hpp"
 #include "hymv/obs/trace.hpp"
 
-#if HYMV_ISA_X86
-#include <immintrin.h>
-#endif
-
 namespace hymv::core {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Register-resident sweep for the dense column-major layouts (kPadded,
-// kFp32). Per element, each u_e entry is broadcast straight from the
-// distributed array, a group of v_e row tiles stays in registers across
-// all n columns, and the group is scatter-added in ascending DoF order.
-// Every output is one ascending-column fma chain starting from +0 — the
-// chain the staged kSimd (contracted) and kAvx kernels compute — so the
-// bits match them at every ISA level.
-// ---------------------------------------------------------------------------
-
-/// What one sweep over a dense column-major store reads.
-template <class Scalar>
-struct DenseSweep {
-  const Scalar* store;  ///< element 0's block
-  std::size_t stride;   ///< scalars per element
-  std::size_t ld;       ///< padded leading dimension, a multiple of 8
-  std::size_t n;        ///< element DoFs (rows == columns)
-  const DofMaps* maps;
-  const std::int64_t* order;
-  std::int64_t begin;
-  std::int64_t end;
-  const double* u;
-  double* v;
-};
-
-template <class Scalar>
-using DenseSweepFn = void (*)(const DenseSweep<Scalar>&);
-
-/// Most row tiles one body keeps live: 12 accumulators plus the broadcast
-/// and a widening temporary fit AVX2's 16 registers (AVX-512 has 32).
-inline constexpr std::size_t kMaxGroupTiles = 12;
-
-/// Tiles per row group for a column of `tiles` SIMD tiles: the fewest
-/// groups that fit kMaxGroupTiles, split evenly.
-constexpr std::size_t group_tiles(std::size_t tiles) {
-  const std::size_t groups = (tiles + kMaxGroupTiles - 1) / kMaxGroupTiles;
-  return (tiles + groups - 1) / groups;
-}
-
-/// Rows of one group start at the first row not yet scattered; the last
-/// group slides back to end at ld, recomputing (never re-scattering) the
-/// rows it overlaps, so every group is a full block of tiles.
-inline std::size_t group_first_row(std::size_t fresh, std::size_t ld,
-                                   std::size_t rows) {
-  return std::min(fresh, ld - rows);
-}
-
-/// Portable body: the same chains in row groups of 8, std::fma per term.
-template <class Scalar>
-void dense_sweep_fma(const DenseSweep<Scalar>& a) {
-  constexpr std::size_t kRows = 8;
-  for (std::int64_t i = a.begin; i < a.end; ++i) {
-    const std::int64_t e = a.order[static_cast<std::size_t>(i)];
-    const Scalar* ke = a.store + static_cast<std::size_t>(e) * a.stride;
-    const std::int64_t* dofs = a.maps->e2l(e).data();
-    for (std::size_t r0 = 0; r0 < a.n; r0 += kRows) {
-      double acc[kRows] = {};
-      for (std::size_t c = 0; c < a.n; ++c) {
-        const double uc = a.u[dofs[c]];
-        const Scalar* col = ke + c * a.ld + r0;
-        for (std::size_t j = 0; j < kRows; ++j) {
-          acc[j] = std::fma(static_cast<double>(col[j]), uc, acc[j]);
-        }
-      }
-      const std::size_t stop = std::min(a.n - r0, kRows);
-      for (std::size_t j = 0; j < stop; ++j) {
-        a.v[dofs[r0 + j]] += acc[j];
-      }
-    }
-  }
-}
-
-#if HYMV_ISA_X86
-
-HYMV_TARGET_AVX2 inline __m256d load_tile4(const double* p) {
-  return _mm256_load_pd(p);
-}
-HYMV_TARGET_AVX2 inline __m256d load_tile4(const float* p) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(p));
-}
-
-// GCC 12's _mm512_cvtps_pd merges into an undefined vector, which
-// -Wmaybe-uninitialized flags through the inline (see dense_kernels.hpp).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-HYMV_TARGET_AVX512 inline __m512d load_tile8(const double* p) {
-  return _mm512_load_pd(p);
-}
-HYMV_TARGET_AVX512 inline __m512d load_tile8(const float* p) {
-  return _mm512_cvtps_pd(_mm256_loadu_ps(p));
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-/// AVX2 body: kTiles 4-row accumulators live across all columns.
-template <class Scalar, std::size_t kTiles>
-HYMV_TARGET_AVX2 void dense_sweep_avx2(const DenseSweep<Scalar>& a) {
-  constexpr std::size_t kRows = 4 * kTiles;
-  for (std::int64_t i = a.begin; i < a.end; ++i) {
-    const std::int64_t e = a.order[static_cast<std::size_t>(i)];
-    const Scalar* ke = a.store + static_cast<std::size_t>(e) * a.stride;
-    const std::int64_t* dofs = a.maps->e2l(e).data();
-    for (std::size_t fresh = 0; fresh < a.n; fresh += kRows) {
-      const std::size_t r0 = group_first_row(fresh, a.ld, kRows);
-      __m256d acc[kTiles];
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < kTiles; ++t) {
-        acc[t] = _mm256_setzero_pd();
-      }
-      for (std::size_t c = 0; c < a.n; ++c) {
-        const __m256d uc = _mm256_set1_pd(a.u[dofs[c]]);
-        const Scalar* col = ke + c * a.ld + r0;
-#pragma GCC unroll 16
-        for (std::size_t t = 0; t < kTiles; ++t) {
-          acc[t] = _mm256_fmadd_pd(load_tile4(col + 4 * t), uc, acc[t]);
-        }
-      }
-      alignas(32) double ve[kRows];
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < kTiles; ++t) {
-        _mm256_store_pd(ve + 4 * t, acc[t]);
-      }
-      const std::size_t stop = std::min(a.n, r0 + kRows);
-      for (std::size_t r = fresh; r < stop; ++r) {
-        a.v[dofs[r]] += ve[r - r0];
-      }
-    }
-  }
-}
-
-/// AVX-512 body: kTiles 8-row accumulators live across all columns.
-template <class Scalar, std::size_t kTiles>
-HYMV_TARGET_AVX512 void dense_sweep_avx512(const DenseSweep<Scalar>& a) {
-  constexpr std::size_t kRows = 8 * kTiles;
-  for (std::int64_t i = a.begin; i < a.end; ++i) {
-    const std::int64_t e = a.order[static_cast<std::size_t>(i)];
-    const Scalar* ke = a.store + static_cast<std::size_t>(e) * a.stride;
-    const std::int64_t* dofs = a.maps->e2l(e).data();
-    for (std::size_t fresh = 0; fresh < a.n; fresh += kRows) {
-      const std::size_t r0 = group_first_row(fresh, a.ld, kRows);
-      __m512d acc[kTiles];
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < kTiles; ++t) {
-        acc[t] = _mm512_setzero_pd();
-      }
-      for (std::size_t c = 0; c < a.n; ++c) {
-        const __m512d uc = _mm512_set1_pd(a.u[dofs[c]]);
-        const Scalar* col = ke + c * a.ld + r0;
-#pragma GCC unroll 16
-        for (std::size_t t = 0; t < kTiles; ++t) {
-          acc[t] = _mm512_fmadd_pd(load_tile8(col + 8 * t), uc, acc[t]);
-        }
-      }
-      alignas(64) double ve[kRows];
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < kTiles; ++t) {
-        _mm512_store_pd(ve + 8 * t, acc[t]);
-      }
-      const std::size_t stop = std::min(a.n, r0 + kRows);
-      for (std::size_t r = fresh; r < stop; ++r) {
-        a.v[dofs[r]] += ve[r - r0];
-      }
-    }
-  }
-}
-
-/// Bodies by tiles per group (entry t-1 keeps t tiles live).
-template <class Scalar, std::size_t... kT>
-constexpr std::array<DenseSweepFn<Scalar>, sizeof...(kT)> avx2_bodies(
-    std::index_sequence<kT...> /*tiles - 1*/) {
-  return {&dense_sweep_avx2<Scalar, kT + 1>...};
-}
-template <class Scalar, std::size_t... kT>
-constexpr std::array<DenseSweepFn<Scalar>, sizeof...(kT)> avx512_bodies(
-    std::index_sequence<kT...> /*tiles - 1*/) {
-  return {&dense_sweep_avx512<Scalar, kT + 1>...};
-}
-
-template <class Scalar>
-inline constexpr auto kAvx2Bodies =
-    avx2_bodies<Scalar>(std::make_index_sequence<kMaxGroupTiles>{});
-template <class Scalar>
-inline constexpr auto kAvx512Bodies =
-    avx512_bodies<Scalar>(std::make_index_sequence<kMaxGroupTiles>{});
-
-#endif  // HYMV_ISA_X86
-
-/// The body for this store and the active ISA level: chosen once per call
-/// from the vector width and the row tiles in one padded column.
-template <class Scalar>
-DenseSweepFn<Scalar> dense_sweep_body(std::size_t ld) {
-#if HYMV_ISA_X86
-  switch (static_cast<isa::IsaLevel>(isa::active_index())) {
-    case isa::IsaLevel::kAvx512:
-      return kAvx512Bodies<Scalar>[group_tiles(ld / 8) - 1];
-    case isa::IsaLevel::kAvx2:
-      return kAvx2Bodies<Scalar>[group_tiles(ld / 4) - 1];
-    case isa::IsaLevel::kScalar:
-      break;
-  }
-#else
-  (void)ld;
-#endif
-  return &dense_sweep_fma<Scalar>;
-}
-
-}  // namespace
 
 void StoredEmvSweep::range(EmvKernel kernel,
                            std::span<const std::int64_t> order,
@@ -245,14 +22,14 @@ void StoredEmvSweep::range(EmvKernel kernel,
     const auto stride = static_cast<std::size_t>(store_->stride());
     switch (store_->layout()) {
       case StoreLayout::kPadded:
-        dense_sweep_body<double>(ld)({store_->data(0), stride, ld, n, maps_,
-                                      order.data(), begin, end, u.data(),
-                                      v.data()});
+        dense_sweep_body<double>(ld)({store_->data(0), stride, ld, n,
+                                      maps_->e2l_data(), order.data(), begin,
+                                      end, u.data(), v.data()});
         return;
       case StoreLayout::kFp32:
-        dense_sweep_body<float>(ld)({store_->data32(0), stride, ld, n, maps_,
-                                     order.data(), begin, end, u.data(),
-                                     v.data()});
+        dense_sweep_body<float>(ld)({store_->data32(0), stride, ld, n,
+                                     maps_->e2l_data(), order.data(), begin,
+                                     end, u.data(), v.data()});
         return;
       case StoreLayout::kInterleaved:
       case StoreLayout::kSymPacked:

@@ -4,6 +4,7 @@
 
 #include "hymv/common/error.hpp"
 #include "hymv/common/timer.hpp"
+#include "hymv/core/emv_traversal.hpp"
 
 namespace hymv::core {
 
@@ -247,21 +248,9 @@ void HymvGpuOperator::apply(simmpi::Comm& comm, const pla::DistVector& x,
       // Host computes dependent elements while the device drains.
       {
         hymv::ThreadCpuTimer dep_timer;
-        const ElementMatrixStore& store = host_op_.store();
-        const auto n = static_cast<std::size_t>(store.ndofs());
-        const std::span<const double> u = u_da_.all();
-        const std::span<double> v = v_da_.all();
-        hymv::aligned_vector<double> ue(n), ve(n);
-        for (const std::int64_t e : maps.dependent_elements()) {
-          const auto e2l = maps.e2l(e);
-          for (std::size_t a = 0; a < n; ++a) {
-            ue[a] = u[static_cast<std::size_t>(e2l[a])];
-          }
-          store.emv(options_.host.kernel, e, ue.data(), ve.data());
-          for (std::size_t a = 0; a < n; ++a) {
-            v[static_cast<std::size_t>(e2l[a])] += ve[a];
-          }
-        }
+        StoredEmvSweep(maps, host_op_.store())
+            .serial_loop(options_.host.kernel, maps.dependent_elements(),
+                         u_da_.all(), v_da_.all());
         host_dep_s = dep_timer.elapsed_s();
       }
       device_->synchronize();

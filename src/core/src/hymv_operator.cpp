@@ -239,7 +239,6 @@ void HymvOperator::emv_loop(const ElementSchedule& sched,
 #ifdef _OPENMP
   if (options_.schedule == ThreadSchedule::kBufferReduce &&
       threading_active()) {
-    const auto n = static_cast<std::size_t>(store_.ndofs());
     const std::span<double> v = v_da_.all();
     const std::span<const double> u = u_da_.all();
     const int nthreads = omp_get_max_threads();
@@ -263,21 +262,16 @@ void HymvOperator::emv_loop(const ElementSchedule& sched,
     {
       hymv::obs::set_current_rank(comm_rank_);
       HYMV_TRACE_SCOPE("emv_worker", "apply");
-      auto& buf = thread_bufs_[static_cast<std::size_t>(omp_get_thread_num())];
-      hymv::aligned_vector<double> ue(n), ve(n);
-#pragma omp for schedule(static)
-      for (std::int64_t idx = 0;
-           idx < static_cast<std::int64_t>(elements.size()); ++idx) {
-        const std::int64_t e = elements[static_cast<std::size_t>(idx)];
-        const auto e2l = maps_.e2l(e);
-        for (std::size_t a = 0; a < n; ++a) {
-          ue[a] = u[static_cast<std::size_t>(e2l[a])];
-        }
-        store_.emv(options_.kernel, e, ue.data(), ve.data());
-        for (std::size_t a = 0; a < n; ++a) {
-          buf[static_cast<std::size_t>(e2l[a])] += ve[a];
-        }
-      }
+      const std::int64_t t = omp_get_thread_num();
+      const std::int64_t team = omp_get_num_threads();
+      auto& buf = thread_bufs_[static_cast<std::size_t>(t)];
+      // The shared sweep over this thread's static chunk of the elements,
+      // scattering into the thread's own buffer.
+      const auto ne = static_cast<std::int64_t>(elements.size());
+      hymv::aligned_vector<double> ue(sweep_.workspace_size()),
+          ve(sweep_.workspace_size());
+      sweep_.range(options_.kernel, elements, ne * t / team,
+                   ne * (t + 1) / team, u, buf, ue.data(), ve.data());
     }
     timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
     timer.restart();

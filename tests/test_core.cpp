@@ -50,7 +50,7 @@ TEST(EmvKernelTest, AllFlavorsAgree) {
     }
     core::emv_scalar(ke.data(), ld, n, u.data(), v0.data());
     core::emv_simd(ke.data(), ld, n, u.data(), v1.data());
-    core::emv_avx(ke.data(), ld, n, u.data(), v2.data());
+    core::emv(core::EmvKernel::kAvx, ke.data(), ld, n, u.data(), v2.data());
     for (std::size_t r = 0; r < n; ++r) {
       EXPECT_NEAR(v1[r], v0[r], 1e-12) << "simd n=" << n << " r=" << r;
       EXPECT_NEAR(v2[r], v0[r], 1e-12) << "avx n=" << n << " r=" << r;
