@@ -69,28 +69,29 @@ void report_emv(benchmark::State& state, const EmvFixture& fx) {
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 
-/// One single-element kernel per matrix of the batch.
-template <void (*kEmv)(const double*, std::size_t, std::size_t,
-                       const double*, double*)>
-void BM_EmvElementwise(benchmark::State& state) {
+/// One single-element kernel call per matrix of the batch.
+void bench_emv(benchmark::State& state,
+               void (*emv)(const double*, std::size_t, std::size_t,
+                           const double*, double*)) {
   EmvFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     for (std::size_t b = 0; b < fx.nbatch; ++b) {
-      kEmv(fx.ke.data() + b * fx.ld * fx.n, fx.ld, fx.n,
-           fx.u.data() + b * fx.n, fx.v.data() + b * fx.n);
+      emv(fx.ke.data() + b * fx.ld * fx.n, fx.ld, fx.n,
+          fx.u.data() + b * fx.n, fx.v.data() + b * fx.n);
     }
     benchmark::DoNotOptimize(fx.v.data());
+    benchmark::ClobberMemory();
   }
   report_emv(state, fx);
 }
 
 /// kScalar row-dot reference.
 void BM_EmvScalar(benchmark::State& state) {
-  BM_EmvElementwise<&hymv::core::emv_scalar>(state);
+  bench_emv(state, &hymv::core::emv_scalar);
 }
 /// The compiler-vectorized kernel the matrix-free operators run.
 void BM_EmvSimd(benchmark::State& state) {
-  BM_EmvElementwise<&hymv::core::emv_simd>(state);
+  bench_emv(state, &hymv::core::emv_simd);
 }
 /// The register sweep stored matrices run (kSimd and kAvx), gathering and
 /// scatter-adding through the E2L row like an apply.
@@ -99,6 +100,7 @@ void BM_EmvSweep(benchmark::State& state) {
   for (auto _ : state) {
     fx.sweep();
     benchmark::DoNotOptimize(fx.v.data());
+    benchmark::ClobberMemory();
   }
   report_emv(state, fx);
 }
