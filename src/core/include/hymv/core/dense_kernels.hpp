@@ -225,6 +225,26 @@ HYMV_TARGET_AVX512 inline __m512d load_tile8(const float* p) {
 #pragma GCC diagnostic pop
 #endif
 
+/// Bytes ahead of each cache line of a column that the SIMD entries
+/// prefetch: one 4 KiB page, into the following columns and element
+/// blocks. On the reference host it took the one-thread sweep over hex8
+/// stores (n = 8 and 24) about 10 % closer to a plain read of the same
+/// bytes; hex20 stores, already at ~1.1x that read, did not move.
+inline constexpr std::size_t kSweepPrefetchBytes = 4096;
+
+/// Prefetch the line kSweepPrefetchBytes past `p` when tile t of a column
+/// (kTileBytes wide) starts a new 64-byte line. The address is formed as
+/// an integer: it may lie past the end of the store, which a prefetch
+/// never faults on but pointer arithmetic may not reach.
+template <std::size_t kTileBytes>
+inline void prefetch_tile_ahead(const void* p, std::size_t t) {
+  if ((t * kTileBytes) % 64 == 0) {
+    _mm_prefetch(reinterpret_cast<const char*>(
+                     reinterpret_cast<std::uintptr_t>(p) + kSweepPrefetchBytes),
+                 _MM_HINT_T0);
+  }
+}
+
 /// AVX2 entry: kTiles 4-row accumulators live across all columns.
 template <class Scalar, std::size_t kTiles>
 HYMV_TARGET_AVX2 void dense_sweep_avx2(const DenseSweep<Scalar>& a) {
@@ -245,6 +265,7 @@ HYMV_TARGET_AVX2 void dense_sweep_avx2(const DenseSweep<Scalar>& a) {
         const Scalar* col = ke + c * a.ld + r0;
 #pragma GCC unroll 16
         for (std::size_t t = 0; t < kTiles; ++t) {
+          prefetch_tile_ahead<4 * sizeof(Scalar)>(col + 4 * t, t);
           acc[t] = _mm256_fmadd_pd(load_tile4(col + 4 * t), uc, acc[t]);
         }
       }
@@ -281,6 +302,7 @@ HYMV_TARGET_AVX512 void dense_sweep_avx512(const DenseSweep<Scalar>& a) {
         const Scalar* col = ke + c * a.ld + r0;
 #pragma GCC unroll 16
         for (std::size_t t = 0; t < kTiles; ++t) {
+          prefetch_tile_ahead<8 * sizeof(Scalar)>(col + 8 * t, t);
           acc[t] = _mm512_fmadd_pd(load_tile8(col + 8 * t), uc, acc[t]);
         }
       }
