@@ -49,6 +49,7 @@
 #include <limits>
 #include <span>
 
+#include "emv_reference.hpp"
 #include "hymv/common/isa.hpp"
 #include "hymv/common/numa.hpp"
 #include "hymv/obs/trace.hpp"
@@ -59,6 +60,52 @@
 #ifdef _OPENMP
 #include <omp.h>
 #endif
+
+namespace {
+
+/// The row-dot reference over one colored schedule of an operator's maps
+/// and store: gather u_e, v_e by row dots, scatter-add v_e, in the
+/// color-major block order and thread team an apply uses. A padded store
+/// is dotted in place; other layouts (HYMV_STORE_LAYOUT) through at().
+void rowdot_loop(const hymv::core::DofMaps& maps,
+                 const hymv::core::ElementMatrixStore& store,
+                 const hymv::core::ElementSchedule& sched,
+                 std::span<const double> u, std::span<double> v) {
+  namespace ref = hymv::reference;
+  const bool padded = store.layout() == hymv::core::StoreLayout::kPadded;
+  const auto n = static_cast<std::size_t>(store.ndofs());
+  const auto ld = static_cast<std::size_t>(store.leading_dim());
+  const std::span<const std::int64_t> order = sched.order();
+#pragma omp parallel
+  {
+    std::vector<double> ue(n), ve(n);
+    for (int c = 0; c < sched.num_colors(); ++c) {
+      const auto blocks = sched.blocks(c);
+#pragma omp for schedule(dynamic, 1)
+      for (std::int64_t b = 0; b < static_cast<std::int64_t>(blocks.size());
+           ++b) {
+        const auto& blk = blocks[static_cast<std::size_t>(b)];
+        for (std::int64_t i = blk.begin; i < blk.end; ++i) {
+          const std::int64_t e = order[static_cast<std::size_t>(i)];
+          const auto e2l = maps.e2l(e);
+          for (std::size_t a = 0; a < n; ++a) {
+            ue[a] = u[static_cast<std::size_t>(e2l[a])];
+          }
+          if (padded) {
+            ref::emv_rowdot(store.data(e), ld, n, ue.data(), ve.data());
+          } else {
+            ref::emv_rowdot(store, e, ue.data(), ve.data());
+          }
+          for (std::size_t a = 0; a < n; ++a) {
+            v[static_cast<std::size_t>(e2l[a])] += ve[a];
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bench;
@@ -97,38 +144,41 @@ int main(int argc, char** argv) {
               "raw wall) ===\n");
   {
     const driver::ProblemSetup setup = driver::ProblemSetup::build(spec, 1);
-    // kSimd and kAvx run the same register sweep on the dense layouts;
-    // kScalar keeps the staged row-dot reference.
-    const struct {
-      core::EmvKernel kernel;
-      const char* name;
-    } kernels[] = {
-        {core::EmvKernel::kScalar, "scalar-rows"},
-        {core::EmvKernel::kSimd, "register-sweep"},
-    };
-    double sweep_s = 0.0;  // the register-sweep row, for the floor ratio
-    for (const auto& k : kernels) {
-      const AggResult r = run_backend(
-          setup,
-          {.backend = driver::Backend::kHymv, .hymv = {.kernel = k.kernel}},
-          napplies);
-      if (k.kernel != core::EmvKernel::kScalar) {
-        sweep_s = r.spmv_wall_s;
-      }
-      std::printf("  %-14s spmv=%.4f s  (%.2f GFLOP/s)\n", k.name,
-                  r.spmv_wall_s,
-                  static_cast<double>(r.flops) / r.spmv_wall_s / 1e9);
+    const AggResult sweep =
+        run_backend(setup, {.backend = driver::Backend::kHymv}, napplies);
+    const auto flops = static_cast<double>(sweep.flops);
+    const auto kernel_row = [&](const char* name, double wall_s) {
+      std::printf("  %-14s spmv=%.4f s  (%.2f GFLOP/s)\n", name, wall_s,
+                  flops / wall_s / 1e9);
       json.add("\"ablation\": \"kernel\", \"kernel\": \"%s\", "
                "\"spmv_wall_s\": %.6g, \"gflops\": %.6g",
-               k.name, r.spmv_wall_s,
-               static_cast<double>(r.flops) / r.spmv_wall_s / 1e9);
-    }
-    // The floor: stream the same store's bytes napplies times with the same
-    // thread team (integer words, so the reduction vectorizes exactly),
-    // fastest of 3 rounds like the applies above.
+               name, wall_s, flops / wall_s / 1e9);
+    };
     simmpi::run(1, [&](simmpi::Comm& comm) {
       driver::RankContext ctx(comm, setup);
       core::HymvOperator op(comm, ctx.part(), ctx.element_op());
+      // The row-dot reference: napplies sweeps of both element schedules
+      // (one rank, so no ghosts to exchange) with the apply's thread team,
+      // fastest of 3 rounds like the applies.
+      core::DistributedArray u(op.maps()), v(op.maps());
+      u.fill(1.0);
+      double rowdot_s = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < 3; ++rep) {
+        hymv::Timer t;
+        for (int a = 0; a < napplies; ++a) {
+          v.fill(0.0);
+          rowdot_loop(op.maps(), op.store(), op.independent_schedule(),
+                      u.all(), v.all());
+          rowdot_loop(op.maps(), op.store(), op.dependent_schedule(),
+                      u.all(), v.all());
+        }
+        rowdot_s = std::min(rowdot_s, t.elapsed_s());
+      }
+      kernel_row("scalar-rows", rowdot_s);
+      kernel_row("register-sweep", sweep.spmv_wall_s);
+      // The floor: stream the same store's bytes napplies times with the
+      // same thread team (integer words, so the reduction vectorizes
+      // exactly), fastest of 3 rounds like the applies above.
       const std::span<const std::byte> raw = op.store().raw_bytes();
       const std::byte* bytes = raw.data();
       const auto words = static_cast<std::int64_t>(raw.size() / 8);
@@ -153,7 +203,8 @@ int main(int argc, char** argv) {
       std::printf("  %-14s read=%.4f s  (%.2f GB/s over %.2f MB; "
                   "register-sweep = %.2fx the read)\n",
                   "store-read", read_s, gbps,
-                  static_cast<double>(raw.size()) / 1e6, sweep_s / read_s);
+                  static_cast<double>(raw.size()) / 1e6,
+                  sweep.spmv_wall_s / read_s);
       json.add("\"ablation\": \"kernel\", \"kernel\": \"store-read\", "
                "\"read_wall_s\": %.6g, \"gbps\": %.6g, "
                "\"store_mb\": %.6g",
@@ -830,9 +881,10 @@ int main(int argc, char** argv) {
     elasticity.box = {.nx = scaled(9), .ny = scaled(9), .nz = scaled(22)};
     elasticity.partitioner = mesh::Partitioner::kSlab;
 
-    // The Poisson box runs the stored-EMV stream (the per-ISA panel
-    // microkernels), the elasticity box the assembled CSR path (the
-    // cross-row block kernels) — together they cover both table families.
+    // The Poisson box runs the stored-EMV stream (the per-ISA register
+    // sweep; the panel microkernels under HYMV_NRHS > 1), the elasticity
+    // box the assembled CSR path (the cross-row block kernels) — together
+    // they cover both table families.
     const struct {
       const char* name;
       const driver::ProblemSpec* spec;
@@ -875,16 +927,10 @@ int main(int argc, char** argv) {
           // tighter than single-shot wall noise on a shared host, and
           // noise is strictly additive (same reasoning as the CI gate's
           // min-combining in tools/bench_compare.py).
-          AggResult r = run_backend(
-              setup,
-              {.backend = c.backend,
-               .hymv = {.kernel = core::EmvKernel::kAvx}},
-              4 * napplies);
-          const AggResult r2 = run_backend(
-              setup,
-              {.backend = c.backend,
-               .hymv = {.kernel = core::EmvKernel::kAvx}},
-              4 * napplies);
+          AggResult r =
+              run_backend(setup, {.backend = c.backend}, 4 * napplies);
+          const AggResult r2 =
+              run_backend(setup, {.backend = c.backend}, 4 * napplies);
           if (r2.spmv_wall_s < r.spmv_wall_s) {
             r = r2;
           }

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the performance-critical kernels:
-// the EMV flavors (paper §IV-E), CSR SpMV row traversal, ILU(0) triangular
+// the EMV kernels (paper §IV-E), CSR SpMV row traversal, ILU(0) triangular
 // solves, and the ghost-exchange pack loop. These isolate the node-local
 // claims (dense column-major EMV vs irregular CSR) from the distributed
 // machinery.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "emv_reference.hpp"
 
 #include "hymv/common/aligned.hpp"
 #include "hymv/common/isa.hpp"
@@ -85,16 +86,16 @@ void bench_emv(benchmark::State& state,
   report_emv(state, fx);
 }
 
-/// kScalar row-dot reference.
+/// The row-dot reference (tests/emv_reference.hpp).
 void BM_EmvScalar(benchmark::State& state) {
-  bench_emv(state, &hymv::core::emv_scalar);
+  bench_emv(state, &hymv::reference::emv_rowdot<double>);
 }
 /// The compiler-vectorized kernel the matrix-free operators run.
 void BM_EmvSimd(benchmark::State& state) {
   bench_emv(state, &hymv::core::emv_simd);
 }
-/// The register sweep stored matrices run (kSimd and kAvx), gathering and
-/// scatter-adding through the E2L row like an apply.
+/// The register sweep stored matrices run, gathering and scatter-adding
+/// through the E2L row like an apply.
 void BM_EmvSweep(benchmark::State& state) {
   EmvFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

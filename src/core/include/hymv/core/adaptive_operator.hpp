@@ -46,7 +46,7 @@ enum class RegionBackendKind { kStored = 0, kMatrixFree = 1, kSell = 2 };
 
 /// Tunables of the adaptive composite.
 struct AdaptiveOptions {
-  /// Stored-path tunables (kernel/layout/schedule/nrhs; the usual env
+  /// Stored-path tunables (layout/schedule/nrhs; the usual env
   /// overrides resolve inside the embedded HymvOperator). kBufferReduce is
   /// not a per-region strategy — it is coerced to kColored with a warning.
   HymvOptions hymv;

@@ -6,28 +6,28 @@
 /// dimension, and v_e = K_e u_e is computed as a sum of column·scalar
 /// updates (eq. 4), which streams each column once and vectorizes cleanly.
 ///
-/// Three kernel flavors let the ablation bench isolate the vectorization
-/// claim:
-///   * kScalar — plain row-scan reference
-///   * kSimd   — column-major accumulation with `omp simd` (compiler vec.)
-///   * kAvx    — explicit intrinsics, RUNTIME-dispatched per ISA level
-/// The single-vector apply over a dense column-major store (kPadded,
-/// kFp32) has one non-reference kernel, the register-resident sweep, which
-/// kSimd and kAvx both run; the other families keep one kernel per flavor.
+/// Each store layout has one single-vector kernel and one panel kernel;
+/// nothing but the active ISA level picks among their variants. The dense
+/// layouts (kPadded, kFp32) run the register-resident sweep, kInterleaved
+/// the batch kernel (with a one-element lane fallback), kSymPacked a
+/// compiler-vectorized column sweep, and every layout's panel runs a
+/// register-blocked microkernel. The row-dot references the tests and
+/// benches compare against live in tests/emv_reference.hpp.
 ///
 /// The explicit kernels do not hard-code one ISA at compile time: each
-/// family (the dense sweep, and the panel kernels' explicit variants)
-/// carries a per-ISA
-/// function table {portable-FMA, AVX2, AVX-512} indexed by
-/// isa::active_index() (DESIGN.md §5i). Every entry of a table implements
+/// family (the dense sweep, the interleaved batch and the panel kernels)
+/// carries a per-ISA function table {portable-FMA, AVX2, AVX-512} indexed
+/// by isa::active_index() (DESIGN.md §5i). Every entry of a table implements
 /// the IDENTICAL per-output accumulation chain (ascending c, one fused
 /// multiply-add per term), and chains for distinct outputs never mix — so
 /// the result is bitwise invariant under the dispatch level, which the
 /// `isa`-labeled test suite pins against golden hashes.
 ///
-/// All kernels require: ld >= n with ld a multiple of 8, ke 64-byte
-/// aligned, columns padded with zeros from n to ld (the explicit kernels
-/// read full SIMD tiles across the zero padding and mask only the stores).
+/// The dense sweep requires: ld >= n with ld a multiple of 8, ke 64-byte
+/// aligned, columns padded with zeros from n to ld (its SIMD entries read
+/// full tiles across the zero padding and scatter only the first n rows).
+/// The dense and fp32 panel kernels load one matrix entry at a time and
+/// take any ld >= n.
 
 #include <algorithm>
 #include <array>
@@ -45,38 +45,6 @@
 #endif
 
 namespace hymv::core {
-
-/// Kernel flavor selection for the EMV inner loop.
-enum class EmvKernel : int {
-  kScalar,
-  kSimd,
-  kAvx,
-};
-
-/// True when the kAvx flavor's dispatch tables carry real AVX2/AVX-512
-/// entries in this build (x86-64 with a target-attribute-capable compiler).
-/// Whether they are *taken* at runtime is isa::active()'s call.
-constexpr bool avx_kernel_available() {
-#if HYMV_ISA_X86
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Reference kernel: v = K u, K column-major n×n with leading dimension ld.
-/// Row-major style traversal (per-row dot products) — the access pattern a
-/// naive implementation produces; kept as the ablation baseline.
-inline void emv_scalar(const double* ke, std::size_t ld, std::size_t n,
-                       const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      sum += ke[c * ld + r] * u[c];
-    }
-    v[r] = sum;
-  }
-}
 
 /// Column-major accumulation (paper eq. 4), compiler-vectorized. The
 /// kernel for matrices built on the fly (the matrix-free operators, where
@@ -96,25 +64,9 @@ inline void emv_simd(const double* ke, std::size_t ld, std::size_t n,
   }
 }
 
-/// fp32 reference kernel (StoreLayout::kFp32): per-row dot products with
-/// double accumulation. The matrix is stored in single precision — half
-/// the streamed bytes — and every product accumulates in double, so the
-/// only precision loss is the one rounding of each K_e entry to fp32
-/// (~1e-7 relative on the output; quantified in DESIGN.md §5c).
-inline void emv_f32_scalar(const float* ke, std::size_t ld, std::size_t n,
-                           const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      sum += static_cast<double>(ke[c * ld + r]) * u[c];
-    }
-    v[r] = sum;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Register-resident sweep over a dense column-major store (StoreLayout::
-// kPadded and kFp32; the kSimd and kAvx flavors)
+// kPadded and kFp32)
 //
 // Per element, each u_e entry is broadcast straight from the distributed
 // array, a group of v_e row tiles stays in registers across all n columns,
@@ -378,27 +330,6 @@ void emv_dense(const Scalar* ke, std::size_t ld, std::size_t n,
   dense_sweep_body<Scalar>(ld)({ke, 0, ld, n, dofs.data(), &first, 0, 1, u, v});
 }
 
-/// Dispatch on kernel flavor: kScalar is the row-dot reference, kSimd and
-/// kAvx both run the register sweep.
-inline void emv(EmvKernel kernel, const double* ke, std::size_t ld,
-                std::size_t n, const double* u, double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    emv_scalar(ke, ld, n, u, v);
-  } else {
-    emv_dense(ke, ld, n, u, v);
-  }
-}
-
-/// Dispatch on kernel flavor, fp32 storage.
-inline void emv_f32(EmvKernel kernel, const float* ke, std::size_t ld,
-                    std::size_t n, const double* u, double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    emv_f32_scalar(ke, ld, n, u, v);
-  } else {
-    emv_dense(ke, ld, n, u, v);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Interleaved-batch kernels (StoreLayout::kInterleaved)
 //
@@ -408,49 +339,13 @@ inline void emv_f32(EmvKernel kernel, const float* ke, std::size_t ld,
 // with unit-stride loads and no padding, regardless of n. u/v are
 // lane-interleaved to match: entry a of batch element l at [a*kIlvLanes+l].
 //
-// Every variant accumulates each lane over c ascending — the same
-// per-element order as the corresponding padded kernel — so batching never
-// perturbs a given element's bitwise result between the batch and
-// single-lane paths of the same flavor.
+// Every entry accumulates each lane over c ascending in one fused chain —
+// the chain of the padded kernels — and so does the single-lane fallback,
+// so batching never perturbs a given element's bitwise result.
 // ---------------------------------------------------------------------------
 
 /// Elements per interleaved batch (one AVX-512 register of fp64 lanes).
 inline constexpr std::size_t kIlvLanes = 8;
-
-/// Reference batch kernel: per-lane row dots. keb points at the batch's
-/// n·n·kIlvLanes block; ub/vb are lane-interleaved n·kIlvLanes buffers.
-inline void emv_interleaved_batch_scalar(const double* keb, std::size_t n,
-                                         const double* ub, double* vb) {
-  for (std::size_t l = 0; l < kIlvLanes; ++l) {
-    for (std::size_t r = 0; r < n; ++r) {
-      double sum = 0.0;
-      for (std::size_t c = 0; c < n; ++c) {
-        sum += keb[(c * n + r) * kIlvLanes + l] * ub[c * kIlvLanes + l];
-      }
-      vb[r * kIlvLanes + l] = sum;
-    }
-  }
-}
-
-/// Compiler-vectorized batch kernel: the inner loop runs over the
-/// kIlvLanes contiguous lanes of one (r,c) entry.
-inline void emv_interleaved_batch_simd(const double* keb, std::size_t n,
-                                       const double* ub, double* vb) {
-  for (std::size_t i = 0; i < n * kIlvLanes; ++i) {
-    vb[i] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    const double* uc = ub + c * kIlvLanes;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* entry = keb + (c * n + r) * kIlvLanes;
-      double* out = vb + r * kIlvLanes;
-#pragma omp simd
-      for (std::size_t l = 0; l < kIlvLanes; ++l) {
-        out[l] += entry[l] * uc[l];
-      }
-    }
-  }
-}
 
 namespace detail {
 
@@ -518,54 +413,26 @@ inline constexpr IlvEmvFn kIlvEmvTable[hymv::isa::kNumIsaLevels] = {
 
 }  // namespace detail
 
-/// Explicit batch kernel: one full-width register per matrix entry, no
-/// masks, no tails — the layout exists so this loop is this simple.
-/// Runtime-dispatched on the active ISA level.
-inline void emv_interleaved_batch_avx(const double* keb, std::size_t n,
-                                      const double* ub, double* vb) {
+/// Batch kernel: one full-width register per matrix entry, no masks, no
+/// tails — the layout exists so this loop is this simple. keb points at
+/// the batch's n·n·kIlvLanes block; ub/vb are lane-interleaved n·kIlvLanes
+/// buffers. Runtime-dispatched on the active ISA level.
+inline void emv_interleaved_batch(const double* keb, std::size_t n,
+                                  const double* ub, double* vb) {
   detail::kIlvEmvTable[hymv::isa::active_index()](keb, n, ub, vb);
-}
-
-/// Dispatch on kernel flavor, interleaved batch.
-inline void emv_interleaved_batch(EmvKernel kernel, const double* keb,
-                                  std::size_t n, const double* ub,
-                                  double* vb) {
-  switch (kernel) {
-    case EmvKernel::kScalar:
-      emv_interleaved_batch_scalar(keb, n, ub, vb);
-      return;
-    case EmvKernel::kSimd:
-      emv_interleaved_batch_simd(keb, n, ub, vb);
-      return;
-    case EmvKernel::kAvx:
-      emv_interleaved_batch_avx(keb, n, ub, vb);
-      return;
-  }
 }
 
 /// Single-element fallback for elements the batch path cannot take (batch
 /// tails and non-contiguous schedule runs): lane l of the batch at keb,
-/// strided loads. Per-flavor accumulation order matches the batch kernel —
-/// kAvx contracts with std::fma because the batch kernel's vfmadd does —
-/// so an element's result is identical whether it went through the batch
-/// or the lane path.
-inline void emv_interleaved_lane(EmvKernel kernel, const double* keb,
-                                 std::size_t n, std::size_t l,
-                                 const double* u, double* v) {
-  if (kernel == EmvKernel::kAvx) {
-    for (std::size_t r = 0; r < n; ++r) {
-      double sum = 0.0;
-      for (std::size_t c = 0; c < n; ++c) {
-        sum = std::fma(keb[(c * n + r) * kIlvLanes + l], u[c], sum);
-      }
-      v[r] = sum;
-    }
-    return;
-  }
+/// strided loads. Each output is the batch kernel's fused chain, so an
+/// element's result is identical whether it went through the batch or the
+/// lane path.
+inline void emv_interleaved_lane(const double* keb, std::size_t n,
+                                 std::size_t l, const double* u, double* v) {
   for (std::size_t r = 0; r < n; ++r) {
     double sum = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-      sum += keb[(c * n + r) * kIlvLanes + l] * u[c];
+      sum = std::fma(keb[(c * n + r) * kIlvLanes + l], u[c], sum);
     }
     v[r] = sum;
   }
@@ -592,29 +459,14 @@ constexpr std::size_t sym_packed_index(std::size_t r, std::size_t c) {
   return c * (c + 1) / 2 + r;
 }
 
-/// Reference packed kernel: per-row dots, mirroring the lower triangle
-/// through the stored upper one.
-inline void emv_sym_scalar(const double* kp, std::size_t n, const double* u,
-                           double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* row = kp + sym_packed_index(0, r);  // (c, r) for c <= r
-    double sum = 0.0;
-    for (std::size_t c = 0; c <= r; ++c) {
-      sum += row[c] * u[c];
-    }
-    for (std::size_t c = r + 1; c < n; ++c) {
-      sum += kp[sym_packed_index(r, c)] * u[c];
-    }
-    v[r] = sum;
-  }
-}
-
 /// Column-sweep packed kernel: each stored column c updates the r < c
 /// outputs (upper entry, unit stride — vectorizes) and accumulates the
-/// mirrored contributions into v[c]. The sweep delivers every v[r]'s terms
-/// in ascending-u order, matching emv_sym_scalar and the dense kernels.
-inline void emv_sym_simd(const double* kp, std::size_t n, const double* u,
-                         double* v) {
+/// mirrored contributions into v[c]. The packed triangle's ragged columns
+/// defeat the aligned full-register tiling of the dense sweep, and this
+/// compiler-vectorized sweep is within noise of hand intrinsics at these
+/// column lengths, so it is the one single-vector kernel of the layout.
+inline void emv_sym(const double* kp, std::size_t n, const double* u,
+                    double* v) {
   for (std::size_t r = 0; r < n; ++r) {
     v[r] = 0.0;
   }
@@ -632,20 +484,6 @@ inline void emv_sym_simd(const double* kp, std::size_t n, const double* u,
   }
 }
 
-/// Dispatch on kernel flavor, packed-symmetric storage. kAvx maps to the
-/// column-sweep kernel: the packed triangle's ragged columns defeat the
-/// aligned full-register tiling the dense AVX kernel relies on, and the
-/// compiler-vectorized sweep is already within noise of hand intrinsics
-/// at these column lengths.
-inline void emv_sym(EmvKernel kernel, const double* kp, std::size_t n,
-                    const double* u, double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    emv_sym_scalar(kp, n, u, v);
-    return;
-  }
-  emv_sym_simd(kp, n, u, v);
-}
-
 // ---------------------------------------------------------------------------
 // Multi-RHS panel kernels
 //
@@ -655,49 +493,13 @@ inline void emv_sym(EmvKernel kernel, const double* kp, std::size_t n,
 // panel — the whole point: arithmetic intensity grows ~k while matrix
 // traffic stays flat.
 //
-// The kSimd flavor's inner `omp simd` loop runs over the k contiguous
-// lanes of one output entry, so vector width comes from the panel itself.
-// The kAvx flavor routes through register-blocked per-ISA microkernels
-// (k-lane × row-tile accumulators, masked lane tails, software prefetch of
-// the next element column) that keep several output rows live in registers
-// while one column streams through — same ascending-c fused chain per
-// output, so kSimd and kAvx stay bitwise identical at every dispatch level.
+// Every layout's panel kernel is a per-ISA table of register-blocked
+// microkernels (k-lane × row-tile accumulators, masked lane tails, software
+// prefetch of the next element column) that keep several output rows live
+// in registers while one column streams through. Each output is one
+// ascending-c fused chain at every level, the chain of the single-vector
+// kernels, so a panel lane reproduces the single-vector apply.
 // ---------------------------------------------------------------------------
-
-/// Reference panel kernel: per-lane row dots (emv_scalar per lane).
-inline void emv_multi_scalar(const double* ke, std::size_t ld, std::size_t n,
-                             std::size_t k, const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double sum = 0.0;
-      for (std::size_t c = 0; c < n; ++c) {
-        sum += ke[c * ld + r] * u[c * k + j];
-      }
-      v[r * k + j] = sum;
-    }
-  }
-}
-
-/// Column-sweep panel kernel: each matrix entry is loaded once and fmadd'ed
-/// across all k lanes (unit stride in the panel).
-inline void emv_multi_simd(const double* ke, std::size_t ld, std::size_t n,
-                           std::size_t k, const double* u, double* v) {
-  for (std::size_t i = 0; i < n * k; ++i) {
-    v[i] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    const double* uc = u + c * k;
-    const double* col = ke + c * ld;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double a = col[r];
-      double* out = v + r * k;
-#pragma omp simd
-      for (std::size_t j = 0; j < k; ++j) {
-        out[j] += a * uc[j];
-      }
-    }
-  }
-}
 
 namespace detail {
 
@@ -848,23 +650,11 @@ inline constexpr MultiEmvFn kMultiEmvTable[hymv::isa::kNumIsaLevels] = {
 
 }  // namespace detail
 
-/// Dispatch on kernel flavor, panel variant. kAvx routes through the
-/// register-blocked per-ISA table (bitwise-identical to the fma-contracted
-/// simd sweep: both are ascending-c fused chains per output).
-inline void emv_multi(EmvKernel kernel, const double* ke, std::size_t ld,
-                      std::size_t n, std::size_t k, const double* u,
-                      double* v) {
-  switch (kernel) {
-    case EmvKernel::kScalar:
-      emv_multi_scalar(ke, ld, n, k, u, v);
-      return;
-    case EmvKernel::kSimd:
-      emv_multi_simd(ke, ld, n, k, u, v);
-      return;
-    case EmvKernel::kAvx:
-      detail::kMultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
-      return;
-  }
+/// Dense panel kernel (kPadded), and the matrix-free operators' panel
+/// kernel with ld = n.
+inline void emv_multi(const double* ke, std::size_t ld, std::size_t n,
+                      std::size_t k, const double* u, double* v) {
+  detail::kMultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
 }
 
 namespace detail {
@@ -962,42 +752,10 @@ inline constexpr F32MultiEmvFn kF32MultiEmvTable[hymv::isa::kNumIsaLevels] = {
 
 }  // namespace detail
 
-/// fp32-storage panel kernel (double accumulation, like emv_f32_*). kAvx
-/// routes through the per-ISA microkernel table.
-inline void emv_f32_multi(EmvKernel kernel, const float* ke, std::size_t ld,
-                          std::size_t n, std::size_t k, const double* u,
-                          double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        double sum = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-          sum += static_cast<double>(ke[c * ld + r]) * u[c * k + j];
-        }
-        v[r * k + j] = sum;
-      }
-    }
-    return;
-  }
-  if (kernel == EmvKernel::kAvx) {
-    detail::kF32MultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
-    return;
-  }
-  for (std::size_t i = 0; i < n * k; ++i) {
-    v[i] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    const double* uc = u + c * k;
-    const float* col = ke + c * ld;
-    for (std::size_t r = 0; r < n; ++r) {
-      const double a = static_cast<double>(col[r]);
-      double* out = v + r * k;
-#pragma omp simd
-      for (std::size_t j = 0; j < k; ++j) {
-        out[j] += a * uc[j];
-      }
-    }
-  }
+/// fp32-storage panel kernel (double accumulation, like the sweep).
+inline void emv_f32_multi(const float* ke, std::size_t ld, std::size_t n,
+                          std::size_t k, const double* u, double* v) {
+  detail::kF32MultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
 }
 
 namespace detail {
@@ -1005,9 +763,8 @@ namespace detail {
 using SymMultiEmvFn = void (*)(const double*, std::size_t, std::size_t,
                                const double*, double*);
 
-/// Portable symmetric panel entry: the same column sweep as the simd
-/// kernel with explicitly fused updates — every v[i] chain receives its
-/// terms in ascending-u order.
+/// Portable symmetric panel entry: a column sweep with explicitly fused
+/// updates — every v[i] chain receives its terms in ascending-u order.
 inline void emv_sym_multi_fma(const double* kp, std::size_t n, std::size_t k,
                               const double* u, double* v) {
   for (std::size_t i = 0; i < n * k; ++i) {
@@ -1127,52 +884,10 @@ inline constexpr SymMultiEmvFn kSymMultiEmvTable[hymv::isa::kNumIsaLevels] = {
 
 /// Symmetric-packed panel kernel: each stored upper entry (r, c) feeds both
 /// v[r] += K·u[c] and the mirrored v[c] += K·u[r] across all lanes before
-/// moving on — the triangle is streamed once per panel. kAvx routes through
-/// the per-ISA microkernel table.
-inline void emv_sym_multi(EmvKernel kernel, const double* kp, std::size_t n,
-                          std::size_t k, const double* u, double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        double sum = 0.0;
-        for (std::size_t c = 0; c <= r; ++c) {
-          sum += kp[sym_packed_index(c, r)] * u[c * k + j];
-        }
-        for (std::size_t c = r + 1; c < n; ++c) {
-          sum += kp[sym_packed_index(r, c)] * u[c * k + j];
-        }
-        v[r * k + j] = sum;
-      }
-    }
-    return;
-  }
-  if (kernel == EmvKernel::kAvx) {
-    detail::kSymMultiEmvTable[hymv::isa::active_index()](kp, n, k, u, v);
-    return;
-  }
-  for (std::size_t i = 0; i < n * k; ++i) {
-    v[i] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    const double* col = kp + sym_packed_index(0, c);
-    const double* uc = u + c * k;
-    double* vc = v + c * k;
-    for (std::size_t r = 0; r < c; ++r) {
-      const double a = col[r];
-      const double* ur = u + r * k;
-      double* vr = v + r * k;
-#pragma omp simd
-      for (std::size_t j = 0; j < k; ++j) {
-        vr[j] += a * uc[j];
-        vc[j] += a * ur[j];
-      }
-    }
-    const double d = col[c];
-#pragma omp simd
-    for (std::size_t j = 0; j < k; ++j) {
-      vc[j] += d * uc[j];
-    }
-  }
+/// moving on — the triangle is streamed once per panel.
+inline void emv_sym_multi(const double* kp, std::size_t n, std::size_t k,
+                          const double* u, double* v) {
+  detail::kSymMultiEmvTable[hymv::isa::active_index()](kp, n, k, u, v);
 }
 
 namespace detail {
@@ -1180,8 +895,7 @@ namespace detail {
 using IlvMultiEmvFn = void (*)(const double*, std::size_t, std::size_t,
                                const double*, double*);
 
-/// Portable interleaved panel entry: per-((r, l), j) fused chain over c,
-/// the same nesting as the simd sweep.
+/// Portable interleaved panel entry: per-((r, l), j) fused chain over c.
 inline void emv_ilv_multi_fma(const double* keb, std::size_t n, std::size_t k,
                               const double* ub, double* vb) {
   for (std::size_t i = 0; i < n * kIlvLanes * k; ++i) {
@@ -1291,65 +1005,18 @@ inline constexpr IlvMultiEmvFn kIlvMultiEmvTable[hymv::isa::kNumIsaLevels] = {
 /// lane-interleaved runs, gathered per batch element. Each stored matrix
 /// entry (kIlvLanes elements' worth) is loaded once and applied to all k
 /// lanes of all batch elements.
-inline void emv_interleaved_batch_multi(EmvKernel kernel, const double* keb,
-                                        std::size_t n, std::size_t k,
-                                        const double* ub, double* vb) {
-  if (kernel == EmvKernel::kScalar) {
-    for (std::size_t l = 0; l < kIlvLanes; ++l) {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t j = 0; j < k; ++j) {
-          double sum = 0.0;
-          for (std::size_t c = 0; c < n; ++c) {
-            sum += keb[(c * n + r) * kIlvLanes + l] *
-                   ub[(c * kIlvLanes + l) * k + j];
-          }
-          vb[(r * kIlvLanes + l) * k + j] = sum;
-        }
-      }
-    }
-    return;
-  }
-  if (kernel == EmvKernel::kAvx) {
-    detail::kIlvMultiEmvTable[hymv::isa::active_index()](keb, n, k, ub, vb);
-    return;
-  }
-  for (std::size_t i = 0; i < n * kIlvLanes * k; ++i) {
-    vb[i] = 0.0;
-  }
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* entry = keb + (c * n + r) * kIlvLanes;
-      for (std::size_t l = 0; l < kIlvLanes; ++l) {
-        const double a = entry[l];
-        const double* uc = ub + (c * kIlvLanes + l) * k;
-        double* out = vb + (r * kIlvLanes + l) * k;
-#pragma omp simd
-        for (std::size_t j = 0; j < k; ++j) {
-          out[j] += a * uc[j];
-        }
-      }
-    }
-  }
+inline void emv_interleaved_batch_multi(const double* keb, std::size_t n,
+                                        std::size_t k, const double* ub,
+                                        double* vb) {
+  detail::kIlvMultiEmvTable[hymv::isa::active_index()](keb, n, k, ub, vb);
 }
 
 /// Single-element panel fallback for batch tails / non-contiguous runs:
-/// lane l of the interleaved batch at keb, applied to an n×k panel.
-inline void emv_interleaved_lane_multi(EmvKernel kernel, const double* keb,
-                                       std::size_t n, std::size_t l,
-                                       std::size_t k, const double* u,
-                                       double* v) {
-  if (kernel == EmvKernel::kScalar) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        double sum = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-          sum += keb[(c * n + r) * kIlvLanes + l] * u[c * k + j];
-        }
-        v[r * k + j] = sum;
-      }
-    }
-    return;
-  }
+/// lane l of the interleaved batch at keb, applied to an n×k panel, with
+/// the batch kernel's fused chain per output.
+inline void emv_interleaved_lane_multi(const double* keb, std::size_t n,
+                                       std::size_t l, std::size_t k,
+                                       const double* u, double* v) {
   for (std::size_t i = 0; i < n * k; ++i) {
     v[i] = 0.0;
   }
@@ -1360,7 +1027,7 @@ inline void emv_interleaved_lane_multi(EmvKernel kernel, const double* keb,
       double* out = v + r * k;
 #pragma omp simd
       for (std::size_t j = 0; j < k; ++j) {
-        out[j] += a * uc[j];
+        out[j] = std::fma(a, uc[j], out[j]);
       }
     }
   }

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "hymv/common/aligned.hpp"
-#include "hymv/core/dense_kernels.hpp"
 
 namespace hymv::core {
 
@@ -119,41 +118,38 @@ class ElementMatrixStore {
   /// fp32 padded column-major storage of element e (kFp32 only).
   [[nodiscard]] const float* data32(std::int64_t e) const;
 
-  /// v_e = K_e u_e for one element, dispatched on layout × kernel flavor
-  /// (kPadded/kFp32 kSimd and kAvx run the apply's register sweep over
-  /// this one element). ue/ve hold ndofs doubles; ve is overwritten.
-  void emv(EmvKernel kernel, std::int64_t e, const double* ue,
-           double* ve) const;
+  /// v_e = K_e u_e for one element through the layout's kernel
+  /// (kPadded/kFp32 run the apply's register sweep over this one element).
+  /// ue/ve hold ndofs doubles; ve is overwritten.
+  void emv(std::int64_t e, const double* ue, double* ve) const;
   /// True when elements [e, e + kBatchElems) form one full interleaved
-  /// batch, i.e. emv_batch(kernel, e, ...) is the fast path for them.
+  /// batch, i.e. emv_batch(e, ...) is the fast path for them.
   [[nodiscard]] bool full_batch_at(std::int64_t e) const {
     return layout_ == StoreLayout::kInterleaved && e % kBatchElems == 0 &&
            e + kBatchElems <= num_elements_;
   }
   /// Batched EMV over the full interleaved batch starting at `first_elem`
   /// (which must satisfy full_batch_at). uei/vei are lane-interleaved:
-  /// entry c of batch element l at uei[c * kBatchElems + l]. Each lane's
-  /// accumulation order matches the single-element emv() (agreement to the
-  /// last ulp; FP contraction may differ between the two code paths).
-  /// Bitwise determinism of the operator does not rest on that: callers
-  /// must make the batch-vs-single decision from data independent of the
-  /// executing thread (HymvOperator decides per schedule block).
-  void emv_batch(EmvKernel kernel, std::int64_t first_elem, const double* uei,
+  /// entry c of batch element l at uei[c * kBatchElems + l]. Each lane
+  /// computes the single-element emv()'s fused chains, bit for bit.
+  /// Callers still make the batch-vs-single decision from data independent
+  /// of the executing thread (HymvOperator decides per schedule block).
+  void emv_batch(std::int64_t first_elem, const double* uei,
                  double* vei) const;
 
   /// Panel EMV: V_e = K_e U_e over a k-lane panel, dispatched on layout.
   /// ue/ve are ndofs × k lane-interleaved (entry a of lane j at [a*k + j]);
   /// ve is overwritten. The element matrix is streamed once for all k
   /// lanes — the multi-RHS arithmetic-intensity win.
-  void emv_multi(EmvKernel kernel, std::int64_t e, std::size_t k,
-                 const double* ue, double* ve) const;
+  void emv_multi(std::int64_t e, std::size_t k, const double* ue,
+                 double* ve) const;
   /// Panel EMV over the full interleaved batch at `first_elem` (which must
   /// satisfy full_batch_at). uei/vei carry the k lanes of batch element l's
   /// entry a at [(a*kBatchElems + l)*k + j]. Same batch-vs-single decision
   /// contract as emv_batch: callers decide per schedule block, never per
   /// thread.
-  void emv_batch_multi(EmvKernel kernel, std::int64_t first_elem,
-                       std::size_t k, const double* uei, double* vei) const;
+  void emv_batch_multi(std::int64_t first_elem, std::size_t k,
+                       const double* uei, double* vei) const;
 
   /// Bytes one element's *panel* EMV streams for a k-lane panel: the
   /// matrix-side traffic (load + accumulator RMW) is charged ONCE — it is

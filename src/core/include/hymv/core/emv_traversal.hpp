@@ -41,50 +41,48 @@ class StoredEmvSweep {
   }
 
   /// Gather/EMV/scatter for order[begin, end) — one schedule block (or a
-  /// whole element list). The per-element body is picked once per call.
-  /// kPadded and kFp32 (any kernel but kScalar) run the register-resident
-  /// sweep of dense_kernels.hpp: u_e is broadcast straight from u, a group
-  /// of v_e row tiles stays in registers across all columns, and the group
-  /// is scatter-added in ascending DoF order; the group size follows the
-  /// active ISA level and the SIMD row tiles of one padded column. The
-  /// other layouts and
-  /// kScalar stage u_e/v_e through ue/ve and call the store's kernel,
-  /// taking the interleaved batch fast path for aligned runs of
-  /// kBatchElems consecutive elements; the batching decision depends only
-  /// on the range boundaries, so serial and threaded traversals of the
-  /// same schedule stay bitwise identical. ue/ve are per-thread
-  /// workspaces of workspace_size(1) doubles; u and v must not overlap.
-  void range(EmvKernel kernel, std::span<const std::int64_t> order,
-             std::int64_t begin, std::int64_t end, std::span<const double> u,
-             std::span<double> v, double* ue, double* ve) const;
+  /// whole element list) — through the store layout's one kernel, picked
+  /// once per call. kPadded and kFp32 run the register-resident sweep of
+  /// dense_kernels.hpp: u_e is broadcast straight from u, a group of v_e
+  /// row tiles stays in registers across all columns, and the group is
+  /// scatter-added in ascending DoF order; the group size follows the
+  /// active ISA level and the SIMD row tiles of one padded column.
+  /// kInterleaved and kSymPacked stage u_e/v_e through ue/ve and call the
+  /// store's kernel, taking the interleaved batch fast path for aligned
+  /// runs of kBatchElems consecutive elements; the batching decision
+  /// depends only on the range boundaries, so serial and threaded
+  /// traversals of the same schedule stay bitwise identical. ue/ve are
+  /// per-thread workspaces of workspace_size(1) doubles; u and v must not
+  /// overlap.
+  void range(std::span<const std::int64_t> order, std::int64_t begin,
+             std::int64_t end, std::span<const double> u, std::span<double> v,
+             double* ue, double* ve) const;
 
   /// Panel twin of range(): identical traversal and batching decisions,
   /// panels of k lanes per DoF (u/v are lane-interleaved width-k DAs).
   /// ue/ve are per-thread workspaces of workspace_size(k) doubles.
-  void range_multi(EmvKernel kernel, std::span<const std::int64_t> order,
-                   std::int64_t begin, std::int64_t end, std::size_t k,
-                   std::span<const double> u, std::span<double> v, double* ue,
-                   double* ve) const;
+  void range_multi(std::span<const std::int64_t> order, std::int64_t begin,
+                   std::int64_t end, std::size_t k, std::span<const double> u,
+                   std::span<double> v, double* ue, double* ve) const;
 
   /// Color-major block traversal of `sched`: OpenMP team when `threaded`
   /// (blocks of one color are conflict-free; colors fenced by the implicit
   /// barrier), the serial execution of the same color-major order
   /// otherwise — bitwise identical either way, for any thread count.
   /// `rank_tag` attributes worker trace spans to the owning rank.
-  void colored_loop(EmvKernel kernel, const ElementSchedule& sched,
-                    bool threaded, int rank_tag, std::span<const double> u,
+  void colored_loop(const ElementSchedule& sched, bool threaded,
+                    int rank_tag, std::span<const double> u,
                     std::span<double> v) const;
-  void colored_loop_multi(EmvKernel kernel, const ElementSchedule& sched,
-                          bool threaded, int rank_tag, std::size_t k,
+  void colored_loop_multi(const ElementSchedule& sched, bool threaded,
+                          int rank_tag, std::size_t k,
                           std::span<const double> u,
                           std::span<double> v) const;
 
   /// Plain element-order traversal (the kSerial path): one range, so
   /// aligned interleaved runs still batch.
-  void serial_loop(EmvKernel kernel, std::span<const std::int64_t> elements,
+  void serial_loop(std::span<const std::int64_t> elements,
                    std::span<const double> u, std::span<double> v) const;
-  void serial_loop_multi(EmvKernel kernel,
-                         std::span<const std::int64_t> elements, std::size_t k,
+  void serial_loop_multi(std::span<const std::int64_t> elements, std::size_t k,
                          std::span<const double> u, std::span<double> v) const;
 
   /// Scatter-add the stored diagonal entries of the schedule's elements

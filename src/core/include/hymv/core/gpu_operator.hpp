@@ -39,7 +39,7 @@ enum class GpuOverlapMode : int {
 struct HymvGpuOptions {
   int num_streams = 8;  ///< Ns chunks/streams (paper finds 8 best, §V-D)
   GpuOverlapMode mode = GpuOverlapMode::kNone;
-  HymvOptions host;     ///< kernel options for host-side (dependent) EMV
+  HymvOptions host;     ///< options of the host operator (store, EMV)
   /// Adaptive chunking floor: a batch is split into at most
   /// count / min_chunk_elements chunks so tiny batches don't drown in
   /// per-command launch/transfer latency.

@@ -23,7 +23,6 @@
 
 #include "hymv/common/timer.hpp"
 #include "hymv/obs/metrics.hpp"
-#include "hymv/core/dense_kernels.hpp"
 #include "hymv/core/element_store.hpp"
 #include "hymv/core/emv_traversal.hpp"
 #include "hymv/core/maps.hpp"
@@ -36,7 +35,6 @@ namespace hymv::core {
 
 /// Tunables for the CPU SPMV path.
 struct HymvOptions {
-  EmvKernel kernel = EmvKernel::kSimd;  ///< EMV inner-kernel flavor
   bool overlap = true;   ///< overlap LNSM with independent-element EMV
   bool use_openmp = true;  ///< thread the element loop when OpenMP is active
   /// Threaded scatter-add strategy. The HYMV_THREAD_SCHEDULE environment
@@ -198,7 +196,6 @@ class HymvOperator final : public pla::LinearOperator {
   /// Zero the "apply.*" metrics (both axes); "setup.*" is untouched.
   void reset_apply_breakdown();
   [[nodiscard]] const HymvOptions& options() const { return options_; }
-  void set_kernel(EmvKernel kernel) { options_.kernel = kernel; }
   void set_overlap(bool overlap) { options_.overlap = overlap; }
   /// Toggle the task-graph dependent phase (still gated by
   /// taskgraph_active()'s overlap/schedule/exchange requirements).

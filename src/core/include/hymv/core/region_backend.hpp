@@ -77,8 +77,8 @@ class StoredRegionBackend final : public RegionBackend {
   /// threading_active(); `rank_tag` labels worker trace spans.
   StoredRegionBackend(const DofMaps& maps, const ElementMatrixStore& store,
                       const std::vector<std::int64_t>& elements,
-                      const ElementSchedule& sched, EmvKernel kernel,
-                      ThreadSchedule schedule, bool threaded, int rank_tag);
+                      const ElementSchedule& sched, ThreadSchedule schedule,
+                      bool threaded, int rank_tag);
 
   [[nodiscard]] const char* name() const override { return "stored"; }
   void apply(std::span<const double> u_da, std::span<double> v_da) override;
@@ -98,7 +98,6 @@ class StoredRegionBackend final : public RegionBackend {
   const ElementMatrixStore* store_;
   const std::vector<std::int64_t>* elements_;
   const ElementSchedule* sched_;
-  EmvKernel kernel_;
   ThreadSchedule schedule_;
   bool threaded_;
   int rank_tag_;

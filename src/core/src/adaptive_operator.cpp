@@ -146,8 +146,8 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
         r == 0 ? hymv_->independent_schedule() : hymv_->dependent_schedule();
     const auto ri = static_cast<std::size_t>(r);
     stored_[ri] = std::make_unique<StoredRegionBackend>(
-        maps, hymv_->store(), elems, sched, options_.hymv.kernel,
-        options_.hymv.schedule, threaded, comm_rank_);
+        maps, hymv_->store(), elems, sched, options_.hymv.schedule, threaded,
+        comm_rank_);
     matrixfree_[ri] = std::make_unique<MatrixFreeRegionBackend>(
         maps, op, elem_coords_, elems, sched, options_.hymv.schedule,
         threaded);

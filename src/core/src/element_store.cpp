@@ -8,6 +8,7 @@
 
 #include "hymv/common/error.hpp"
 #include "hymv/common/numa.hpp"
+#include "hymv/core/dense_kernels.hpp"
 
 namespace hymv::core {
 
@@ -349,84 +350,74 @@ const float* ElementMatrixStore::data32(std::int64_t e) const {
   return data32_.data() + static_cast<std::size_t>(e * stride_);
 }
 
-void ElementMatrixStore::emv(EmvKernel kernel, std::int64_t e,
-                             const double* ue, double* ve) const {
+void ElementMatrixStore::emv(std::int64_t e, const double* ue,
+                             double* ve) const {
   const auto n = static_cast<std::size_t>(ndofs_);
   const auto ld = static_cast<std::size_t>(ld_);
   switch (layout_) {
     case StoreLayout::kPadded:
-      core::emv(kernel, data_.data() + static_cast<std::size_t>(e * stride_),
-                ld, n, ue, ve);
+      emv_dense(data_.data() + static_cast<std::size_t>(e * stride_), ld, n,
+                ue, ve);
       return;
     case StoreLayout::kFp32:
-      emv_f32(kernel,
-              data32_.data() + static_cast<std::size_t>(e * stride_), ld, n,
-              ue, ve);
+      emv_dense(data32_.data() + static_cast<std::size_t>(e * stride_), ld,
+                n, ue, ve);
       return;
     case StoreLayout::kInterleaved:
       emv_interleaved_lane(
-          kernel,
           data_.data() + static_cast<std::size_t>(e / kBatchElems * stride_ *
                                                   kBatchElems),
           n, static_cast<std::size_t>(e % kBatchElems), ue, ve);
       return;
     case StoreLayout::kSymPacked:
-      emv_sym(kernel, data_.data() + static_cast<std::size_t>(e * stride_), n,
-              ue, ve);
+      emv_sym(data_.data() + static_cast<std::size_t>(e * stride_), n, ue,
+              ve);
       return;
   }
 }
 
-void ElementMatrixStore::emv_batch(EmvKernel kernel, std::int64_t first_elem,
-                                   const double* uei, double* vei) const {
+void ElementMatrixStore::emv_batch(std::int64_t first_elem, const double* uei,
+                                   double* vei) const {
   HYMV_CHECK_MSG(full_batch_at(first_elem),
                  "ElementMatrixStore::emv_batch: not a full batch start");
   emv_interleaved_batch(
-      kernel,
       data_.data() + static_cast<std::size_t>(first_elem / kBatchElems *
                                               stride_ * kBatchElems),
       static_cast<std::size_t>(ndofs_), uei, vei);
 }
 
-void ElementMatrixStore::emv_multi(EmvKernel kernel, std::int64_t e,
-                                   std::size_t k, const double* ue,
-                                   double* ve) const {
+void ElementMatrixStore::emv_multi(std::int64_t e, std::size_t k,
+                                   const double* ue, double* ve) const {
   const auto n = static_cast<std::size_t>(ndofs_);
   const auto ld = static_cast<std::size_t>(ld_);
   switch (layout_) {
     case StoreLayout::kPadded:
-      core::emv_multi(kernel,
-                      data_.data() + static_cast<std::size_t>(e * stride_), ld,
-                      n, k, ue, ve);
+      core::emv_multi(data_.data() + static_cast<std::size_t>(e * stride_),
+                      ld, n, k, ue, ve);
       return;
     case StoreLayout::kFp32:
-      emv_f32_multi(kernel,
-                    data32_.data() + static_cast<std::size_t>(e * stride_), ld,
-                    n, k, ue, ve);
+      emv_f32_multi(data32_.data() + static_cast<std::size_t>(e * stride_),
+                    ld, n, k, ue, ve);
       return;
     case StoreLayout::kInterleaved:
       emv_interleaved_lane_multi(
-          kernel,
           data_.data() + static_cast<std::size_t>(e / kBatchElems * stride_ *
                                                   kBatchElems),
           n, static_cast<std::size_t>(e % kBatchElems), k, ue, ve);
       return;
     case StoreLayout::kSymPacked:
-      emv_sym_multi(kernel,
-                    data_.data() + static_cast<std::size_t>(e * stride_), n, k,
-                    ue, ve);
+      emv_sym_multi(data_.data() + static_cast<std::size_t>(e * stride_), n,
+                    k, ue, ve);
       return;
   }
 }
 
-void ElementMatrixStore::emv_batch_multi(EmvKernel kernel,
-                                         std::int64_t first_elem,
+void ElementMatrixStore::emv_batch_multi(std::int64_t first_elem,
                                          std::size_t k, const double* uei,
                                          double* vei) const {
   HYMV_CHECK_MSG(full_batch_at(first_elem),
                  "ElementMatrixStore::emv_batch_multi: not a full batch start");
   emv_interleaved_batch_multi(
-      kernel,
       data_.data() + static_cast<std::size_t>(first_elem / kBatchElems *
                                               stride_ * kBatchElems),
       static_cast<std::size_t>(ndofs_), k, uei, vei);

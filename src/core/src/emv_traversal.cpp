@@ -5,40 +5,35 @@
 #endif
 
 #include "hymv/common/aligned.hpp"
+#include "hymv/core/dense_kernels.hpp"
 #include "hymv/obs/trace.hpp"
 
 namespace hymv::core {
 
-void StoredEmvSweep::range(EmvKernel kernel,
-                           std::span<const std::int64_t> order,
+void StoredEmvSweep::range(std::span<const std::int64_t> order,
                            std::int64_t begin, std::int64_t end,
                            std::span<const double> u, std::span<double> v,
                            double* ue, double* ve) const {
-  // kScalar keeps the staged row-dot kernel below: it is the ablation
-  // baseline, with its own (unfused) bits.
-  if (kernel != EmvKernel::kScalar) {
-    const auto ld = static_cast<std::size_t>(store_->leading_dim());
-    const auto n = static_cast<std::size_t>(store_->ndofs());
-    const auto stride = static_cast<std::size_t>(store_->stride());
-    switch (store_->layout()) {
-      case StoreLayout::kPadded:
-        dense_sweep_body<double>(ld)({store_->data(0), stride, ld, n,
-                                      maps_->e2l_data(), order.data(), begin,
-                                      end, u.data(), v.data()});
-        return;
-      case StoreLayout::kFp32:
-        dense_sweep_body<float>(ld)({store_->data32(0), stride, ld, n,
-                                     maps_->e2l_data(), order.data(), begin,
-                                     end, u.data(), v.data()});
-        return;
-      case StoreLayout::kInterleaved:
-      case StoreLayout::kSymPacked:
-        break;
-    }
+  const auto n = static_cast<std::size_t>(store_->ndofs());
+  const auto ld = static_cast<std::size_t>(store_->leading_dim());
+  const auto stride = static_cast<std::size_t>(store_->stride());
+  switch (store_->layout()) {
+    case StoreLayout::kPadded:
+      dense_sweep_body<double>(ld)({store_->data(0), stride, ld, n,
+                                    maps_->e2l_data(), order.data(), begin,
+                                    end, u.data(), v.data()});
+      return;
+    case StoreLayout::kFp32:
+      dense_sweep_body<float>(ld)({store_->data32(0), stride, ld, n,
+                                   maps_->e2l_data(), order.data(), begin, end,
+                                   u.data(), v.data()});
+      return;
+    case StoreLayout::kInterleaved:
+    case StoreLayout::kSymPacked:
+      break;
   }
 
   constexpr std::int64_t kB = ElementMatrixStore::kBatchElems;
-  const auto n = static_cast<std::size_t>(store_->ndofs());
 
   std::int64_t i = begin;
   while (i < end) {
@@ -60,7 +55,7 @@ void StoredEmvSweep::range(EmvKernel kernel,
                 u[static_cast<std::size_t>(e2l[a])];
           }
         }
-        store_->emv_batch(kernel, e, ue, ve);
+        store_->emv_batch(e, ue, ve);
         // Lane-ascending scatter: contributions land in the same order the
         // element-at-a-time path produces them.
         for (std::int64_t l = 0; l < kB; ++l) {
@@ -79,7 +74,7 @@ void StoredEmvSweep::range(EmvKernel kernel,
     for (std::size_t a = 0; a < n; ++a) {
       ue[a] = u[static_cast<std::size_t>(e2l[a])];  // extract u_e
     }
-    store_->emv(kernel, e, ue, ve);
+    store_->emv(e, ue, ve);
     for (std::size_t a = 0; a < n; ++a) {
       v[static_cast<std::size_t>(e2l[a])] += ve[a];  // accumulate v_e
     }
@@ -87,8 +82,7 @@ void StoredEmvSweep::range(EmvKernel kernel,
   }
 }
 
-void StoredEmvSweep::range_multi(EmvKernel kernel,
-                                 std::span<const std::int64_t> order,
+void StoredEmvSweep::range_multi(std::span<const std::int64_t> order,
                                  std::int64_t begin, std::int64_t end,
                                  std::size_t k, std::span<const double> u,
                                  std::span<double> v, double* ue,
@@ -121,7 +115,7 @@ void StoredEmvSweep::range_multi(EmvKernel kernel,
             }
           }
         }
-        store_->emv_batch_multi(kernel, e, k, ue, ve);
+        store_->emv_batch_multi(e, k, ue, ve);
         for (std::int64_t l = 0; l < kB; ++l) {
           const auto e2l = maps_->e2l(e + l);
           for (std::size_t a = 0; a < n; ++a) {
@@ -145,7 +139,7 @@ void StoredEmvSweep::range_multi(EmvKernel kernel,
         dst[j] = src[j];
       }
     }
-    store_->emv_multi(kernel, e, k, ue, ve);
+    store_->emv_multi(e, k, ue, ve);
     for (std::size_t a = 0; a < n; ++a) {  // scatter-add the v_e panel
       double* dst = v.data() + static_cast<std::size_t>(e2l[a]) * k;
       const double* src = ve + a * k;
@@ -157,8 +151,7 @@ void StoredEmvSweep::range_multi(EmvKernel kernel,
   }
 }
 
-void StoredEmvSweep::colored_loop(EmvKernel kernel,
-                                  const ElementSchedule& sched, bool threaded,
+void StoredEmvSweep::colored_loop(const ElementSchedule& sched, bool threaded,
                                   int rank_tag, std::span<const double> u,
                                   std::span<double> v) const {
   const std::size_t ws = workspace_size(1);
@@ -183,8 +176,7 @@ void StoredEmvSweep::colored_loop(EmvKernel kernel,
              ++b) {
           const ElementSchedule::Block& blk =
               blocks[static_cast<std::size_t>(b)];
-          range(kernel, order, blk.begin, blk.end, u, v, ue.data(),
-                ve.data());
+          range(order, blk.begin, blk.end, u, v, ue.data(), ve.data());
         }
       }
     }
@@ -201,13 +193,12 @@ void StoredEmvSweep::colored_loop(EmvKernel kernel,
   hymv::aligned_vector<double> ue(ws), ve(ws);
   for (int c = 0; c < sched.num_colors(); ++c) {
     for (const ElementSchedule::Block& blk : sched.blocks(c)) {
-      range(kernel, order, blk.begin, blk.end, u, v, ue.data(), ve.data());
+      range(order, blk.begin, blk.end, u, v, ue.data(), ve.data());
     }
   }
 }
 
-void StoredEmvSweep::colored_loop_multi(EmvKernel kernel,
-                                        const ElementSchedule& sched,
+void StoredEmvSweep::colored_loop_multi(const ElementSchedule& sched,
                                         bool threaded, int rank_tag,
                                         std::size_t k,
                                         std::span<const double> u,
@@ -229,7 +220,7 @@ void StoredEmvSweep::colored_loop_multi(EmvKernel kernel,
              ++b) {
           const ElementSchedule::Block& blk =
               blocks[static_cast<std::size_t>(b)];
-          range_multi(kernel, order, blk.begin, blk.end, k, u, v, ue.data(),
+          range_multi(order, blk.begin, blk.end, k, u, v, ue.data(),
                       ve.data());
         }
       }
@@ -245,29 +236,26 @@ void StoredEmvSweep::colored_loop_multi(EmvKernel kernel,
   hymv::aligned_vector<double> ue(ws), ve(ws);
   for (int c = 0; c < sched.num_colors(); ++c) {
     for (const ElementSchedule::Block& blk : sched.blocks(c)) {
-      range_multi(kernel, order, blk.begin, blk.end, k, u, v, ue.data(),
-                  ve.data());
+      range_multi(order, blk.begin, blk.end, k, u, v, ue.data(), ve.data());
     }
   }
 }
 
-void StoredEmvSweep::serial_loop(EmvKernel kernel,
-                                 std::span<const std::int64_t> elements,
+void StoredEmvSweep::serial_loop(std::span<const std::int64_t> elements,
                                  std::span<const double> u,
                                  std::span<double> v) const {
   hymv::aligned_vector<double> ue(workspace_size(1)), ve(workspace_size(1));
-  range(kernel, elements, 0, static_cast<std::int64_t>(elements.size()), u, v,
+  range(elements, 0, static_cast<std::int64_t>(elements.size()), u, v,
         ue.data(), ve.data());
 }
 
-void StoredEmvSweep::serial_loop_multi(EmvKernel kernel,
-                                       std::span<const std::int64_t> elements,
+void StoredEmvSweep::serial_loop_multi(std::span<const std::int64_t> elements,
                                        std::size_t k,
                                        std::span<const double> u,
                                        std::span<double> v) const {
   hymv::aligned_vector<double> ue(workspace_size(k)), ve(workspace_size(k));
-  range_multi(kernel, elements, 0, static_cast<std::int64_t>(elements.size()),
-              k, u, v, ue.data(), ve.data());
+  range_multi(elements, 0, static_cast<std::int64_t>(elements.size()), k, u,
+              v, ue.data(), ve.data());
 }
 
 void StoredEmvSweep::diagonal_colored(const ElementSchedule& sched,

@@ -249,8 +249,7 @@ void HymvGpuOperator::apply(simmpi::Comm& comm, const pla::DistVector& x,
       {
         hymv::ThreadCpuTimer dep_timer;
         StoredEmvSweep(maps, host_op_.store())
-            .serial_loop(options_.host.kernel, maps.dependent_elements(),
-                         u_da_.all(), v_da_.all());
+            .serial_loop(maps.dependent_elements(), u_da_.all(), v_da_.all());
         host_dep_s = dep_timer.elapsed_s();
       }
       device_->synchronize();
@@ -442,29 +441,10 @@ void HymvGpuOperator::apply_multi(simmpi::Comm& comm,
       // Host computes dependent-element panels while the device drains.
       {
         hymv::ThreadCpuTimer dep_timer;
-        const ElementMatrixStore& store = host_op_.store();
-        const auto n = static_cast<std::size_t>(store.ndofs());
-        const auto ku = static_cast<std::size_t>(k);
-        const std::span<const double> u = u_mda_->all();
-        const std::span<double> v = v_mda_->all();
-        hymv::aligned_vector<double> ue(n * ku), ve(n * ku);
-        for (const std::int64_t e : maps.dependent_elements()) {
-          const auto e2l = maps.e2l(e);
-          for (std::size_t a = 0; a < n; ++a) {
-            const double* src =
-                u.data() + static_cast<std::size_t>(e2l[a]) * ku;
-            for (std::size_t j = 0; j < ku; ++j) {
-              ue[a * ku + j] = src[j];
-            }
-          }
-          store.emv_multi(options_.host.kernel, e, ku, ue.data(), ve.data());
-          for (std::size_t a = 0; a < n; ++a) {
-            double* dst = v.data() + static_cast<std::size_t>(e2l[a]) * ku;
-            for (std::size_t j = 0; j < ku; ++j) {
-              dst[j] += ve[a * ku + j];
-            }
-          }
-        }
+        StoredEmvSweep(maps, host_op_.store())
+            .serial_loop_multi(maps.dependent_elements(),
+                               static_cast<std::size_t>(k), u_mda_->all(),
+                               v_mda_->all());
         host_dep_s = dep_timer.elapsed_s();
       }
       device_->synchronize();

@@ -219,8 +219,7 @@ bool HymvOperator::taskgraph_active() const {
 void HymvOperator::emv_range(std::span<const std::int64_t> order,
                              std::int64_t begin, std::int64_t end, double* ue,
                              double* ve) {
-  sweep_.range(options_.kernel, order, begin, end, u_da_.all(), v_da_.all(),
-               ue, ve);
+  sweep_.range(order, begin, end, u_da_.all(), v_da_.all(), ue, ve);
 }
 
 void HymvOperator::emv_loop(const ElementSchedule& sched,
@@ -230,8 +229,8 @@ void HymvOperator::emv_loop(const ElementSchedule& sched,
     DualTimer timer;
     // The shared sweep runs the color-major block traversal (threaded team
     // or the bitwise-identical serial execution of the same order).
-    sweep_.colored_loop(options_.kernel, sched, threading_active(),
-                        comm_rank_, u_da_.all(), v_da_.all());
+    sweep_.colored_loop(sched, threading_active(), comm_rank_, u_da_.all(),
+                        v_da_.all());
     timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
     return;
   }
@@ -270,8 +269,8 @@ void HymvOperator::emv_loop(const ElementSchedule& sched,
       const auto ne = static_cast<std::int64_t>(elements.size());
       hymv::aligned_vector<double> ue(sweep_.workspace_size()),
           ve(sweep_.workspace_size());
-      sweep_.range(options_.kernel, elements, ne * t / team,
-                   ne * (t + 1) / team, u, buf, ue.data(), ve.data());
+      sweep_.range(elements, ne * t / team, ne * (t + 1) / team, u, buf,
+                   ue.data(), ve.data());
     }
     timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
     timer.restart();
@@ -295,7 +294,7 @@ void HymvOperator::emv_loop(const ElementSchedule& sched,
   // batch).
   HYMV_TRACE_SCOPE("emv", "apply");
   DualTimer timer;
-  sweep_.serial_loop(options_.kernel, elements, u_da_.all(), v_da_.all());
+  sweep_.serial_loop(elements, u_da_.all(), v_da_.all());
   timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
 }
 
@@ -448,8 +447,8 @@ void HymvOperator::ensure_multi_buffers(int k) {
 void HymvOperator::emv_range_multi(std::span<const std::int64_t> order,
                                    std::int64_t begin, std::int64_t end,
                                    std::size_t k, double* ue, double* ve) {
-  sweep_.range_multi(options_.kernel, order, begin, end, k, u_mda_->all(),
-                     v_mda_->all(), ue, ve);
+  sweep_.range_multi(order, begin, end, k, u_mda_->all(), v_mda_->all(), ue,
+                     ve);
 }
 
 void HymvOperator::emv_loop_multi(const ElementSchedule& sched,
@@ -459,8 +458,8 @@ void HymvOperator::emv_loop_multi(const ElementSchedule& sched,
   if (options_.schedule == ThreadSchedule::kColored) {
     HYMV_TRACE_SCOPE("emv", "apply");
     DualTimer timer;
-    sweep_.colored_loop_multi(options_.kernel, sched, threading_active(),
-                              comm_rank_, ku, u_mda_->all(), v_mda_->all());
+    sweep_.colored_loop_multi(sched, threading_active(), comm_rank_, ku,
+                              u_mda_->all(), v_mda_->all());
     timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
     return;
   }
@@ -471,8 +470,7 @@ void HymvOperator::emv_loop_multi(const ElementSchedule& sched,
   // element-order traversal.
   HYMV_TRACE_SCOPE("emv", "apply");
   DualTimer timer;
-  sweep_.serial_loop_multi(options_.kernel, elements, ku, u_mda_->all(),
-                           v_mda_->all());
+  sweep_.serial_loop_multi(elements, ku, u_mda_->all(), v_mda_->all());
   timer.add_to(metrics_.emv_s, metrics_.emv_cpu_s);
 }
 

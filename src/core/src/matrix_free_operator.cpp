@@ -143,7 +143,7 @@ void MatrixFreeOperator::emv_dep_taskgraph_multi(simmpi::Comm& comm, int k) {
     op_->element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    emv_multi_simd(ke.data(), n, n, ku, ue, ve);
+    emv_multi(ke.data(), n, n, ku, ue, ve);
     for (std::size_t a = 0; a < n; ++a) {
       double* dst = v.data() + static_cast<std::size_t>(e2l[a]) * ku;
       const double* src = ve + a * ku;
@@ -282,7 +282,7 @@ void MatrixFreeOperator::emv_loop_multi(const ElementSchedule& sched,
     op_->element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    emv_multi_simd(ke.data(), n, n, ku, ue, ve);
+    emv_multi(ke.data(), n, n, ku, ue, ve);
     for (std::size_t a = 0; a < n; ++a) {
       double* dst = v.data() + static_cast<std::size_t>(e2l[a]) * ku;
       const double* src = ve + a * ku;

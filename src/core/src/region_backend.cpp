@@ -15,12 +15,11 @@ namespace hymv::core {
 StoredRegionBackend::StoredRegionBackend(
     const DofMaps& maps, const ElementMatrixStore& store,
     const std::vector<std::int64_t>& elements, const ElementSchedule& sched,
-    EmvKernel kernel, ThreadSchedule schedule, bool threaded, int rank_tag)
+    ThreadSchedule schedule, bool threaded, int rank_tag)
     : sweep_(maps, store),
       store_(&store),
       elements_(&elements),
       sched_(&sched),
-      kernel_(kernel),
       schedule_(schedule),
       threaded_(threaded),
       rank_tag_(rank_tag) {}
@@ -28,21 +27,20 @@ StoredRegionBackend::StoredRegionBackend(
 void StoredRegionBackend::apply(std::span<const double> u_da,
                                 std::span<double> v_da) {
   if (schedule_ == ThreadSchedule::kColored) {
-    sweep_.colored_loop(kernel_, *sched_, threaded_, rank_tag_, u_da, v_da);
+    sweep_.colored_loop(*sched_, threaded_, rank_tag_, u_da, v_da);
     return;
   }
-  sweep_.serial_loop(kernel_, *elements_, u_da, v_da);
+  sweep_.serial_loop(*elements_, u_da, v_da);
 }
 
 void StoredRegionBackend::apply_multi(std::span<const double> u_da,
                                       std::span<double> v_da, int k) {
   const auto ku = static_cast<std::size_t>(k);
   if (schedule_ == ThreadSchedule::kColored) {
-    sweep_.colored_loop_multi(kernel_, *sched_, threaded_, rank_tag_, ku,
-                              u_da, v_da);
+    sweep_.colored_loop_multi(*sched_, threaded_, rank_tag_, ku, u_da, v_da);
     return;
   }
-  sweep_.serial_loop_multi(kernel_, *elements_, ku, u_da, v_da);
+  sweep_.serial_loop_multi(*elements_, ku, u_da, v_da);
 }
 
 void StoredRegionBackend::add_diagonal(std::span<double> v_da) {
@@ -187,7 +185,7 @@ void MatrixFreeRegionBackend::apply_multi(std::span<const double> u_da,
     op_->element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    emv_multi_simd(ke.data(), n, n, ku, ue, ve);
+    emv_multi(ke.data(), n, n, ku, ue, ve);
     for (std::size_t a = 0; a < n; ++a) {
       double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * ku;
       const double* src = ve + a * ku;

@@ -105,12 +105,15 @@ CpuSpec CpuSpec::from_env() {
   if (triad > 0.0) {
     spec.mem_bytes_per_s = triad;
   }
-  const double bw = env_double("HYMV_CPU_MEM_GBPS", spec.mem_bytes_per_s / 1e9);
-  if (bw > 0.0) {
-    spec.mem_bytes_per_s = bw * 1e9;
-  } else {
+  // Unset, the override returns its fallback; scaling that back to B/s
+  // would round the measured triad in its last bits.
+  const double gbps = spec.mem_bytes_per_s / 1e9;
+  const double bw = env_double("HYMV_CPU_MEM_GBPS", gbps);
+  if (bw <= 0.0) {
     std::fprintf(stderr, "hymv: HYMV_CPU_MEM_GBPS must be > 0, keeping %.1f\n",
-                 spec.mem_bytes_per_s / 1e9);
+                 gbps);
+  } else if (bw != gbps) {
+    spec.mem_bytes_per_s = bw * 1e9;
   }
   return spec;
 }

@@ -253,8 +253,7 @@ TEST(SellRegionTest, AssemblyMatchesStoredReferenceOnRandomMeshes) {
         const auto& sched = dependent ? hop.dependent_schedule()
                                       : hop.independent_schedule();
         StoredRegionBackend stored(maps, hop.store(), elems, sched,
-                                   EmvKernel::kSimd, ThreadSchedule::kSerial,
-                                   false, comm.rank());
+                                   ThreadSchedule::kSerial, false, comm.rank());
         SellRegionBackend sell(maps, hop.store(), elems, 8, 64, false);
 
         DistributedArray u(maps);

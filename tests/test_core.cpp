@@ -11,6 +11,8 @@
 #include <mutex>
 #include <vector>
 
+#include "emv_reference.hpp"
+#include "hymv/common/isa.hpp"
 #include "hymv/common/rng.hpp"
 #include "hymv/core/assembly.hpp"
 #include "hymv/core/dense_kernels.hpp"
@@ -36,6 +38,8 @@ using simmpi::Comm;
 // EMV kernels
 // ---------------------------------------------------------------------------
 
+/// The matrix-free kernel, and the stored-matrix sweep at every ISA level,
+/// against the row-dot reference.
 TEST(EmvKernelTest, AllFlavorsAgree) {
   hymv::Xoshiro256 rng(17);
   for (const std::size_t n : {3u, 8u, 24u, 60u, 81u}) {
@@ -48,13 +52,23 @@ TEST(EmvKernelTest, AllFlavorsAgree) {
       }
       u[c] = rng.uniform(-1.0, 1.0);
     }
-    core::emv_scalar(ke.data(), ld, n, u.data(), v0.data());
+    reference::emv_rowdot(ke.data(), ld, n, u.data(), v0.data());
     core::emv_simd(ke.data(), ld, n, u.data(), v1.data());
-    core::emv(core::EmvKernel::kAvx, ke.data(), ld, n, u.data(), v2.data());
     for (std::size_t r = 0; r < n; ++r) {
       EXPECT_NEAR(v1[r], v0[r], 1e-12) << "simd n=" << n << " r=" << r;
-      EXPECT_NEAR(v2[r], v0[r], 1e-12) << "avx n=" << n << " r=" << r;
     }
+    for (const isa::IsaLevel level :
+         {isa::IsaLevel::kScalar, isa::IsaLevel::kAvx2,
+          isa::IsaLevel::kAvx512}) {
+      const isa::IsaLevel ran = isa::force(level);  // clamped to the CPU
+      core::emv_dense(ke.data(), ld, n, u.data(), v2.data());
+      for (std::size_t r = 0; r < n; ++r) {
+        EXPECT_NEAR(v2[r], v0[r], 1e-12)
+            << "sweep level=" << isa::to_string(ran) << " n=" << n
+            << " r=" << r;
+      }
+    }
+    isa::reset();
   }
 }
 
@@ -69,7 +83,7 @@ TEST(EmvKernelTest, IdentityMatrix) {
   for (std::size_t i = 0; i < n; ++i) {
     u[i] = static_cast<double>(i) - 3.5;
   }
-  core::emv(core::EmvKernel::kAvx, ke.data(), ld, n, u.data(), v.data());
+  core::emv_dense(ke.data(), ld, n, u.data(), v.data());
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(v[i], u[i]);
   }
@@ -363,33 +377,33 @@ TEST(HymvOperatorTest, OverlapOnOffIdentical) {
   });
 }
 
+/// The operator's apply at every ISA level against the same maps and store
+/// applied through the row-dot reference.
 TEST(HymvOperatorTest, KernelsIdenticalThroughOperator) {
   const mesh::Mesh m = mesh::build_structured_hex({.nx = 2, .ny = 2, .nz = 2},
                                                   ElementType::kHex20);
   const auto part_ids = mesh::partition_elements(m, 2, mesh::Partitioner::kSlab);
   const auto dist = mesh::distribute_mesh(m, part_ids, 2);
-  simmpi::run(2, [&](Comm& comm) {
-    const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
-    const fem::ElasticityOperator op(ElementType::kHex20, 100.0, 0.25);
-    HymvOperator hymv_op(comm, part, op);
-    pla::DistVector x(hymv_op.layout());
-    for (std::int64_t i = 0; i < x.owned_size(); ++i) {
-      x[i] = std::sin(0.1 * static_cast<double>(i + 1));
-    }
-    std::vector<pla::DistVector> results;
-    for (const auto kernel : {core::EmvKernel::kScalar, core::EmvKernel::kSimd,
-                              core::EmvKernel::kAvx}) {
-      hymv_op.set_kernel(kernel);
-      pla::DistVector y(hymv_op.layout());
-      hymv_op.apply(comm, x, y);
-      results.push_back(std::move(y));
-    }
-    for (std::size_t k = 1; k < results.size(); ++k) {
-      for (std::int64_t i = 0; i < results[0].owned_size(); ++i) {
-        EXPECT_NEAR(results[k][i], results[0][i], 1e-11);
+  for (const isa::IsaLevel level :
+       {isa::IsaLevel::kScalar, isa::IsaLevel::kAvx2, isa::IsaLevel::kAvx512}) {
+    const isa::IsaLevel ran = isa::force(level);  // clamped to the CPU
+    simmpi::run(2, [&](Comm& comm) {
+      const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+      const fem::ElasticityOperator op(ElementType::kHex20, 100.0, 0.25);
+      HymvOperator hymv_op(comm, part, op);
+      pla::DistVector x(hymv_op.layout());
+      for (std::int64_t i = 0; i < x.owned_size(); ++i) {
+        x[i] = std::sin(0.1 * static_cast<double>(i + 1));
       }
-    }
-  });
+      pla::DistVector y_ref(hymv_op.layout()), y(hymv_op.layout());
+      reference::apply_rowdot(comm, hymv_op, x, y_ref);
+      hymv_op.apply(comm, x, y);
+      for (std::int64_t i = 0; i < y_ref.owned_size(); ++i) {
+        EXPECT_NEAR(y[i], y_ref[i], 1e-11) << "level=" << isa::to_string(ran);
+      }
+    });
+  }
+  isa::reset();
 }
 
 TEST(HymvOperatorTest, DiagonalMatchesAssembled) {

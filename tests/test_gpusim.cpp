@@ -10,6 +10,7 @@
 
 #include "hymv/common/rng.hpp"
 #include "hymv/core/assembly.hpp"
+#include "hymv/core/dense_kernels.hpp"
 #include "hymv/core/gpu_operator.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/gpusim/gpusim.hpp"

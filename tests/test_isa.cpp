@@ -38,7 +38,6 @@
 namespace {
 
 using namespace hymv;
-using core::EmvKernel;
 using core::HymvOperator;
 using core::HymvOptions;
 using core::StoreLayout;
@@ -332,9 +331,9 @@ TEST(IsaDispatchTest, GoldenPoissonBitsHoldAtEveryLevel) {
   }
 }
 
-/// Every store layout × kernel flavor × panel width × serial/threaded:
-/// forced levels must agree among themselves (relative equivalence — the
-/// kAvx flavor's table entries AND the panel microkernels are exercised).
+/// Every store layout × panel width × serial/threaded: forced levels must
+/// agree among themselves (relative equivalence — every layout's
+/// single-vector table entries AND the panel microkernels are exercised).
 TEST(IsaDispatchTest, OperatorBitwiseInvariantAcrossLevels) {
   IsaLevelGuard guard;
   const mesh::Mesh m = mesh::build_structured_hex(
@@ -356,8 +355,7 @@ TEST(IsaDispatchTest, OperatorBitwiseInvariantAcrossLevels) {
           simmpi::run(1, [&](Comm& comm) {
             fem::ElasticityOperator op(mesh::ElementType::kHex8, 700.0, 0.3);
             HymvOperator hop(comm, dist.parts[0], op,
-                             HymvOptions{.kernel = EmvKernel::kAvx,
-                                         .use_openmp = threaded,
+                             HymvOptions{.use_openmp = threaded,
                                          .layout = layout});
             if (k == 1) {
               pla::DistVector x(hop.layout()), y(hop.layout());

@@ -1,7 +1,7 @@
 // Cross-layout coverage of the pluggable element-matrix storage layer
 // (element_store.hpp): every StoreLayout must produce the same operator
-// behaviour — apply, diagonal, update_elements — for every kernel flavor
-// and thread count, the kPadded layout must stay bitwise identical to the
+// behaviour — apply, diagonal, update_elements — at every ISA level and
+// thread count, the kPadded layout must stay bitwise identical to the
 // pre-layout-axis operator (golden regression), and store_io must
 // round-trip every layout and convert any saved layout to any requested
 // one. These tests carry the ctest label `layout` so a HYMV_SANITIZE build
@@ -26,6 +26,7 @@
 #include <tuple>
 #include <vector>
 
+#include "emv_reference.hpp"
 #include "hymv/common/isa.hpp"
 #include "hymv/common/rng.hpp"
 #include "hymv/core/element_store.hpp"
@@ -45,7 +46,6 @@ namespace {
 
 using namespace hymv;
 using core::ElementMatrixStore;
-using core::EmvKernel;
 using core::HymvOperator;
 using core::StoreLayout;
 using simmpi::Comm;
@@ -242,10 +242,31 @@ TEST(StoreLayoutTest, EnvOverrideSelectsLayout) {
 }
 
 // ---------------------------------------------------------------------------
-// kernel-level equivalence: every layout × kernel against the dense result
+// kernel-level equivalence: every layout × ISA level against the dense result
 // ---------------------------------------------------------------------------
 
+/// Levels this host can run: force() clamps to detected(), so asking for
+/// more than the CPU has would silently retest a lower level.
+std::vector<isa::IsaLevel> runnable_levels() {
+  std::vector<isa::IsaLevel> levels{isa::IsaLevel::kScalar};
+  if (isa::detected() >= isa::IsaLevel::kAvx2) {
+    levels.push_back(isa::IsaLevel::kAvx2);
+  }
+  if (isa::detected() >= isa::IsaLevel::kAvx512) {
+    levels.push_back(isa::IsaLevel::kAvx512);
+  }
+  return levels;
+}
+
+/// RAII: restore the env-resolved dispatch level however a test exits.
+struct IsaLevelGuard {
+  ~IsaLevelGuard() { isa::reset(); }
+};
+
+/// Every layout's row-dot reference and its kernel at every runnable level
+/// against the padded store's row-dot reference.
 TEST(LayoutKernelTest, AllLayoutsAndFlavorsMatchDenseEmv) {
+  IsaLevelGuard guard;
   for (const int n : {4, 7, 8, 24}) {
     ElementMatrixStore ref(3, n, StoreLayout::kPadded);
     fill_store(ref, 40 + static_cast<std::uint64_t>(n));
@@ -256,22 +277,29 @@ TEST(LayoutKernelTest, AllLayoutsAndFlavorsMatchDenseEmv) {
     }
     for (std::int64_t e = 0; e < ref.num_elements(); ++e) {
       std::vector<double> v_ref(u.size());
-      ref.emv(EmvKernel::kScalar, e, u.data(), v_ref.data());
+      reference::emv_rowdot(ref.data(e),
+                            static_cast<std::size_t>(ref.leading_dim()),
+                            u.size(), u.data(), v_ref.data());
       double scale = 0.0;
       for (const double v : v_ref) {
         scale = std::max(scale, std::abs(v));
       }
       for (const StoreLayout layout : kAllLayouts) {
         const ElementMatrixStore store = ref.convert_to(layout);
-        for (const EmvKernel kernel :
-             {EmvKernel::kScalar, EmvKernel::kSimd, EmvKernel::kAvx}) {
-          std::vector<double> v(u.size());
-          store.emv(kernel, e, u.data(), v.data());
-          const double tol =
-              (layout == StoreLayout::kFp32 ? 1e-6 : 1e-12) * (1.0 + scale);
+        const double tol =
+            (layout == StoreLayout::kFp32 ? 1e-6 : 1e-12) * (1.0 + scale);
+        std::vector<double> v(u.size());
+        reference::emv_rowdot(store, e, u.data(), v.data());
+        for (std::size_t r = 0; r < v.size(); ++r) {
+          EXPECT_NEAR(v[r], v_ref[r], tol)
+              << to_string(layout) << " reference n=" << n << " r=" << r;
+        }
+        for (const isa::IsaLevel level : runnable_levels()) {
+          isa::force(level);
+          store.emv(e, u.data(), v.data());
           for (std::size_t r = 0; r < v.size(); ++r) {
             EXPECT_NEAR(v[r], v_ref[r], tol)
-                << to_string(layout) << " kernel=" << static_cast<int>(kernel)
+                << to_string(layout) << " level=" << isa::to_string(level)
                 << " n=" << n << " r=" << r;
           }
         }
@@ -281,12 +309,9 @@ TEST(LayoutKernelTest, AllLayoutsAndFlavorsMatchDenseEmv) {
 }
 
 TEST(LayoutKernelTest, InterleavedBatchMatchesLaneEmv) {
-  // The batch fast path follows the same accumulation order as 8
-  // single-element emv() calls; only FP-contraction choices the compiler
-  // makes per code path may differ, so the match is to the last ulp, not
-  // bitwise. (Operator-level bitwise determinism across thread counts is
-  // guaranteed separately: the batching decision is per schedule block, so
-  // an element always takes the same path — see LayoutOperatorTest.)
+  // The batch fast path and 8 single-element emv() calls compute the same
+  // fused chain per output, so they agree bit for bit at every level.
+  IsaLevelGuard guard;
   for (const int n : {4, 8, 24}) {
     const std::int64_t ne = 2 * ElementMatrixStore::kBatchElems;
     ElementMatrixStore store(ne, n, StoreLayout::kInterleaved);
@@ -297,23 +322,21 @@ TEST(LayoutKernelTest, InterleavedBatchMatchesLaneEmv) {
     for (double& v : uei) {
       v = rng.uniform(-1.0, 1.0);
     }
-    for (const EmvKernel kernel :
-         {EmvKernel::kScalar, EmvKernel::kSimd, EmvKernel::kAvx}) {
+    for (const isa::IsaLevel level : runnable_levels()) {
+      isa::force(level);
       for (const std::int64_t first : {std::int64_t{0}, std::int64_t{8}}) {
         ASSERT_TRUE(store.full_batch_at(first));
         std::vector<double> vei(uei.size());
-        store.emv_batch(kernel, first, uei.data(), vei.data());
+        store.emv_batch(first, uei.data(), vei.data());
         std::vector<double> u(static_cast<std::size_t>(n)), v(u.size());
         for (std::size_t l = 0; l < kb; ++l) {
           for (std::size_t c = 0; c < static_cast<std::size_t>(n); ++c) {
             u[c] = uei[c * kb + l];
           }
-          store.emv(kernel, first + static_cast<std::int64_t>(l), u.data(),
-                    v.data());
+          store.emv(first + static_cast<std::int64_t>(l), u.data(), v.data());
           for (std::size_t r = 0; r < v.size(); ++r) {
-            ASSERT_NEAR(vei[r * kb + l], v[r],
-                        1e-14 * (1.0 + std::abs(v[r])))
-                << "kernel=" << static_cast<int>(kernel) << " n=" << n
+            ASSERT_EQ(vei[r * kb + l], v[r])
+                << "level=" << isa::to_string(level) << " n=" << n
                 << " lane=" << l << " r=" << r;
           }
         }
@@ -323,12 +346,14 @@ TEST(LayoutKernelTest, InterleavedBatchMatchesLaneEmv) {
 }
 
 // ---------------------------------------------------------------------------
-// operator-level equivalence: apply/diagonal across layouts × kernels
+// operator-level equivalence: apply/diagonal across layouts × ISA levels
 // ---------------------------------------------------------------------------
 
+// `level` has the int size and the 0/1/2 values of the kernel axis the
+// cases' ctest names were registered under.
 struct LayoutOpCase {
   StoreLayout layout;
-  EmvKernel kernel;
+  isa::IsaLevel level;  // forced; clamped to what the CPU runs
   bool tet;  // tet4 (n=4, padding-heavy) vs hex8 elasticity (n=24)
 };
 
@@ -360,18 +385,21 @@ pla::DistVector seeded_input(const pla::Layout& layout) {
   return x;
 }
 
-class LayoutOperatorTest : public ::testing::TestWithParam<LayoutOpCase> {};
+class LayoutOperatorTest : public ::testing::TestWithParam<LayoutOpCase> {
+ protected:
+  void TearDown() override { isa::reset(); }
+};
 
 TEST_P(LayoutOperatorTest, ApplyAndDiagonalMatchPaddedReference) {
   const LayoutOpCase c = GetParam();
+  isa::force(c.level);
   const auto dist = layout_dist(c.tet);
   simmpi::run(2, [&](Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const auto op = layout_op(c.tet);
 
     set_threads(1);
-    HymvOperator ref(comm, part, *op,
-                     {.kernel = c.kernel, .use_openmp = false});
+    HymvOperator ref(comm, part, *op, {.use_openmp = false});
     ASSERT_EQ(ref.store().layout(), StoreLayout::kPadded);
     const pla::DistVector x = seeded_input(ref.layout());
     pla::DistVector y_ref(ref.layout());
@@ -383,8 +411,7 @@ TEST_P(LayoutOperatorTest, ApplyAndDiagonalMatchPaddedReference) {
     ASSERT_GT(scale, 0.0);
 
     HymvOperator other(comm, part, *op,
-                       {.kernel = c.kernel, .use_openmp = false,
-                        .layout = c.layout});
+                       {.use_openmp = false, .layout = c.layout});
     EXPECT_EQ(other.store().layout(), c.layout);
     pla::DistVector y_serial(other.layout());
     other.apply(comm, x, y_serial);
@@ -401,8 +428,7 @@ TEST_P(LayoutOperatorTest, ApplyAndDiagonalMatchPaddedReference) {
     for (const int threads : {2, 4}) {
       set_threads(threads);
       HymvOperator threaded(comm, part, *op,
-                            {.kernel = c.kernel, .use_openmp = true,
-                             .layout = c.layout});
+                            {.use_openmp = true, .layout = c.layout});
       pla::DistVector y(threaded.layout());
       threaded.apply(comm, x, y);
       for (std::int64_t i = 0; i < y_serial.owned_size(); ++i) {
@@ -431,18 +457,18 @@ TEST_P(LayoutOperatorTest, ApplyAndDiagonalMatchPaddedReference) {
 // in the case names; stack temporaries made the names change between
 // discoveries.
 const LayoutOpCase kLayoutOpCases[] = {
-    {StoreLayout::kInterleaved, EmvKernel::kScalar, false},
-    {StoreLayout::kInterleaved, EmvKernel::kSimd, false},
-    {StoreLayout::kInterleaved, EmvKernel::kAvx, false},
-    {StoreLayout::kSymPacked, EmvKernel::kScalar, false},
-    {StoreLayout::kSymPacked, EmvKernel::kSimd, false},
-    {StoreLayout::kSymPacked, EmvKernel::kAvx, false},
-    {StoreLayout::kFp32, EmvKernel::kScalar, false},
-    {StoreLayout::kFp32, EmvKernel::kSimd, false},
-    {StoreLayout::kFp32, EmvKernel::kAvx, false},
-    {StoreLayout::kInterleaved, EmvKernel::kSimd, true},
-    {StoreLayout::kSymPacked, EmvKernel::kAvx, true},
-    {StoreLayout::kFp32, EmvKernel::kSimd, true},
+    {StoreLayout::kInterleaved, isa::IsaLevel::kScalar, false},
+    {StoreLayout::kInterleaved, isa::IsaLevel::kAvx2, false},
+    {StoreLayout::kInterleaved, isa::IsaLevel::kAvx512, false},
+    {StoreLayout::kSymPacked, isa::IsaLevel::kScalar, false},
+    {StoreLayout::kSymPacked, isa::IsaLevel::kAvx2, false},
+    {StoreLayout::kSymPacked, isa::IsaLevel::kAvx512, false},
+    {StoreLayout::kFp32, isa::IsaLevel::kScalar, false},
+    {StoreLayout::kFp32, isa::IsaLevel::kAvx2, false},
+    {StoreLayout::kFp32, isa::IsaLevel::kAvx512, false},
+    {StoreLayout::kInterleaved, isa::IsaLevel::kAvx2, true},
+    {StoreLayout::kSymPacked, isa::IsaLevel::kAvx512, true},
+    {StoreLayout::kFp32, isa::IsaLevel::kAvx2, true},
 };
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LayoutOperatorTest,
@@ -575,7 +601,7 @@ struct GoldenRank {
   double ymid;
 };
 
-/// Apply the default (kPadded, colored, kSimd) operator on a fixed problem
+/// Apply the default (kPadded, colored) operator on a fixed problem
 /// and compare the result BITWISE against values captured from the
 /// pre-layout-axis implementation. Run at 1 and 4 threads: the colored
 /// schedule guarantees thread-count invariance. The input avoids libm
@@ -756,19 +782,6 @@ struct LayoutGoldenCase {
   std::uint64_t panel_hash;  ///< FNV-1a of the 8-lane apply_multi()
 };
 
-/// Levels this host can run: force() clamps to detected(), so asking for
-/// more than the CPU has would silently retest a lower level.
-std::vector<isa::IsaLevel> runnable_levels() {
-  std::vector<isa::IsaLevel> levels{isa::IsaLevel::kScalar};
-  if (isa::detected() >= isa::IsaLevel::kAvx2) {
-    levels.push_back(isa::IsaLevel::kAvx2);
-  }
-  if (isa::detected() >= isa::IsaLevel::kAvx512) {
-    levels.push_back(isa::IsaLevel::kAvx512);
-  }
-  return levels;
-}
-
 class LayoutGoldenTest : public ::testing::TestWithParam<LayoutGoldenCase> {
  protected:
   void TearDown() override {
@@ -777,7 +790,7 @@ class LayoutGoldenTest : public ::testing::TestWithParam<LayoutGoldenCase> {
   }
 };
 
-/// The default-options operator (kSimd, colored, overlap) in every layout
+/// The default-options operator (colored, overlap) in every layout
 /// must reproduce the values captured before the register-resident EMV
 /// sweep, for apply() and an 8-lane apply_multi(), at every runnable
 /// forced ISA level and at 1 and 4 threads. Inputs are exact binary
@@ -848,7 +861,9 @@ TEST_P(LayoutGoldenTest, ApplyAndPanelBitsHoldAtEveryLevel) {
 }
 
 // Captured from the staged EMV sweep that preceded the register-resident
-// one, in the default -march=native build (DESIGN.md §5i).
+// one, in the default -march=native build (DESIGN.md §5i). kInterleaved
+// computes every element's fused chain on the batch and the lane path
+// alike, so its apply bits are kPadded's for the same shape.
 const LayoutGoldenCase kLayoutGoldenCases[] = {
     {StoreLayout::kPadded, GoldenShape::kTet4Poisson,
      0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
@@ -863,17 +878,17 @@ const LayoutGoldenCase kLayoutGoldenCases[] = {
     {StoreLayout::kPadded, GoldenShape::kHex20Block5,
      0xa8b3ae6fcd1ca234ULL, 0xb25a88436047dccbULL},
     {StoreLayout::kInterleaved, GoldenShape::kTet4Poisson,
-     0x9c613559977976aeULL, 0xce9cf3284cae054dULL},
+     0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex8Poisson,
-     0x3554db2a31035094ULL, 0x8cbd83b2f99f0823ULL},
+     0x9224e9d7df19c9cfULL, 0x8cbd83b2f99f0823ULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex8Elasticity,
-     0x3c2be3686eb3fa8cULL, 0x01847f1fa16c7a40ULL},
+     0xec35c9fef8103954ULL, 0x01847f1fa16c7a40ULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex20Elasticity,
-     0xde3939f017d60d2aULL, 0x6d4199dbd7b67702ULL},
+     0x3f22bd0dabb1f7efULL, 0x6d4199dbd7b67702ULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex27Elasticity,
-     0x8e2d141c945cf50fULL, 0x95a59f341824e023ULL},
+     0xb9730e23e5b817f9ULL, 0x95a59f341824e023ULL},
     {StoreLayout::kInterleaved, GoldenShape::kHex20Block5,
-     0xf2f08eb7e03122abULL, 0xb25a88436047dccbULL},
+     0xa8b3ae6fcd1ca234ULL, 0xb25a88436047dccbULL},
     {StoreLayout::kSymPacked, GoldenShape::kTet4Poisson,
      0x370777bdff2e9e0eULL, 0xce9cf3284cae054dULL},
     {StoreLayout::kSymPacked, GoldenShape::kHex8Poisson,

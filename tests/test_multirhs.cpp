@@ -747,7 +747,7 @@ std::uint64_t fnv1a(const double* p, std::size_t n) {
   return h;
 }
 
-/// Default-options (kPadded, colored, kSimd) panel apply on a fixed
+/// Default-options (kPadded, colored) panel apply on a fixed
 /// problem; the full owned panel is hashed. Values captured from this
 /// implementation; thread-count invariance means one hash per k.
 void golden_panel_case(int k, std::uint64_t want) {

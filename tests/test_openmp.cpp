@@ -2,7 +2,7 @@
 // scatter strategies (see schedule.hpp):
 //   * kColored (default) — conflict-free coloring, direct scatter-add into
 //     the shared v-DA: threaded apply must be BITWISE identical to serial
-//     apply, for any thread count, kernel, element type, and dof count;
+//     apply, for any thread count, ISA level, element type, and dof count;
 //   * kBufferReduce (legacy) — per-thread buffers + reduction: results
 //     reassociate the sums, so they match serial only to roundoff;
 //   * kSerial — the plain loop.
@@ -30,6 +30,7 @@
 #include <thread>
 #include <tuple>
 
+#include "hymv/common/isa.hpp"
 #include "hymv/common/timer.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
@@ -270,24 +271,29 @@ TEST(ThreadScheduleTest, EnvOverrideParses) {
 
 // ---------------------------------------------------------------------------
 // Determinism + equivalence sweep:
-// {kScalar, kSimd, kAvx} × {hex8, tet4} × {1, 3 dof/node}
+// {scalar, avx2, avx512 forced ISA level} × {hex8, tet4} × {1, 3 dof/node}
 // ---------------------------------------------------------------------------
 
 // ctest names each case after the raw bytes of its parameter, so the
 // bytes between `tet` and `ndof` are spelled out rather than left as
-// padding; kEquivCases says what they hold.
+// padding; kEquivCases says what they hold. `level` has the int size and
+// the 0/1/2 values of the kernel axis the cases were registered under.
 struct EquivCase {
-  core::EmvKernel kernel;
+  isa::IsaLevel level;  // forced; clamped to what the CPU runs
   bool tet;
   std::uint8_t name_bytes[3];  // no meaning to the test; names only
   int ndof;
 };
 static_assert(sizeof(EquivCase) == 12, "every byte of a case is set");
 
-class ColoredEquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
+class ColoredEquivalenceTest : public ::testing::TestWithParam<EquivCase> {
+ protected:
+  void TearDown() override { isa::reset(); }
+};
 
 TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
   const EquivCase c = GetParam();
+  isa::force(c.level);
   const auto dist = build_dist(c.tet);
   simmpi::run(2, [&](simmpi::Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
@@ -295,8 +301,7 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
 
     // Serial reference: colored order executed on one thread.
     omp_set_num_threads(1);
-    core::HymvOperator serial(comm, part, *op,
-                              {.kernel = c.kernel, .use_openmp = false});
+    core::HymvOperator serial(comm, part, *op, {.use_openmp = false});
     const pla::DistVector x = seeded_input(serial.layout());
     pla::DistVector y_serial(serial.layout());
     serial.apply(comm, x, y_serial);
@@ -306,8 +311,7 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
     // every thread count.
     for (const int threads : {2, 4}) {
       omp_set_num_threads(threads);
-      core::HymvOperator colored(comm, part, *op,
-                                 {.kernel = c.kernel, .use_openmp = true});
+      core::HymvOperator colored(comm, part, *op, {.use_openmp = true});
       pla::DistVector y(colored.layout());
       colored.apply(comm, x, y);
       for (std::int64_t i = 0; i < y_serial.owned_size(); ++i) {
@@ -320,9 +324,7 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
     omp_set_num_threads(4);
     core::HymvOperator buffered(
         comm, part, *op,
-        {.kernel = c.kernel,
-         .use_openmp = true,
-         .schedule = core::ThreadSchedule::kBufferReduce});
+        {.use_openmp = true, .schedule = core::ThreadSchedule::kBufferReduce});
     pla::DistVector y_buf(buffered.layout());
     buffered.apply(comm, x, y_buf);
     omp_set_num_threads(1);
@@ -337,17 +339,17 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
 // The name bytes fix every ctest name on every discovery (as padding of
 // stack temporaries they held whatever the stack did) and keep the names
 // the cases were first registered under. Two of those carried non-zero
-// bytes there, which also set the kSimd 1- and 3-dof names apart before
+// bytes there, which also set the avx2 1- and 3-dof names apart before
 // the ndof bytes.
 const EquivCase kEquivCases[] = {
-    {core::EmvKernel::kScalar, false, {0x00, 0x00, 0x00}, 1},
-    {core::EmvKernel::kScalar, true, {0x00, 0x00, 0x00}, 3},
-    {core::EmvKernel::kSimd, false, {0x00, 0x00, 0x00}, 1},
-    {core::EmvKernel::kSimd, false, {0x00, 0x04, 0x00}, 3},
-    {core::EmvKernel::kSimd, true, {0x00, 0xD0, 0xCA}, 1},
-    {core::EmvKernel::kSimd, true, {0x00, 0x00, 0x00}, 3},
-    {core::EmvKernel::kAvx, false, {0x00, 0x00, 0x00}, 3},
-    {core::EmvKernel::kAvx, true, {0x00, 0x00, 0x00}, 1},
+    {isa::IsaLevel::kScalar, false, {0x00, 0x00, 0x00}, 1},
+    {isa::IsaLevel::kScalar, true, {0x00, 0x00, 0x00}, 3},
+    {isa::IsaLevel::kAvx2, false, {0x00, 0x00, 0x00}, 1},
+    {isa::IsaLevel::kAvx2, false, {0x00, 0x04, 0x00}, 3},
+    {isa::IsaLevel::kAvx2, true, {0x00, 0xD0, 0xCA}, 1},
+    {isa::IsaLevel::kAvx2, true, {0x00, 0x00, 0x00}, 3},
+    {isa::IsaLevel::kAvx512, false, {0x00, 0x00, 0x00}, 3},
+    {isa::IsaLevel::kAvx512, true, {0x00, 0x00, 0x00}, 1},
 };
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ColoredEquivalenceTest,
