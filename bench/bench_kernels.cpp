@@ -88,7 +88,7 @@ void bench_emv(benchmark::State& state,
 
 /// The row-dot reference (tests/emv_reference.hpp).
 void BM_EmvScalar(benchmark::State& state) {
-  bench_emv(state, &hymv::reference::emv_rowdot<double>);
+  bench_emv(state, &hymv::reference::emv_rowdot);
 }
 /// The compiler-vectorized kernel the matrix-free operators run.
 void BM_EmvSimd(benchmark::State& state) {

@@ -17,15 +17,13 @@
 
 namespace hymv::reference {
 
-/// v = K u, K column-major n×n with leading dimension ld. Scalar is the
-/// stored entry type (double or float); products accumulate in double.
-template <class Scalar>
-void emv_rowdot(const Scalar* ke, std::size_t ld, std::size_t n,
-                const double* u, double* v) {
+/// v = K u, K column-major n×n with leading dimension ld.
+inline void emv_rowdot(const double* ke, std::size_t ld, std::size_t n,
+                       const double* u, double* v) {
   for (std::size_t r = 0; r < n; ++r) {
     double sum = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
-      sum += static_cast<double>(ke[c * ld + r]) * u[c];
+      sum += ke[c * ld + r] * u[c];
     }
     v[r] = sum;
   }
