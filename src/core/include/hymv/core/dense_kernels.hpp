@@ -497,8 +497,9 @@ inline void emv_sym(const double* kp, std::size_t n, const double* u,
 // microkernels (k-lane × row-tile accumulators, masked lane tails, software
 // prefetch of the next element column) that keep several output rows live
 // in registers while one column streams through. Each output is one
-// ascending-c fused chain at every level, the chain of the single-vector
-// kernels, so a panel lane reproduces the single-vector apply.
+// ascending-c fused chain at every level, the dense sweep's chain, so a
+// kPadded, kFp32 or kInterleaved panel lane reproduces the single-vector
+// apply.
 // ---------------------------------------------------------------------------
 
 namespace detail {
