@@ -14,6 +14,7 @@
 #endif
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -29,9 +30,11 @@
 #include "emv_reference.hpp"
 #include "hymv/common/isa.hpp"
 #include "hymv/common/rng.hpp"
+#include "hymv/core/adaptive_operator.hpp"
 #include "hymv/core/element_store.hpp"
 #include "hymv/core/gpu_operator.hpp"
 #include "hymv/core/hymv_operator.hpp"
+#include "hymv/core/matrix_free_operator.hpp"
 #include "hymv/fem/mass.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/fem/quadrature.hpp"
@@ -920,6 +923,201 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<LayoutGoldenCase>& info) {
       return std::string(to_string(info.param.layout)) + "_" +
              shape_name(info.param.shape);
+    });
+
+// ---------------------------------------------------------------------------
+// golden bits of the matrix-free operator and the kSerial schedule
+// ---------------------------------------------------------------------------
+
+/// The operator a PathGoldenCase pins.
+enum class GoldenPath : int {
+  kMatrixFree,  ///< MatrixFreeOperator with default options
+  kSerial,      ///< HymvOperator with schedule = kSerial in the case's layout
+};
+
+struct PathGoldenCase {
+  GoldenPath path;
+  StoreLayout layout;  ///< kSerial only
+  GoldenShape shape;
+  std::uint64_t apply_hash;     ///< FNV-1a of apply(), ranks concatenated
+  std::uint64_t panel_hash;     ///< FNV-1a of the 8-lane apply_multi()
+  std::uint64_t diagonal_hash;  ///< FNV-1a of diagonal()
+};
+
+class PathGoldenTest : public ::testing::TestWithParam<PathGoldenCase> {
+ protected:
+  void TearDown() override {
+    isa::reset();
+    set_threads(1);
+  }
+};
+
+/// The matrix-free operator and the kSerial element-order loop must
+/// reproduce the values captured before the three operators shared one
+/// apply skeleton, for apply(), an 8-lane apply_multi() and diagonal(), at
+/// every runnable forced ISA level and at 1 and 4 threads, on 2 ranks. The
+/// adaptive composite forced to "matrixfree" must reproduce the
+/// matrix-free apply and panel bits. The meshes are larger than
+/// LayoutGoldenTest's, so every element subset spans several schedule
+/// blocks and the element order of kSerial differs from the color-major
+/// order; the inputs are LayoutGoldenTest's.
+TEST_P(PathGoldenTest, ApplyPanelAndDiagonalBitsHoldAtEveryLevel) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
+#endif
+  const PathGoldenCase c = GetParam();
+  constexpr int kRanks = 2;
+  constexpr int kLanes = 8;
+  const std::unique_ptr<fem::ElementOperator> op = golden_operator(c.shape);
+  const mesh::ElementType type = op->element_type();
+  const mesh::Mesh m =
+      type == mesh::ElementType::kTet4
+          ? mesh::build_unstructured_tet(
+                {.box = {.nx = 5, .ny = 5, .nz = 5}, .jitter = 0.2, .seed = 7},
+                type)
+          : mesh::build_structured_hex({.nx = 8, .ny = 8, .nz = 10}, type);
+  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, kRanks);
+
+  // Runs `make`'s operator on both ranks; returns the apply, panel and
+  // diagonal outputs, each with the ranks concatenated in rank order.
+  const auto run = [&](const auto& make, bool with_diagonal) {
+    std::array<std::vector<std::vector<double>>, 3> out;
+    for (auto& per_rank : out) {
+      per_rank.resize(kRanks);
+    }
+    simmpi::run(kRanks, [&](Comm& comm) {
+      const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+      const std::unique_ptr<pla::LinearOperator> lin = make(comm, part);
+      const pla::Layout& lay = lin->layout();
+      pla::DistVector x(lay), y(lay);
+      pla::DistMultiVector xm(lay, kLanes), ym(lay, kLanes);
+      for (std::int64_t i = 0; i < x.owned_size(); ++i) {
+        const std::int64_t g = lay.begin + i;
+        x[i] = static_cast<double>(g * 13 % 64 - 32) * 0.03125 +
+               static_cast<double>(i % 5) * 0.25;
+        for (int l = 0; l < kLanes; ++l) {
+          xm.at(i, l) =
+              static_cast<double>((g * 13 + l * 7) % 64 - 32) * 0.03125 +
+              static_cast<double>(i % 5) * 0.25;
+        }
+      }
+      lin->apply(comm, x, y);
+      lin->apply_multi(comm, xm, ym);
+      const auto r = static_cast<std::size_t>(comm.rank());
+      out[0][r].assign(y.values().begin(),
+                       y.values().begin() + y.owned_size());
+      out[1][r].assign(ym.values().begin(), ym.values().end());
+      if (with_diagonal) {
+        out[2][r] = lin->diagonal(comm);
+      }
+    });
+    std::array<std::uint64_t, 3> hashes{};
+    for (std::size_t h = 0; h < out.size(); ++h) {
+      std::vector<double> all;
+      for (const std::vector<double>& part : out[h]) {
+        all.insert(all.end(), part.begin(), part.end());
+      }
+      hashes[h] = fnv1a(all.data(), all.size());
+    }
+    return hashes;
+  };
+  const auto expect_hashes = [&](const std::array<std::uint64_t, 3>& got,
+                                 bool with_diagonal, const char* what,
+                                 isa::IsaLevel level, int threads) {
+    const std::uint64_t want[3] = {c.apply_hash, c.panel_hash,
+                                   c.diagonal_hash};
+    const char* names[3] = {"apply", "apply_multi", "diagonal"};
+    for (std::size_t h = 0; h < (with_diagonal ? 3U : 2U); ++h) {
+      EXPECT_EQ(got[h], want[h])
+          << what << ' ' << names[h] << " got 0x" << std::hex << got[h]
+          << std::dec << " level=" << isa::to_string(level)
+          << " threads=" << threads;
+    }
+  };
+
+  for (const isa::IsaLevel level : runnable_levels()) {
+    isa::force(level);
+    for (const int threads : {1, 4}) {
+      set_threads(threads);
+      if (c.path == GoldenPath::kSerial) {
+        const auto hashes = run(
+            [&](Comm& comm, const mesh::MeshPartition& part) {
+              return std::make_unique<HymvOperator>(
+                  comm, part, *op,
+                  core::HymvOptions{.schedule = core::ThreadSchedule::kSerial,
+                                    .layout = c.layout});
+            },
+            true);
+        expect_hashes(hashes, true, "kSerial", level, threads);
+        continue;
+      }
+      const auto mf = run(
+          [&](Comm& comm, const mesh::MeshPartition& part) {
+            return std::make_unique<core::MatrixFreeOperator>(comm, part, *op);
+          },
+          true);
+      expect_hashes(mf, true, "matrix-free", level, threads);
+      const auto adaptive = run(
+          [&](Comm& comm, const mesh::MeshPartition& part) {
+            return std::make_unique<core::AdaptiveOperator>(
+                comm, part, *op, core::AdaptiveOptions{.force = "matrixfree"});
+          },
+          false);
+      expect_hashes(adaptive, false, "adaptive forced matrixfree", level,
+                    threads);
+    }
+  }
+}
+
+// Captured from the per-operator apply code that preceded the shared
+// skeleton, in the default -march=native build.
+const PathGoldenCase kPathGoldenCases[] = {
+    {GoldenPath::kMatrixFree, StoreLayout::kPadded, GoldenShape::kTet4Poisson,
+     0x750c57e401ea1b0aULL, 0x249dff4e794d4d83ULL, 0xd86ad9479a85da44ULL},
+    {GoldenPath::kMatrixFree, StoreLayout::kPadded,
+     GoldenShape::kHex8Elasticity,
+     0xb2aff9ea64f9d556ULL, 0x729ba84370a0db6fULL, 0x8dc69a77bf996f0aULL},
+    {GoldenPath::kMatrixFree, StoreLayout::kPadded,
+     GoldenShape::kHex20Elasticity,
+     0x213ca9989b73b7c6ULL, 0x57c9caa70e2979d6ULL, 0x79bc18f07b68319aULL},
+    {GoldenPath::kSerial, StoreLayout::kPadded, GoldenShape::kTet4Poisson,
+     0x750c57e401ea1b0aULL, 0x249dff4e794d4d83ULL, 0x5c73ee52ebf776eeULL},
+    {GoldenPath::kSerial, StoreLayout::kPadded, GoldenShape::kHex8Elasticity,
+     0x9bc8909f30439a6eULL, 0x7fecf9233e098ce5ULL, 0xa47433b6ff0bad84ULL},
+    {GoldenPath::kSerial, StoreLayout::kPadded, GoldenShape::kHex20Elasticity,
+     0x3e2e78f85de1ba03ULL, 0x921308c7d5e491cfULL, 0xfc751f9b012d4136ULL},
+    {GoldenPath::kSerial, StoreLayout::kInterleaved, GoldenShape::kTet4Poisson,
+     0x750c57e401ea1b0aULL, 0x249dff4e794d4d83ULL, 0x5c73ee52ebf776eeULL},
+    {GoldenPath::kSerial, StoreLayout::kInterleaved,
+     GoldenShape::kHex8Elasticity,
+     0x9bc8909f30439a6eULL, 0x7fecf9233e098ce5ULL, 0xa47433b6ff0bad84ULL},
+    {GoldenPath::kSerial, StoreLayout::kInterleaved,
+     GoldenShape::kHex20Elasticity,
+     0x3e2e78f85de1ba03ULL, 0x921308c7d5e491cfULL, 0xfc751f9b012d4136ULL},
+    {GoldenPath::kSerial, StoreLayout::kSymPacked, GoldenShape::kTet4Poisson,
+     0x750c57e401ea1b0aULL, 0x249dff4e794d4d83ULL, 0x5c73ee52ebf776eeULL},
+    {GoldenPath::kSerial, StoreLayout::kSymPacked, GoldenShape::kHex8Elasticity,
+     0x887c957617cc2431ULL, 0x0efb208f10ee02b0ULL, 0xa47433b6ff0bad84ULL},
+    {GoldenPath::kSerial, StoreLayout::kSymPacked,
+     GoldenShape::kHex20Elasticity,
+     0xde73a29894de1368ULL, 0x97228821bc44a1a3ULL, 0xfc751f9b012d4136ULL},
+    {GoldenPath::kSerial, StoreLayout::kFp32, GoldenShape::kTet4Poisson,
+     0xe5dbb4eaf96b173fULL, 0x099b4c984b120367ULL, 0x47f251ec33128c15ULL},
+    {GoldenPath::kSerial, StoreLayout::kFp32, GoldenShape::kHex8Elasticity,
+     0x36344195627e2cb5ULL, 0xfc4cf73465856468ULL, 0x3ef0be20aa6a2a58ULL},
+    {GoldenPath::kSerial, StoreLayout::kFp32, GoldenShape::kHex20Elasticity,
+     0x06ac8ff7e4d983acULL, 0xd01e2b54aa3d17d8ULL, 0x1b8d37e78e355c49ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, PathGoldenTest, ::testing::ValuesIn(kPathGoldenCases),
+    [](const ::testing::TestParamInfo<PathGoldenCase>& info) {
+      const PathGoldenCase& c = info.param;
+      return (c.path == GoldenPath::kMatrixFree
+                  ? std::string("matrixfree")
+                  : "serial_" + std::string(to_string(c.layout))) +
+             "_" + shape_name(c.shape);
     });
 
 // ---------------------------------------------------------------------------
