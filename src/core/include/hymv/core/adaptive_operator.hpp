@@ -19,12 +19,16 @@
 /// reproducible. Decisions are published to the adaptive.* metrics
 /// namespace and traced.
 ///
-/// The distributed skeleton (DA staging, LNSM/GNGM overlap, reduction) is
-/// the HymvOperator two-phase structure verbatim, so with both regions
-/// forced to "stored" the composite is bitwise identical to HymvOperator
-/// for every layout, thread count, and panel width — the golden-hash
-/// equivalence the adaptive tests pin. update_elements() stays adaptive:
-/// the store updates in place and only dirty regions re-assemble
+/// The distributed structure (DA staging, LNSM/GNGM overlap or the
+/// task-graph dependent phase, reduction) is the embedded HymvOperator's
+/// ApplySkeleton, run over the chosen pair of backends, so with both
+/// regions forced to "stored" the composite is bitwise identical to
+/// HymvOperator for every layout, thread count, and panel width — the
+/// golden-hash equivalence the adaptive tests pin. The task graph runs
+/// whenever the dependent region runs element blocks (stored or
+/// matrixfree); a SELL dependent region keeps the two-phase path. Applies
+/// report into the embedded operator's registry. update_elements() stays
+/// adaptive: the store updates in place and only dirty regions re-assemble
 /// (values-only) their SELL matrices.
 
 #include <array>
@@ -46,9 +50,8 @@ enum class RegionBackendKind { kStored = 0, kMatrixFree = 1, kSell = 2 };
 
 /// Tunables of the adaptive composite.
 struct AdaptiveOptions {
-  /// Stored-path tunables (layout/schedule/nrhs; the usual env
-  /// overrides resolve inside the embedded HymvOperator). kBufferReduce is
-  /// not a per-region strategy — it is coerced to kColored with a warning.
+  /// Stored-path tunables (layout/schedule/nrhs/taskgraph; the usual env
+  /// overrides resolve inside the embedded HymvOperator).
   HymvOptions hymv;
   int sell_c = 8;        ///< SELL chunk height C
   int sell_sigma = 128;  ///< SELL sorting window σ
@@ -112,7 +115,7 @@ class AdaptiveOperator final : public pla::LinearOperator {
   [[nodiscard]] const std::array<RegionDecision, 2>& decisions() const {
     return decisions_;
   }
-  /// The embedded stored operator (maps, store, setup metrics).
+  /// The embedded stored operator (maps, store, setup and apply metrics).
   [[nodiscard]] const HymvOperator& stored_operator() const { return *hymv_; }
   [[nodiscard]] HymvOperator& stored_operator() { return *hymv_; }
   [[nodiscard]] const DofMaps& maps() const { return hymv_->maps(); }
@@ -143,29 +146,21 @@ class AdaptiveOperator final : public pla::LinearOperator {
   /// force/replay; fills decisions_[region].
   void tune_region(int region, const std::vector<std::int64_t>& elements);
   void publish_metrics();
-  void ensure_multi_buffers(int k);
 
   AdaptiveOptions options_;
   perf::CpuSpec cpu_spec_;
   int comm_rank_ = -1;
-  std::unique_ptr<HymvOperator> hymv_;  ///< maps + store + stored schedules
+  /// Maps, store, skeleton and the stored candidates of both regions.
+  std::unique_ptr<HymvOperator> hymv_;
   const fem::ElementOperator* op_;
   std::vector<mesh::Point> elem_coords_;
-  /// Candidates per region (0 = independent, 1 = dependent); all three are
-  /// kept alive so probing, replay, and late backend switches need no
-  /// rebuild.
-  std::array<std::unique_ptr<StoredRegionBackend>, 2> stored_;
+  /// The other candidates per region (0 = independent, 1 = dependent); all
+  /// three are kept alive so probing, replay, and late backend switches
+  /// need no rebuild.
   std::array<std::unique_ptr<MatrixFreeRegionBackend>, 2> matrixfree_;
   std::array<std::unique_ptr<SellRegionBackend>, 2> sell_;
   std::array<RegionDecision, 2> decisions_;
   std::vector<std::uint8_t> region_of_;  ///< element → region index
-  DistributedArray u_da_;
-  DistributedArray v_da_;
-  std::vector<double> ghost_buf_;
-  std::unique_ptr<DistributedArray> u_mda_;
-  std::unique_ptr<DistributedArray> v_mda_;
-  std::vector<double> ghost_panel_buf_;
-  int multi_width_ = 0;
   hymv::obs::MetricsRegistry metrics_;
 };
 

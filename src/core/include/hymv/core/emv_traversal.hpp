@@ -1,26 +1,25 @@
 #pragma once
 
 /// \file emv_traversal.hpp
-/// The stored-EMV traversal of Algorithm 2, factored out of HymvOperator so
-/// every consumer of the element-matrix store shares ONE sweep: the full
-/// operator (HymvOperator), and the per-region stored backend of the
-/// adaptive composite (StoredRegionBackend). The sweep operates on raw
-/// distributed-array spans and carries no communication or metrics — those
-/// stay with the owning operator.
+/// The stored-EMV element body of Algorithm 2: gather, EMV and scatter-add
+/// over a range of one schedule's element order. Every consumer of the
+/// element-matrix store shares it — the stored region backend, which the
+/// apply skeleton runs for HymvOperator and the adaptive composite, and
+/// the GPU operator's host loop. The sweep operates on raw
+/// distributed-array spans and carries no threading, communication or
+/// metrics: the colored traversal and the task-graph runner of
+/// region_backend.hpp drive it block by block.
 ///
-/// Bitwise contract: the traversal order, the interleaved-batch decision
-/// (block boundaries + stored element order only, never the executing
-/// thread), and the colored serial-vs-threaded equivalence are exactly the
-/// pre-extraction HymvOperator semantics. Both callers therefore produce
-/// identical bits for identical schedules — the property the adaptive
-/// operator's golden-hash equivalence tests pin.
+/// Bitwise contract: the interleaved-batch decision depends only on the
+/// range boundaries and the stored element order, never on the executing
+/// thread, so serial and threaded traversals of the same schedule produce
+/// identical bits — the property the golden-hash tests pin.
 
 #include <cstdint>
 #include <span>
 
 #include "hymv/core/element_store.hpp"
 #include "hymv/core/maps.hpp"
-#include "hymv/core/schedule.hpp"
 
 namespace hymv::core {
 
@@ -65,33 +64,9 @@ class StoredEmvSweep {
                    std::int64_t end, std::size_t k, std::span<const double> u,
                    std::span<double> v, double* ue, double* ve) const;
 
-  /// Color-major block traversal of `sched`: OpenMP team when `threaded`
-  /// (blocks of one color are conflict-free; colors fenced by the implicit
-  /// barrier), the serial execution of the same color-major order
-  /// otherwise — bitwise identical either way, for any thread count.
-  /// `rank_tag` attributes worker trace spans to the owning rank.
-  void colored_loop(const ElementSchedule& sched, bool threaded,
-                    int rank_tag, std::span<const double> u,
-                    std::span<double> v) const;
-  void colored_loop_multi(const ElementSchedule& sched, bool threaded,
-                          int rank_tag, std::size_t k,
-                          std::span<const double> u,
-                          std::span<double> v) const;
-
-  /// Plain element-order traversal (the kSerial path): one range, so
-  /// aligned interleaved runs still batch.
-  void serial_loop(std::span<const std::int64_t> elements,
-                   std::span<const double> u, std::span<double> v) const;
-  void serial_loop_multi(std::span<const std::int64_t> elements, std::size_t k,
-                         std::span<const double> u, std::span<double> v) const;
-
-  /// Scatter-add the stored diagonal entries of the schedule's elements
-  /// into v, colored-threaded under the same rules as colored_loop.
-  void diagonal_colored(const ElementSchedule& sched, bool threaded,
-                        std::span<double> v) const;
-  /// Plain element-order diagonal scatter (serial strategies).
-  void diagonal_serial(std::span<const std::int64_t> elements,
-                       std::span<double> v) const;
+  /// Scatter-add the stored diagonal entries of order[begin, end) into v.
+  void diagonal_range(std::span<const std::int64_t> order, std::int64_t begin,
+                      std::int64_t end, std::span<double> v) const;
 
  private:
   const DofMaps* maps_ = nullptr;

@@ -7,16 +7,20 @@
 /// from nodal coordinates on every SPMV instead of loaded from memory.
 /// This is the approach whose per-apply cost the paper shows dominating
 /// once elemental operators get expensive (Fig. 4/5, Table I).
+///
+/// The distributed structure is ApplySkeleton's, run over two
+/// MatrixFreeRegionBackends; this class keeps only construction, the
+/// diagonal and the cost model.
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "hymv/core/dense_kernels.hpp"
+#include "hymv/core/apply_skeleton.hpp"
 #include "hymv/core/maps.hpp"
-#include "hymv/core/schedule.hpp"
-#include "hymv/core/taskgraph.hpp"
+#include "hymv/core/region_backend.hpp"
 #include "hymv/fem/operators.hpp"
+#include "hymv/obs/metrics.hpp"
 #include "hymv/pla/operator.hpp"
 
 namespace hymv::core {
@@ -24,12 +28,13 @@ namespace hymv::core {
 class MatrixFreeOperator final : public pla::LinearOperator {
  public:
   /// Collective: builds the maps; stores only coordinates (`op` must
-  /// outlive the operator — it is invoked on every apply). The element
-  /// loop threads with the colored conflict-free schedule (same rules as
-  /// HymvOperator; HYMV_THREAD_SCHEDULE overrides the strategy).
+  /// outlive the operator — it is invoked on every apply). `options`
+  /// supplies overlap, use_openmp, schedule and taskgraph, with the
+  /// HYMV_THREAD_SCHEDULE and HYMV_APPLY_TASKGRAPH overrides applied as in
+  /// HymvOperator; the element loop threads with the colored
+  /// conflict-free schedule.
   MatrixFreeOperator(simmpi::Comm& comm, const mesh::MeshPartition& part,
-                     const fem::ElementOperator& op, bool overlap = true,
-                     bool use_openmp = true);
+                     const fem::ElementOperator& op, HymvOptions options = {});
 
   [[nodiscard]] const pla::Layout& layout() const override {
     return maps_.layout();
@@ -46,11 +51,9 @@ class MatrixFreeOperator final : public pla::LinearOperator {
 
   [[nodiscard]] const DofMaps& maps() const { return maps_; }
 
-  /// Toggle the task-graph dependent phase (see taskgraph.hpp). Defaults to
-  /// the HYMV_APPLY_TASKGRAPH environment override (off when unset); gated
-  /// at apply time by overlap + colored schedule + unprotected exchange,
-  /// exactly as in HymvOperator.
-  void set_taskgraph(bool taskgraph) { taskgraph_ = taskgraph; }
+  /// Toggle the task-graph dependent phase (see taskgraph.hpp), gated at
+  /// apply time exactly as in HymvOperator.
+  void set_taskgraph(bool taskgraph) { options_.taskgraph = taskgraph; }
 
   /// EMV flops plus the per-apply element-matrix recomputation.
   [[nodiscard]] std::int64_t apply_flops() const override;
@@ -62,35 +65,13 @@ class MatrixFreeOperator final : public pla::LinearOperator {
   [[nodiscard]] std::int64_t apply_bytes_multi(int nrhs) const override;
 
  private:
-  void emv_loop(const ElementSchedule& sched,
-                std::span<const std::int64_t> elements);
-  void emv_loop_multi(const ElementSchedule& sched,
-                      std::span<const std::int64_t> elements, int k);
-  void ensure_multi_buffers(int k);
-  [[nodiscard]] bool threading_active() const;
-  [[nodiscard]] bool taskgraph_active() const;
-  /// Task-graph twins of the dependent-phase emv loops (recompute-K_e
-  /// variant of HymvOperator::emv_dep_taskgraph).
-  void emv_dep_taskgraph(simmpi::Comm& comm);
-  void emv_dep_taskgraph_multi(simmpi::Comm& comm, int k);
-
   const fem::ElementOperator* op_;
-  bool overlap_;
-  bool use_openmp_;
-  bool taskgraph_;
-  ThreadSchedule schedule_;
+  HymvOptions options_;
+  hymv::obs::MetricsRegistry metrics_;  ///< the skeleton's apply.* gauges
   DofMaps maps_;
   std::vector<mesh::Point> elem_coords_;
-  DistributedArray u_da_;
-  DistributedArray v_da_;
-  std::vector<double> ghost_buf_;
-  std::unique_ptr<DistributedArray> u_mda_;  ///< width-k panel DAs, lazy
-  std::unique_ptr<DistributedArray> v_mda_;
-  std::vector<double> ghost_panel_buf_;
-  int multi_width_ = 0;
-  ElementSchedule indep_sched_;
-  ElementSchedule dep_sched_;
-  ApplyTaskGraph dep_graph_;  ///< peer-gating structure of dep_sched_
+  ApplySkeleton skeleton_;
+  std::array<MatrixFreeRegionBackend, 2> regions_;  ///< independent, dependent
 };
 
 }  // namespace hymv::core

@@ -1,26 +1,33 @@
 #pragma once
 
 /// \file region_backend.hpp
-/// Per-region SPMV backends behind the adaptive composite operator.
+/// Per-region SPMV backends: what ApplySkeleton runs over each element region.
 ///
 /// A *region* is one of the operator's element subsets (the
 /// independent/dependent split of the overlap scheme, each with its own
-/// colored ElementSchedule). A RegionBackend evaluates that region's
-/// contribution v_da += Σ_e P_eᵀ K_e P_e u_da directly on distributed-array
-/// storage, so every backend — stored-EMV, matrix-free recompute, or the
-/// locally assembled SELL-C-σ path — plugs into the same ghost-exchange
-/// skeleton unchanged. The AdaptiveOperator picks one backend per region
-/// (perfmodel score + measured probes) and composes them into a full
-/// LinearOperator.
+/// ElementSchedule). A RegionBackend evaluates that region's contribution
+/// v_da += Σ_e P_eᵀ K_e P_e u_da directly on distributed-array storage, so
+/// every backend — stored-EMV, matrix-free recompute, or the locally
+/// assembled SELL-C-σ path — plugs into the same skeleton unchanged.
+/// HymvOperator runs two stored backends, MatrixFreeOperator two
+/// matrix-free ones, and AdaptiveOperator picks one backend per region
+/// (perfmodel score + measured probes).
 ///
-/// Contract: apply/apply_multi ACCUMULATE into v_da (the composite zeroes
+/// The stored and matrix-free backends are ElementBlockBackends: one
+/// per-block element body (StoredEmvSweep::range{,_multi} or the
+/// matrix-free recompute) driven by the colored block traversal and by the
+/// task-graph block runner, each written once here. The SELL backend
+/// assembles its region instead, so the skeleton runs it two-phase.
+///
+/// Contract: apply/apply_multi ACCUMULATE into v_da (the skeleton zeroes
 /// it once per apply); per-lane/DoF determinism is each backend's own
-/// promise (the stored and matrix-free backends are bitwise identical
-/// serial vs threaded via the colored schedule; the SELL backend is bitwise
-/// stable across C/σ/threads but rounds element contributions in assembled
-/// order, not traversal order).
+/// promise (the element-block backends are bitwise identical serial vs
+/// threaded via the colored schedule; the SELL backend is bitwise stable
+/// across C/σ/threads but rounds element contributions in assembled order,
+/// not traversal order).
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -31,6 +38,8 @@
 #include "hymv/fem/operators.hpp"
 
 namespace hymv::core {
+
+class ElementBlockBackend;
 
 class RegionBackend {
  public:
@@ -56,6 +65,13 @@ class RegionBackend {
   /// assembled backends refresh their values.
   virtual void update_elements(std::span<const std::int64_t> dirty) = 0;
 
+  /// This backend as an element-block traversal, or nullptr when it does
+  /// not run schedule blocks (SELL). The task-graph dependent phase needs
+  /// one.
+  [[nodiscard]] virtual ElementBlockBackend* element_blocks() {
+    return nullptr;
+  }
+
   /// Region-kernel cost models for the autotuner score: flops/bytes of one
   /// apply over this region only. The shared DA staging/ghost traffic is
   /// charged once by the composite, not per region.
@@ -65,25 +81,75 @@ class RegionBackend {
   [[nodiscard]] virtual std::int64_t apply_bytes_multi(int k) const = 0;
 };
 
-/// The stored-EMV traversal (paper Algorithm 2) re-homed behind the region
-/// interface: shares the operator's ElementMatrixStore and colored schedule
-/// through a StoredEmvSweep, so its apply is the SAME code path — and
-/// therefore bitwise identical to — HymvOperator's element loop over the
-/// same schedule. All four StoreLayouts come along for free.
-class StoredRegionBackend final : public RegionBackend {
+/// A region evaluated block by block of its ElementSchedule through one
+/// per-block element body. `lanes` selects the body: 0 is the single-vector
+/// apply, k ≥ 1 a k-lane panel.
+class ElementBlockBackend : public RegionBackend {
  public:
-  /// All referents must outlive the backend. `sched` must be the colored
-  /// schedule of `elements`. `threaded` mirrors the owning operator's
-  /// threading_active(); `rank_tag` labels worker trace spans.
+  /// The colored traversal of every block of schedule().
+  void apply(std::span<const double> u_da, std::span<double> v_da) final;
+  void apply_multi(std::span<const double> u_da, std::span<double> v_da,
+                   int k) final;
+  [[nodiscard]] ElementBlockBackend* element_blocks() final { return this; }
+  [[nodiscard]] const ElementSchedule& schedule() const { return *sched_; }
+
+  /// The task-graph block runner: run blocks `ready` of `color`. They are
+  /// conflict-free, so they run on any threads in any order.
+  void run_blocks(int color, std::span<const std::int32_t> ready, int lanes,
+                  std::span<const double> u_da,
+                  std::span<double> v_da) const;
+
+ protected:
+  /// `sched` must outlive the backend. With `use_openmp`, traversals run
+  /// an OpenMP team whenever more than one thread is available; kSerial's
+  /// one-block schedule passes false. `rank_tag` labels worker trace spans.
+  ElementBlockBackend(const ElementSchedule& sched, bool use_openmp,
+                      int rank_tag);
+
+  /// One block's work: order()[begin, end) of schedule() with a per-thread
+  /// workspace.
+  using BlockBody = std::function<void(std::int64_t, std::int64_t, double*)>;
+
+  /// Color-major traversal of every block of schedule(), `workspace`
+  /// doubles per thread: an OpenMP team (blocks of one color are
+  /// conflict-free; colors fenced by the implicit barrier), or the serial
+  /// execution of the same order — bitwise identical either way, for any
+  /// thread count.
+  void for_each_block(std::size_t workspace, const BlockBody& body) const;
+
+  /// Per-thread workspace (doubles) of the element body at `lanes`.
+  [[nodiscard]] virtual std::size_t workspace_size(int lanes) const = 0;
+  /// The element body: gather u_e, v_e = K_e u_e, scatter-add v_e for
+  /// schedule().order()[begin, end).
+  virtual void run_range(std::int64_t begin, std::int64_t end, int lanes,
+                         std::span<const double> u_da, std::span<double> v_da,
+                         double* ws) const = 0;
+
+ private:
+  /// The element body of `lanes` as a BlockBody.
+  [[nodiscard]] BlockBody body(int lanes, std::span<const double> u_da,
+                               std::span<double> v_da) const;
+  /// True when the traversal should open an OpenMP team.
+  [[nodiscard]] bool threaded() const;
+
+  const ElementSchedule* sched_;
+  bool use_openmp_;
+  int rank_tag_;
+};
+
+/// The stored-EMV traversal (paper Algorithm 2) behind the region
+/// interface: shares the operator's ElementMatrixStore through a
+/// StoredEmvSweep. All four StoreLayouts come along for free.
+class StoredRegionBackend final : public ElementBlockBackend {
+ public:
+  /// All referents must outlive the backend; `sched` is the region's
+  /// schedule (see ElementBlockBackend for `use_openmp` and `rank_tag`).
   StoredRegionBackend(const DofMaps& maps, const ElementMatrixStore& store,
-                      const std::vector<std::int64_t>& elements,
-                      const ElementSchedule& sched, ThreadSchedule schedule,
-                      bool threaded, int rank_tag);
+                      const ElementSchedule& sched, bool use_openmp,
+                      int rank_tag);
 
   [[nodiscard]] const char* name() const override { return "stored"; }
-  void apply(std::span<const double> u_da, std::span<double> v_da) override;
-  void apply_multi(std::span<const double> u_da, std::span<double> v_da,
-                   int k) override;
+  /// Stored diagonal entries, scattered under the colored traversal.
   void add_diagonal(std::span<double> v_da) override;
   /// The sweep reads the shared store live — nothing to refresh.
   void update_elements(std::span<const std::int64_t> dirty) override;
@@ -93,35 +159,34 @@ class StoredRegionBackend final : public RegionBackend {
   [[nodiscard]] std::int64_t apply_flops_multi(int k) const override;
   [[nodiscard]] std::int64_t apply_bytes_multi(int k) const override;
 
+ protected:
+  /// ue and ve of StoredEmvSweep::workspace_size, back to back.
+  [[nodiscard]] std::size_t workspace_size(int lanes) const override;
+  void run_range(std::int64_t begin, std::int64_t end, int lanes,
+                 std::span<const double> u_da, std::span<double> v_da,
+                 double* ws) const override;
+
  private:
   StoredEmvSweep sweep_;
   const ElementMatrixStore* store_;
-  const std::vector<std::int64_t>* elements_;
-  const ElementSchedule* sched_;
-  ThreadSchedule schedule_;
-  bool threaded_;
-  int rank_tag_;
 };
 
 /// The matrix-free path (paper Algorithm 4) behind the region interface:
 /// K_e is recomputed from nodal coordinates inside every apply — no stored
-/// matrix traffic, maximal flops. Same colored schedule ⇒ serial/threaded
-/// bitwise identical, and identical to MatrixFreeOperator's loop over the
-/// same schedule.
-class MatrixFreeRegionBackend final : public RegionBackend {
+/// matrix traffic, maximal flops. A panel recomputes K_e once for all of
+/// its lanes.
+class MatrixFreeRegionBackend final : public ElementBlockBackend {
  public:
   /// `op` and `elem_coords` (full per-element coordinate array, num_nodes
-  /// points per element) must outlive the backend.
+  /// points per element) must outlive the backend, as must `elements` (the
+  /// region in subset order, which the diagonal follows) and `sched`.
   MatrixFreeRegionBackend(const DofMaps& maps, const fem::ElementOperator& op,
                           std::span<const mesh::Point> elem_coords,
                           const std::vector<std::int64_t>& elements,
-                          const ElementSchedule& sched,
-                          ThreadSchedule schedule, bool threaded);
+                          const ElementSchedule& sched, bool use_openmp,
+                          int rank_tag);
 
   [[nodiscard]] const char* name() const override { return "matrixfree"; }
-  void apply(std::span<const double> u_da, std::span<double> v_da) override;
-  void apply_multi(std::span<const double> u_da, std::span<double> v_da,
-                   int k) override;
   void add_diagonal(std::span<double> v_da) override;
   /// Recomputes from coordinates every apply — nothing cached to refresh.
   /// (The composite re-targets set_element_op when the updating operator
@@ -138,14 +203,18 @@ class MatrixFreeRegionBackend final : public RegionBackend {
   [[nodiscard]] std::int64_t apply_flops_multi(int k) const override;
   [[nodiscard]] std::int64_t apply_bytes_multi(int k) const override;
 
+ protected:
+  /// u_e and v_e panels (each padded to a whole SIMD row) and K_e.
+  [[nodiscard]] std::size_t workspace_size(int lanes) const override;
+  void run_range(std::int64_t begin, std::int64_t end, int lanes,
+                 std::span<const double> u_da, std::span<double> v_da,
+                 double* ws) const override;
+
  private:
   const DofMaps* maps_;
   const fem::ElementOperator* op_;
   std::span<const mesh::Point> elem_coords_;
   const std::vector<std::int64_t>* elements_;
-  const ElementSchedule* sched_;
-  ThreadSchedule schedule_;
-  bool threaded_;
 };
 
 }  // namespace hymv::core

@@ -42,18 +42,16 @@ namespace hymv::core {
 
 /// Strategy for the threaded element loop.
 enum class ThreadSchedule : int {
-  kSerial,        ///< plain element-order loop, never threaded
-  kBufferReduce,  ///< legacy: per-thread full-DA buffers + reduction pass
-  kColored,       ///< conflict-free coloring, direct scatter-add (default)
+  kSerial,   ///< plain element-order loop, never threaded
+  kColored,  ///< conflict-free coloring, direct scatter-add (default)
 };
 
-/// Human-readable strategy name ("serial" / "buffer" / "colored").
+/// Human-readable strategy name ("serial" / "colored").
 [[nodiscard]] const char* to_string(ThreadSchedule schedule);
 
 /// Resolve the HYMV_THREAD_SCHEDULE environment override
-/// ("serial" | "buffer" | "colored"). Returns `fallback` when the variable
-/// is unset; warns once to stderr and returns `fallback` on an unknown
-/// value.
+/// ("serial" | "colored"). Returns `fallback` when the variable is unset;
+/// warns once to stderr and returns `fallback` on an unknown value.
 [[nodiscard]] ThreadSchedule thread_schedule_from_env(ThreadSchedule fallback);
 
 /// A conflict-free execution order for one subset of elements.
@@ -120,5 +118,12 @@ class ElementSchedule {
   std::vector<Block> blocks_;                ///< all colors' blocks
   std::vector<std::int64_t> block_offsets_;  ///< num_colors+1 into blocks_
 };
+
+/// The schedule `strategy` traverses `elements` in: kColored colors blocks
+/// of kDefaultBlockElems; kSerial keeps the whole subset as one block in
+/// subset order — the plain element-order loop, run on one thread.
+[[nodiscard]] ElementSchedule schedule_for(
+    const DofMaps& maps, std::span<const std::int64_t> elements,
+    ThreadSchedule strategy);
 
 }  // namespace hymv::core

@@ -115,22 +115,11 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
       comm_rank_(comm.rank()),
       hymv_(std::make_unique<HymvOperator>(comm, part, op, options_.hymv)),
       op_(&op),
-      elem_coords_(part.elem_coords),
-      u_da_(hymv_->maps()),
-      v_da_(hymv_->maps()),
-      ghost_buf_(static_cast<std::size_t>(hymv_->maps().n_pre() +
-                                          hymv_->maps().n_post()),
-                 0.0) {
+      elem_coords_(part.elem_coords) {
   HYMV_TRACE_SCOPE("setup", "adaptive");
-  // Adopt the env-resolved stored-path options (layout/kernel/schedule/
-  // nrhs overrides resolve inside HymvOperator's constructor).
+  // Adopt the env-resolved stored-path options (layout/schedule/nrhs/
+  // taskgraph overrides resolve inside HymvOperator's constructor).
   options_.hymv = hymv_->options();
-  if (options_.hymv.schedule == ThreadSchedule::kBufferReduce) {
-    std::fprintf(stderr,
-                 "hymv: adaptive operator does not support the buffer-reduce "
-                 "schedule; using colored\n");
-    options_.hymv.schedule = ThreadSchedule::kColored;
-  }
 
   const DofMaps& maps = hymv_->maps();
   region_of_.assign(static_cast<std::size_t>(maps.num_elements()), 0);
@@ -142,15 +131,10 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
   for (int r = 0; r < 2; ++r) {
     const std::vector<std::int64_t>& elems =
         r == 0 ? maps.independent_elements() : maps.dependent_elements();
-    const ElementSchedule& sched =
-        r == 0 ? hymv_->independent_schedule() : hymv_->dependent_schedule();
     const auto ri = static_cast<std::size_t>(r);
-    stored_[ri] = std::make_unique<StoredRegionBackend>(
-        maps, hymv_->store(), elems, sched, options_.hymv.schedule, threaded,
-        comm_rank_);
     matrixfree_[ri] = std::make_unique<MatrixFreeRegionBackend>(
-        maps, op, elem_coords_, elems, sched, options_.hymv.schedule,
-        threaded);
+        maps, op, elem_coords_, elems, hymv_->skeleton_.schedule(r),
+        threads_element_loops(options_.hymv), comm_rank_);
     sell_[ri] = std::make_unique<SellRegionBackend>(
         maps, hymv_->store(), elems, options_.sell_c, options_.sell_sigma,
         threaded);
@@ -184,9 +168,7 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
 
 bool AdaptiveOperator::threading_active() const {
 #ifdef _OPENMP
-  return options_.hymv.use_openmp &&
-         options_.hymv.schedule == ThreadSchedule::kColored &&
-         omp_get_max_threads() > 1;
+  return threads_element_loops(options_.hymv) && omp_get_max_threads() > 1;
 #else
   return false;
 #endif
@@ -196,7 +178,7 @@ RegionBackend* AdaptiveOperator::backend(int region, RegionBackendKind kind) {
   const auto r = static_cast<std::size_t>(region);
   switch (kind) {
     case RegionBackendKind::kStored:
-      return stored_[r].get();
+      return &hymv_->regions_[r];
     case RegionBackendKind::kMatrixFree:
       return matrixfree_[r].get();
     case RegionBackendKind::kSell:
@@ -272,18 +254,18 @@ void AdaptiveOperator::tune_region(int region,
   // disabled.
   int best = 0;
   if (options_.probes > 0) {
-    const std::span<double> u = u_da_.all();
+    DistributedArray u_da(maps()), v_da(maps());
+    const std::span<double> u = u_da.all();
     for (std::size_t i = 0; i < u.size(); ++i) {
       u[i] = 1.0 + 0.001 * static_cast<double>(i % 17);
     }
-    v_da_.fill(0.0);
     for (int i = 0; i < kNumKinds; ++i) {
       RegionBackend* b = backend(region, static_cast<RegionBackendKind>(i));
-      b->apply(u_da_.all(), v_da_.all());  // warm caches / page in
+      b->apply(u_da.all(), v_da.all());  // warm caches / page in
       double min_s = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < options_.probes; ++rep) {
         Timer timer;
-        b->apply(u_da_.all(), v_da_.all());
+        b->apply(u_da.all(), v_da.all());
         min_s = std::min(min_s, timer.elapsed_s());
       }
       d.probe_s[static_cast<std::size_t>(i)] = min_s;
@@ -328,83 +310,22 @@ void AdaptiveOperator::publish_metrics() {
 
 void AdaptiveOperator::apply(simmpi::Comm& comm, const pla::DistVector& x,
                              pla::DistVector& y) {
-  HYMV_CHECK_MSG(x.owned_size() == maps().n_owned() &&
-                     y.owned_size() == maps().n_owned(),
-                 "AdaptiveOperator::apply: vector size mismatch");
   HYMV_TRACE_SCOPE("apply", "adaptive");
-  DofMaps& m = hymv_->mutable_maps();
-  std::copy(x.values().begin(), x.values().end(), u_da_.owned().begin());
-  v_da_.fill(0.0);
-  // The HymvOperator two-phase skeleton verbatim: with both regions on the
-  // stored backend this is bit-for-bit the default apply.
-  if (options_.hymv.overlap) {
-    m.exchange().forward_begin(comm, x.values());
-    chosen(0)->apply(u_da_.all(), v_da_.all());
-    m.exchange().forward_end(comm);
-    u_da_.load_ghosts(m.exchange().ghost_values());
-    chosen(1)->apply(u_da_.all(), v_da_.all());
-  } else {
-    m.exchange().forward_begin(comm, x.values());
-    m.exchange().forward_end(comm);
-    u_da_.load_ghosts(m.exchange().ghost_values());
-    chosen(0)->apply(u_da_.all(), v_da_.all());
-    chosen(1)->apply(u_da_.all(), v_da_.all());
-  }
-  reduce_da_to_owned(comm, m, v_da_, ghost_buf_, y.values());
-}
-
-void AdaptiveOperator::ensure_multi_buffers(int k) {
-  if (multi_width_ == k) {
-    return;
-  }
-  u_mda_ = std::make_unique<DistributedArray>(hymv_->maps(), k);
-  v_mda_ = std::make_unique<DistributedArray>(hymv_->maps(), k);
-  ghost_panel_buf_.assign(
-      static_cast<std::size_t>((maps().n_pre() + maps().n_post()) * k), 0.0);
-  multi_width_ = k;
+  hymv_->skeleton_.apply(comm, x, y, *chosen(0), *chosen(1));
 }
 
 void AdaptiveOperator::apply_multi(simmpi::Comm& comm,
                                    const pla::DistMultiVector& x,
                                    pla::DistMultiVector& y) {
-  const int k = x.width();
-  HYMV_CHECK_MSG(k >= 1 && y.width() == k,
-                 "AdaptiveOperator::apply_multi: panel width mismatch");
-  HYMV_CHECK_MSG(x.owned_size() == maps().n_owned() &&
-                     y.owned_size() == maps().n_owned(),
-                 "AdaptiveOperator::apply_multi: vector size mismatch");
   HYMV_TRACE_SCOPE("apply_multi", "adaptive");
-  ensure_multi_buffers(k);
-  DofMaps& m = hymv_->mutable_maps();
-  std::copy(x.values().begin(), x.values().end(), u_mda_->owned().begin());
-  v_mda_->fill(0.0);
-  if (options_.hymv.overlap) {
-    m.exchange().forward_begin_multi(comm, x.values(), k);
-    chosen(0)->apply_multi(u_mda_->all(), v_mda_->all(), k);
-    m.exchange().forward_end_multi(comm);
-    u_mda_->load_ghosts(m.exchange().ghost_panel());
-    chosen(1)->apply_multi(u_mda_->all(), v_mda_->all(), k);
-  } else {
-    m.exchange().forward_begin_multi(comm, x.values(), k);
-    m.exchange().forward_end_multi(comm);
-    u_mda_->load_ghosts(m.exchange().ghost_panel());
-    chosen(0)->apply_multi(u_mda_->all(), v_mda_->all(), k);
-    chosen(1)->apply_multi(u_mda_->all(), v_mda_->all(), k);
-  }
-  v_mda_->store_ghosts(ghost_panel_buf_);
-  m.exchange().reverse_begin_multi(comm, ghost_panel_buf_, k);
-  std::copy(v_mda_->owned().begin(), v_mda_->owned().end(),
-            y.values().begin());
-  m.exchange().reverse_end_multi(comm, y.values());
+  hymv_->skeleton_.apply_multi(comm, x, y, *chosen(0), *chosen(1));
 }
 
 std::vector<double> AdaptiveOperator::diagonal(simmpi::Comm& comm) {
-  v_da_.fill(0.0);
-  chosen(0)->add_diagonal(v_da_.all());
-  chosen(1)->add_diagonal(v_da_.all());
-  std::vector<double> diag(static_cast<std::size_t>(maps().n_owned()), 0.0);
-  reduce_da_to_owned(comm, hymv_->mutable_maps(), v_da_, ghost_buf_, diag);
-  return diag;
+  return hymv_->skeleton_.diagonal(comm, [&](std::span<double> v) {
+    chosen(0)->add_diagonal(v);
+    chosen(1)->add_diagonal(v);
+  });
 }
 
 pla::CsrMatrix AdaptiveOperator::owned_block(simmpi::Comm& comm) {
@@ -429,8 +350,8 @@ void AdaptiveOperator::update_elements(
     const auto ri = static_cast<std::size_t>(r);
     if (!dirty[ri].empty()) {
       sell_[ri]->update_elements(dirty[ri]);
-      stored_[ri]->update_elements(dirty[ri]);      // no-op by contract
-      matrixfree_[ri]->update_elements(dirty[ri]);  // no-op by contract
+      hymv_->regions_[ri].update_elements(dirty[ri]);  // no-op by contract
+      matrixfree_[ri]->update_elements(dirty[ri]);     // no-op by contract
     }
   }
   metrics_.gauge("adaptive.sell.assembly_s")

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hymv/common/aligned.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/common/timer.hpp"
 #include "hymv/core/emv_traversal.hpp"
@@ -248,8 +249,11 @@ void HymvGpuOperator::apply(simmpi::Comm& comm, const pla::DistVector& x,
       // Host computes dependent elements while the device drains.
       {
         hymv::ThreadCpuTimer dep_timer;
-        StoredEmvSweep(maps, host_op_.store())
-            .serial_loop(maps.dependent_elements(), u_da_.all(), v_da_.all());
+        const StoredEmvSweep sweep(maps, host_op_.store());
+        hymv::aligned_vector<double> ue(sweep.workspace_size()),
+            ve(sweep.workspace_size());
+        sweep.range(maps.dependent_elements(), 0, ndep, u_da_.all(),
+                    v_da_.all(), ue.data(), ve.data());
         host_dep_s = dep_timer.elapsed_s();
       }
       device_->synchronize();
@@ -441,10 +445,12 @@ void HymvGpuOperator::apply_multi(simmpi::Comm& comm,
       // Host computes dependent-element panels while the device drains.
       {
         hymv::ThreadCpuTimer dep_timer;
-        StoredEmvSweep(maps, host_op_.store())
-            .serial_loop_multi(maps.dependent_elements(),
-                               static_cast<std::size_t>(k), u_mda_->all(),
-                               v_mda_->all());
+        const StoredEmvSweep sweep(maps, host_op_.store());
+        const auto ku = static_cast<std::size_t>(k);
+        hymv::aligned_vector<double> ue(sweep.workspace_size(ku)),
+            ve(sweep.workspace_size(ku));
+        sweep.range_multi(maps.dependent_elements(), 0, ndep, ku,
+                          u_mda_->all(), v_mda_->all(), ue.data(), ve.data());
         host_dep_s = dep_timer.elapsed_s();
       }
       device_->synchronize();

@@ -9,46 +9,149 @@
 #include "hymv/common/aligned.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/core/dense_kernels.hpp"
+#include "hymv/obs/trace.hpp"
 
 namespace hymv::core {
 
-StoredRegionBackend::StoredRegionBackend(
-    const DofMaps& maps, const ElementMatrixStore& store,
-    const std::vector<std::int64_t>& elements, const ElementSchedule& sched,
-    ThreadSchedule schedule, bool threaded, int rank_tag)
-    : sweep_(maps, store),
-      store_(&store),
-      elements_(&elements),
-      sched_(&sched),
-      schedule_(schedule),
-      threaded_(threaded),
-      rank_tag_(rank_tag) {}
+ElementBlockBackend::ElementBlockBackend(const ElementSchedule& sched,
+                                         bool use_openmp, int rank_tag)
+    : sched_(&sched), use_openmp_(use_openmp), rank_tag_(rank_tag) {}
 
-void StoredRegionBackend::apply(std::span<const double> u_da,
-                                std::span<double> v_da) {
-  if (schedule_ == ThreadSchedule::kColored) {
-    sweep_.colored_loop(*sched_, threaded_, rank_tag_, u_da, v_da);
-    return;
-  }
-  sweep_.serial_loop(*elements_, u_da, v_da);
+bool ElementBlockBackend::threaded() const {
+#ifdef _OPENMP
+  return use_openmp_ && omp_get_max_threads() > 1;
+#else
+  return false;
+#endif
 }
 
-void StoredRegionBackend::apply_multi(std::span<const double> u_da,
+ElementBlockBackend::BlockBody ElementBlockBackend::body(
+    int lanes, std::span<const double> u_da, std::span<double> v_da) const {
+  return [this, lanes, u_da, v_da](std::int64_t begin, std::int64_t end,
+                                   double* ws) {
+    run_range(begin, end, lanes, u_da, v_da, ws);
+  };
+}
+
+void ElementBlockBackend::apply(std::span<const double> u_da,
+                                std::span<double> v_da) {
+  for_each_block(workspace_size(0), body(0, u_da, v_da));
+}
+
+void ElementBlockBackend::apply_multi(std::span<const double> u_da,
                                       std::span<double> v_da, int k) {
-  const auto ku = static_cast<std::size_t>(k);
-  if (schedule_ == ThreadSchedule::kColored) {
-    sweep_.colored_loop_multi(*sched_, threaded_, rank_tag_, ku, u_da, v_da);
+  for_each_block(workspace_size(k), body(k, u_da, v_da));
+}
+
+void ElementBlockBackend::for_each_block(std::size_t workspace,
+                                         const BlockBody& body) const {
+  const ElementSchedule& sched = *sched_;
+#ifdef _OPENMP
+  if (threaded()) {
+#pragma omp parallel
+    {
+      // Tag workers with the owning rank so their spans group under the
+      // rank's "process" row; the span itself is free when the tracer is
+      // off.
+      hymv::obs::set_current_rank(rank_tag_);
+      HYMV_TRACE_SCOPE("emv_worker", "apply");
+      hymv::aligned_vector<double> ws(workspace);
+      for (int c = 0; c < sched.num_colors(); ++c) {
+        const std::span<const ElementSchedule::Block> blocks =
+            sched.blocks(c);
+        // No two blocks of one color share a node, so blocks may be
+        // handed out in any order; the implicit barrier fences colors.
+#pragma omp for schedule(dynamic, 1)
+        for (std::int64_t b = 0; b < static_cast<std::int64_t>(blocks.size());
+             ++b) {
+          const ElementSchedule::Block& blk =
+              blocks[static_cast<std::size_t>(b)];
+          body(blk.begin, blk.end, ws.data());
+        }
+      }
+    }
     return;
   }
-  sweep_.serial_loop_multi(*elements_, ku, u_da, v_da);
+#endif
+  // Serial execution of the same color-major, block-by-block traversal:
+  // each DoF still receives its contributions in color order and the
+  // per-block batching decisions are identical, so this is bitwise
+  // identical to the threaded path above for any thread count.
+  hymv::aligned_vector<double> ws(workspace);
+  for (int c = 0; c < sched.num_colors(); ++c) {
+    for (const ElementSchedule::Block& blk : sched.blocks(c)) {
+      body(blk.begin, blk.end, ws.data());
+    }
+  }
+}
+
+void ElementBlockBackend::run_blocks(int color,
+                                     std::span<const std::int32_t> ready,
+                                     int lanes, std::span<const double> u_da,
+                                     std::span<double> v_da) const {
+  const std::span<const ElementSchedule::Block> blocks = sched_->blocks(color);
+  const BlockBody run = body(lanes, u_da, v_da);
+  const std::size_t workspace = workspace_size(lanes);
+#ifdef _OPENMP
+  if (threaded()) {
+    // One ready batch is a set of same-color blocks, so it runs under the
+    // usual colored team; the orchestration (message drain + unlock
+    // bookkeeping) stays on the calling thread between batches.
+#pragma omp parallel
+    {
+      hymv::obs::set_current_rank(rank_tag_);
+      HYMV_TRACE_SCOPE("emv_worker", "apply");
+      hymv::aligned_vector<double> ws(workspace);
+#pragma omp for schedule(dynamic, 1)
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(ready.size());
+           ++i) {
+        const ElementSchedule::Block& blk = blocks[static_cast<std::size_t>(
+            ready[static_cast<std::size_t>(i)])];
+        run(blk.begin, blk.end, ws.data());
+      }
+    }
+    return;
+  }
+#endif
+  hymv::aligned_vector<double> ws(workspace);
+  for (const std::int32_t b : ready) {
+    const ElementSchedule::Block& blk = blocks[static_cast<std::size_t>(b)];
+    run(blk.begin, blk.end, ws.data());
+  }
+}
+
+StoredRegionBackend::StoredRegionBackend(const DofMaps& maps,
+                                         const ElementMatrixStore& store,
+                                         const ElementSchedule& sched,
+                                         bool use_openmp, int rank_tag)
+    : ElementBlockBackend(sched, use_openmp, rank_tag),
+      sweep_(maps, store),
+      store_(&store) {}
+
+std::size_t StoredRegionBackend::workspace_size(int lanes) const {
+  return 2 * sweep_.workspace_size(
+                 static_cast<std::size_t>(std::max(lanes, 1)));
+}
+
+void StoredRegionBackend::run_range(std::int64_t begin, std::int64_t end,
+                                    int lanes, std::span<const double> u_da,
+                                    std::span<double> v_da,
+                                    double* ws) const {
+  const std::span<const std::int64_t> order = schedule().order();
+  double* ve = ws + workspace_size(lanes) / 2;
+  if (lanes == 0) {
+    sweep_.range(order, begin, end, u_da, v_da, ws, ve);
+  } else {
+    sweep_.range_multi(order, begin, end, static_cast<std::size_t>(lanes),
+                       u_da, v_da, ws, ve);
+  }
 }
 
 void StoredRegionBackend::add_diagonal(std::span<double> v_da) {
-  if (schedule_ == ThreadSchedule::kColored) {
-    sweep_.diagonal_colored(*sched_, threaded_, v_da);
-    return;
-  }
-  sweep_.diagonal_serial(*elements_, v_da);
+  const std::span<const std::int64_t> order = schedule().order();
+  for_each_block(0, [&](std::int64_t begin, std::int64_t end, double*) {
+    sweep_.diagonal_range(order, begin, end, v_da);
+  });
 }
 
 void StoredRegionBackend::update_elements(
@@ -58,14 +161,14 @@ void StoredRegionBackend::update_elements(
 
 std::int64_t StoredRegionBackend::apply_flops() const {
   const auto n = static_cast<std::int64_t>(store_->ndofs());
-  return static_cast<std::int64_t>(elements_->size()) * 2 * n * n;
+  return schedule().num_elements() * 2 * n * n;
 }
 
 std::int64_t StoredRegionBackend::apply_bytes() const {
   // Layout-true matrix streaming + u_e gather / v_e scatter, the per-element
   // terms of HymvOperator::apply_bytes restricted to this region.
   const auto n = static_cast<std::int64_t>(store_->ndofs());
-  return static_cast<std::int64_t>(elements_->size()) *
+  return schedule().num_elements() *
          (store_->emv_traffic_bytes_per_elem() + 40 * n);
 }
 
@@ -75,7 +178,7 @@ std::int64_t StoredRegionBackend::apply_flops_multi(int k) const {
 
 std::int64_t StoredRegionBackend::apply_bytes_multi(int k) const {
   const auto n = static_cast<std::int64_t>(store_->ndofs());
-  return static_cast<std::int64_t>(elements_->size()) *
+  return schedule().num_elements() *
          (store_->emv_panel_traffic_bytes_per_elem() + k * 40 * n);
 }
 
@@ -83,14 +186,12 @@ MatrixFreeRegionBackend::MatrixFreeRegionBackend(
     const DofMaps& maps, const fem::ElementOperator& op,
     std::span<const mesh::Point> elem_coords,
     const std::vector<std::int64_t>& elements, const ElementSchedule& sched,
-    ThreadSchedule schedule, bool threaded)
-    : maps_(&maps),
+    bool use_openmp, int rank_tag)
+    : ElementBlockBackend(sched, use_openmp, rank_tag),
+      maps_(&maps),
       op_(&op),
       elem_coords_(elem_coords),
-      elements_(&elements),
-      sched_(&sched),
-      schedule_(schedule),
-      threaded_(threaded) {
+      elements_(&elements) {
   HYMV_CHECK_MSG(op.ndof_per_node() == maps.ndof_per_node(),
                  "MatrixFreeRegionBackend: operator/maps DoF mismatch");
 }
@@ -102,137 +203,52 @@ void MatrixFreeRegionBackend::set_element_op(const fem::ElementOperator& op) {
   op_ = &op;
 }
 
-void MatrixFreeRegionBackend::apply(std::span<const double> u_da,
-                                    std::span<double> v_da) {
+std::size_t MatrixFreeRegionBackend::workspace_size(int lanes) const {
   const auto n = static_cast<std::size_t>(op_->num_dofs());
-  const auto nper = static_cast<std::size_t>(op_->num_nodes());
-
-  const auto process = [&](std::int64_t e, std::vector<double>& ke,
-                           double* ue, double* ve) {
-    const auto e2l = maps_->e2l(e);
-    for (std::size_t a = 0; a < n; ++a) {
-      ue[a] = u_da[static_cast<std::size_t>(e2l[a])];
-    }
-    op_->element_matrix(
-        std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
-        ke);
-    emv_simd(ke.data(), n, n, ue, ve);
-    for (std::size_t a = 0; a < n; ++a) {
-      v_da[static_cast<std::size_t>(e2l[a])] += ve[a];
-    }
-  };
-
-  if (schedule_ == ThreadSchedule::kColored) {
-    const std::span<const std::int64_t> order = sched_->order();
-#ifdef _OPENMP
-    if (threaded_) {
-#pragma omp parallel
-      {
-        std::vector<double> ke(n * n);
-        hymv::aligned_vector<double> ue(n), ve(n);
-        for (int c = 0; c < sched_->num_colors(); ++c) {
-          const std::span<const ElementSchedule::Block> blocks =
-              sched_->blocks(c);
-#pragma omp for schedule(dynamic, 1)
-          for (std::int64_t b = 0;
-               b < static_cast<std::int64_t>(blocks.size()); ++b) {
-            const ElementSchedule::Block& blk =
-                blocks[static_cast<std::size_t>(b)];
-            for (std::int64_t i = blk.begin; i < blk.end; ++i) {
-              process(order[static_cast<std::size_t>(i)], ke, ue.data(),
-                      ve.data());
-            }
-          }
-        }
-      }
-      return;
-    }
-#endif
-    // Same color-major order serially → bitwise identical to threaded.
-    std::vector<double> ke(n * n);
-    hymv::aligned_vector<double> ue(n), ve(n);
-    for (const std::int64_t e : order) {
-      process(e, ke, ue.data(), ve.data());
-    }
-    return;
-  }
-
-  std::vector<double> ke(n * n);
-  hymv::aligned_vector<double> ue(n), ve(n);
-  for (const std::int64_t e : *elements_) {
-    process(e, ke, ue.data(), ve.data());
-  }
+  const std::size_t panel =
+      hymv::round_up_to(n * static_cast<std::size_t>(std::max(lanes, 1)), 8);
+  return 2 * panel + n * n;
 }
 
-void MatrixFreeRegionBackend::apply_multi(std::span<const double> u_da,
-                                          std::span<double> v_da, int k) {
+void MatrixFreeRegionBackend::run_range(std::int64_t begin, std::int64_t end,
+                                        int lanes,
+                                        std::span<const double> u_da,
+                                        std::span<double> v_da,
+                                        double* ws) const {
   const auto n = static_cast<std::size_t>(op_->num_dofs());
   const auto nper = static_cast<std::size_t>(op_->num_nodes());
-  const auto ku = static_cast<std::size_t>(k);
-
-  const auto process = [&](std::int64_t e, std::vector<double>& ke,
-                           double* ue, double* ve) {
+  // A single vector moves as a one-lane panel; only the kernel differs.
+  const auto k = static_cast<std::size_t>(std::max(lanes, 1));
+  const std::size_t panel = hymv::round_up_to(n * k, 8);
+  double* ue = ws;
+  double* ve = ws + panel;
+  const std::span<double> ke(ws + 2 * panel, n * n);
+  const std::span<const std::int64_t> order = schedule().order();
+  for (std::int64_t i = begin; i < end; ++i) {
+    const std::int64_t e = order[static_cast<std::size_t>(i)];
     const auto e2l = maps_->e2l(e);
     for (std::size_t a = 0; a < n; ++a) {  // gather the ndofs × k panel
-      const double* src =
-          u_da.data() + static_cast<std::size_t>(e2l[a]) * ku;
-      double* dst = ue + a * ku;
-      for (std::size_t j = 0; j < ku; ++j) {
-        dst[j] = src[j];
+      const double* src = u_da.data() + static_cast<std::size_t>(e2l[a]) * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        ue[a * k + j] = src[j];
       }
     }
-    // One recomputation serves all k lanes — the panel amortization.
+    // The defining difference from HYMV: K_e is recomputed here, inside the
+    // SPMV (Algorithm 4, line 6), once for all k lanes of a panel.
     op_->element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    emv_multi(ke.data(), n, n, ku, ue, ve);
-    for (std::size_t a = 0; a < n; ++a) {
-      double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * ku;
-      const double* src = ve + a * ku;
-      for (std::size_t j = 0; j < ku; ++j) {
-        dst[j] += src[j];
+    if (lanes == 0) {
+      emv_simd(ke.data(), n, n, ue, ve);
+    } else {
+      emv_multi(ke.data(), n, n, k, ue, ve);
+    }
+    for (std::size_t a = 0; a < n; ++a) {  // scatter-add the v_e panel
+      double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        dst[j] += ve[a * k + j];
       }
     }
-  };
-
-  if (schedule_ == ThreadSchedule::kColored) {
-    const std::span<const std::int64_t> order = sched_->order();
-#ifdef _OPENMP
-    if (threaded_) {
-#pragma omp parallel
-      {
-        std::vector<double> ke(n * n);
-        hymv::aligned_vector<double> ue(n * ku), ve(n * ku);
-        for (int c = 0; c < sched_->num_colors(); ++c) {
-          const std::span<const ElementSchedule::Block> blocks =
-              sched_->blocks(c);
-#pragma omp for schedule(dynamic, 1)
-          for (std::int64_t b = 0;
-               b < static_cast<std::int64_t>(blocks.size()); ++b) {
-            const ElementSchedule::Block& blk =
-                blocks[static_cast<std::size_t>(b)];
-            for (std::int64_t i = blk.begin; i < blk.end; ++i) {
-              process(order[static_cast<std::size_t>(i)], ke, ue.data(),
-                      ve.data());
-            }
-          }
-        }
-      }
-      return;
-    }
-#endif
-    std::vector<double> ke(n * n);
-    hymv::aligned_vector<double> ue(n * ku), ve(n * ku);
-    for (const std::int64_t e : order) {
-      process(e, ke, ue.data(), ve.data());
-    }
-    return;
-  }
-
-  std::vector<double> ke(n * n);
-  hymv::aligned_vector<double> ue(n * ku), ve(n * ku);
-  for (const std::int64_t e : *elements_) {
-    process(e, ke, ue.data(), ve.data());
   }
 }
 

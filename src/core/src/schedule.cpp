@@ -13,8 +13,6 @@ const char* to_string(ThreadSchedule schedule) {
   switch (schedule) {
     case ThreadSchedule::kSerial:
       return "serial";
-    case ThreadSchedule::kBufferReduce:
-      return "buffer";
     case ThreadSchedule::kColored:
       return "colored";
   }
@@ -29,15 +27,12 @@ ThreadSchedule thread_schedule_from_env(ThreadSchedule fallback) {
   if (std::strcmp(value, "serial") == 0) {
     return ThreadSchedule::kSerial;
   }
-  if (std::strcmp(value, "buffer") == 0) {
-    return ThreadSchedule::kBufferReduce;
-  }
   if (std::strcmp(value, "colored") == 0) {
     return ThreadSchedule::kColored;
   }
   std::fprintf(stderr,
                "hymv: ignoring HYMV_THREAD_SCHEDULE='%s' (expected "
-               "serial|buffer|colored); using '%s'\n",
+               "serial|colored); using '%s'\n",
                value, to_string(fallback));
   return fallback;
 }
@@ -153,6 +148,16 @@ ElementSchedule::ElementSchedule(const DofMaps& maps,
     block_offsets_[static_cast<std::size_t>(c) + 1] =
         static_cast<std::int64_t>(blocks_.size());
   }
+}
+
+ElementSchedule schedule_for(const DofMaps& maps,
+                             std::span<const std::int64_t> elements,
+                             ThreadSchedule strategy) {
+  const auto ne = static_cast<std::int64_t>(elements.size());
+  return ElementSchedule(maps, elements,
+                         strategy == ThreadSchedule::kSerial
+                             ? std::max<std::int64_t>(ne, 1)
+                             : ElementSchedule::kDefaultBlockElems);
 }
 
 std::int64_t ElementSchedule::max_color_size() const {

@@ -252,8 +252,8 @@ TEST(SellRegionTest, AssemblyMatchesStoredReferenceOnRandomMeshes) {
                                       : maps.independent_elements();
         const auto& sched = dependent ? hop.dependent_schedule()
                                       : hop.independent_schedule();
-        StoredRegionBackend stored(maps, hop.store(), elems, sched,
-                                   ThreadSchedule::kSerial, false, comm.rank());
+        StoredRegionBackend stored(maps, hop.store(), sched,
+                                   /*use_openmp=*/false, comm.rank());
         SellRegionBackend sell(maps, hop.store(), elems, 8, 64, false);
 
         DistributedArray u(maps);

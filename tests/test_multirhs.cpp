@@ -553,12 +553,12 @@ TEST(PanelDeterminismTest, MatrixFreeThreadedBitwiseEqualsSerial) {
   simmpi::run(1, [&](Comm& comm) {
     const fem::PoissonOperator op(mesh::ElementType::kHex8);
     const int k = 4;
-    MatrixFreeOperator serial(comm, dist.parts[0], op, /*use_openmp=*/false);
+    MatrixFreeOperator serial(comm, dist.parts[0], op, {.use_openmp = false});
     DistMultiVector x(serial.layout(), k), y_serial(serial.layout(), k);
     fill_panel(serial.layout(), x);
     serial.apply_multi(comm, x, y_serial);
     set_threads(4);
-    MatrixFreeOperator threaded(comm, dist.parts[0], op, /*use_openmp=*/true);
+    MatrixFreeOperator threaded(comm, dist.parts[0], op, {.use_openmp = true});
     DistMultiVector y(threaded.layout(), k);
     threaded.apply_multi(comm, x, y);
     EXPECT_EQ(std::memcmp(y.values().data(), y_serial.values().data(),
@@ -580,7 +580,7 @@ TEST(ApplyMultiBackendTest, MatrixFreeMatchesPerLaneApply) {
   simmpi::run(2, [&](Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const fem::ElasticityOperator op(mesh::ElementType::kHex8, 200.0, 0.3);
-    MatrixFreeOperator mf(comm, part, op, /*use_openmp=*/false);
+    MatrixFreeOperator mf(comm, part, op, {.use_openmp = false});
     const int k = 3;
     DistMultiVector x(mf.layout(), k), y(mf.layout(), k);
     fill_panel(mf.layout(), x);

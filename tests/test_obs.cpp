@@ -537,7 +537,6 @@ TEST(ObsParityTest, ApplyAndSetupBreakdownsMatchRegistry) {
         EXPECT_EQ(apply.applies, reg.counter_value("apply.applies"));
         EXPECT_EQ(apply.lnsm_s, reg.gauge_value("apply.lnsm_s"));
         EXPECT_EQ(apply.emv_s, reg.gauge_value("apply.emv_s"));
-        EXPECT_EQ(apply.reduce_s, reg.gauge_value("apply.reduce_s"));
         EXPECT_EQ(apply.gngm_s, reg.gauge_value("apply.gngm_s"));
         const core::SetupBreakdown su = op.setup_breakdown();
         EXPECT_EQ(su.emat_compute_s,

@@ -1,11 +1,10 @@
-// Exercises the threaded element loop of HymvOperator across its three
+// Exercises the threaded element loop of HymvOperator across its two
 // scatter strategies (see schedule.hpp):
 //   * kColored (default) — conflict-free coloring, direct scatter-add into
 //     the shared v-DA: threaded apply must be BITWISE identical to serial
 //     apply, for any thread count, ISA level, element type, and dof count;
-//   * kBufferReduce (legacy) — per-thread buffers + reduction: results
-//     reassociate the sums, so they match serial only to roundoff;
-//   * kSerial — the plain loop.
+//   * kSerial — the plain element-order loop, never threaded: it sums in
+//     element order, so it matches the colored result only to roundoff.
 // Also covers the colored schedule's structural invariants, the threaded
 // diagonal()/update_elements() paths, and the HYMV_THREAD_SCHEDULE env
 // override. These tests carry the ctest label `threading` so a HYMV_TSAN
@@ -250,14 +249,18 @@ TEST(PhaseTimersTest, ConcurrentPhaseCreationIsRaceFree) {
 
 TEST(ThreadScheduleTest, EnvOverrideParses) {
   using core::ThreadSchedule;
+  // The buffer-reduce strategy is gone: its name warns like any unknown
+  // value and keeps the fallback.
   ::setenv("HYMV_THREAD_SCHEDULE", "buffer", 1);
   EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
-            ThreadSchedule::kBufferReduce);
+            ThreadSchedule::kColored);
+  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kSerial),
+            ThreadSchedule::kSerial);
   ::setenv("HYMV_THREAD_SCHEDULE", "serial", 1);
   EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
             ThreadSchedule::kSerial);
   ::setenv("HYMV_THREAD_SCHEDULE", "colored", 1);
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kBufferReduce),
+  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kSerial),
             ThreadSchedule::kColored);
   ::setenv("HYMV_THREAD_SCHEDULE", "bogus", 1);  // warns, keeps fallback
   EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
@@ -320,16 +323,18 @@ TEST_P(ColoredEquivalenceTest, ThreadedApplyBitwiseEqualsSerial) {
       }
     }
 
-    // Legacy buffer-reduce regression: reassociated sums, roundoff only.
+    // kSerial never opens a team, even with OpenMP allowed and 4 threads
+    // available; it sums in element order, so it agrees with the colored
+    // result to roundoff only.
     omp_set_num_threads(4);
-    core::HymvOperator buffered(
+    core::HymvOperator plain(
         comm, part, *op,
-        {.use_openmp = true, .schedule = core::ThreadSchedule::kBufferReduce});
-    pla::DistVector y_buf(buffered.layout());
-    buffered.apply(comm, x, y_buf);
+        {.use_openmp = true, .schedule = core::ThreadSchedule::kSerial});
+    pla::DistVector y_plain(plain.layout());
+    plain.apply(comm, x, y_plain);
     omp_set_num_threads(1);
     for (std::int64_t i = 0; i < y_serial.owned_size(); ++i) {
-      ASSERT_NEAR(y_buf[i], y_serial[i],
+      ASSERT_NEAR(y_plain[i], y_serial[i],
                   1e-13 * (1.0 + std::abs(y_serial[i])))
           << "dof " << i;
     }
@@ -381,8 +386,7 @@ TEST(ColoredDeterminismTest, MatrixFreeThreadedBitwiseEqualsSerial) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const fem::ElasticityOperator op(mesh::ElementType::kHex8, 100.0, 0.3);
     omp_set_num_threads(1);
-    core::MatrixFreeOperator serial(comm, part, op, /*overlap=*/true,
-                                    /*use_openmp=*/false);
+    core::MatrixFreeOperator serial(comm, part, op, {.use_openmp = false});
     const pla::DistVector x = seeded_input(serial.layout());
     pla::DistVector y_serial(serial.layout());
     serial.apply(comm, x, y_serial);
@@ -473,18 +477,20 @@ TEST(ApplyBreakdownTest, PhasesAccumulateAndReset) {
     colored.apply(comm, x, y);
     EXPECT_EQ(colored.apply_breakdown().applies, 2);
     EXPECT_GT(colored.apply_breakdown().emv_s, 0.0);
-    // The whole point of the colored schedule: no reduction pass.
-    EXPECT_EQ(colored.apply_breakdown().reduce_s, 0.0);
+    // The phases are the whole apply: exchange, element work, reduce.
+    const core::ApplyBreakdown bd = colored.apply_breakdown();
+    EXPECT_EQ(bd.total_s(), bd.lnsm_s + bd.emv_s + bd.gngm_s);
     colored.reset_apply_breakdown();
     EXPECT_EQ(colored.apply_breakdown().applies, 0);
     EXPECT_EQ(colored.apply_breakdown().total_s(), 0.0);
 
-    core::HymvOperator buffered(
+    // The kSerial loop reports into the same phases.
+    core::HymvOperator plain(
         comm, part, op,
-        {.use_openmp = true,
-         .schedule = core::ThreadSchedule::kBufferReduce});
-    buffered.apply(comm, x, y);
-    EXPECT_GT(buffered.apply_breakdown().reduce_s, 0.0);
+        {.use_openmp = true, .schedule = core::ThreadSchedule::kSerial});
+    plain.apply(comm, x, y);
+    EXPECT_EQ(plain.apply_breakdown().applies, 1);
+    EXPECT_GT(plain.apply_breakdown().emv_s, 0.0);
     omp_set_num_threads(1);
   });
 }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "hymv/core/adaptive_operator.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
 #include "hymv/core/taskgraph.hpp"
@@ -206,8 +207,7 @@ TEST(TaskGraphEquivalenceExtraTest, MatrixFreeBitwise) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const fem::ElasticityOperator op(mesh::ElementType::kHex8, 100.0, 0.3);
     set_threads(1);
-    core::MatrixFreeOperator ref(comm, part, op, /*overlap=*/true,
-                                 /*use_openmp=*/false);
+    core::MatrixFreeOperator ref(comm, part, op, {.use_openmp = false});
     const pla::DistVector x = seeded_input(ref.layout());
     pla::DistVector y_ref(ref.layout());
     ref.apply(comm, x, y_ref);
@@ -215,8 +215,7 @@ TEST(TaskGraphEquivalenceExtraTest, MatrixFreeBitwise) {
     fill_panel(ref.layout(), xp);
     ref.apply_multi(comm, xp, yp_ref);
 
-    core::MatrixFreeOperator tg(comm, part, op, /*overlap=*/true,
-                                /*use_openmp=*/false);
+    core::MatrixFreeOperator tg(comm, part, op, {.use_openmp = false});
     tg.set_taskgraph(true);
     pla::DistVector y(tg.layout());
     tg.apply(comm, x, y);
@@ -235,6 +234,55 @@ TEST(TaskGraphEquivalenceExtraTest, MatrixFreeBitwise) {
     expect_bitwise(yt, y_ref, "matrix-free threaded taskgraph");
 #endif
   });
+}
+
+// ---------------------------------------------------------------------------
+// The adaptive composite runs the same task graph
+// ---------------------------------------------------------------------------
+
+/// Forced to a backend whose dependent region runs element blocks, the
+/// adaptive composite honours HymvOptions::taskgraph: its applies report
+/// per-neighbor unlocks into the embedded operator's registry and return
+/// the two-phase bits at 1 and 4 threads, for apply() and panels of 1 and
+/// 8 lanes. Forced to SELL, which assembles its region, it keeps the
+/// two-phase path and unlocks nothing.
+TEST(TaskGraphAdaptiveTest, ForcedBackendsReturnTwoPhaseBits) {
+  const auto dist = build_dist(2, /*tet=*/false);
+  for (const char* force : {"stored", "matrixfree", "sell"}) {
+    for (const int threads : {1, 4}) {
+      simmpi::run(2, [&](Comm& comm) {
+        set_threads(threads);
+        const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+        const fem::PoissonOperator op(mesh::ElementType::kHex8);
+        core::AdaptiveOperator ref(comm, part, op, {.force = force});
+        core::AdaptiveOperator tg(comm, part, op,
+                                  {.hymv = {.taskgraph = true}, .force = force});
+        ASSERT_TRUE(tg.stored_operator().options().taskgraph);
+
+        const pla::DistVector x = seeded_input(ref.layout());
+        pla::DistVector y_ref(ref.layout()), y(tg.layout());
+        ref.apply(comm, x, y_ref);
+        tg.apply(comm, x, y);
+        expect_bitwise(y, y_ref, force);
+        for (const int k : {1, 8}) {
+          pla::DistMultiVector xp(ref.layout(), k), yp_ref(ref.layout(), k),
+              yp(tg.layout(), k);
+          fill_panel(ref.layout(), xp);
+          ref.apply_multi(comm, xp, yp_ref);
+          tg.apply_multi(comm, xp, yp);
+          expect_bitwise_panel(yp, yp_ref, force);
+        }
+
+        HymvOperator& stored = tg.stored_operator();
+        if (std::strcmp(force, "sell") == 0) {
+          EXPECT_EQ(unlocks_of(stored), 0);
+        } else {
+          expect_unlocks(comm, stored, 3);  // apply + two panels
+        }
+        set_threads(1);
+      });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
