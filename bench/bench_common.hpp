@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "hymv/common/env.hpp"
+#include "hymv/common/timer.hpp"
 #include "hymv/driver/driver.hpp"
 #include "hymv/perfmodel/perfmodel.hpp"
 #include "hymv/simmpi/simmpi.hpp"

@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "hymv/common/timer.hpp"
 #include "hymv/core/maps.hpp"
 #include "hymv/core/region_backend.hpp"
 #include "hymv/core/schedule.hpp"
@@ -90,30 +89,18 @@ struct ApplyBreakdown {
   [[nodiscard]] double total_s() const { return lnsm_s + emv_s + gngm_s; }
 };
 
-/// Samples the wall and per-thread-CPU clocks together, so every phase is
-/// recorded on both axes.
-struct DualTimer {
-  hymv::Timer wall;
-  hymv::ThreadCpuTimer cpu;
-  void restart() {
-    wall.restart();
-    cpu.restart();
-  }
-  void add_to(hymv::obs::Gauge* wall_g, hymv::obs::Gauge* cpu_g) const {
-    wall_g->add(wall.elapsed_s());
-    cpu_g->add(cpu.elapsed_s());
-  }
-};
-
 class ApplySkeleton {
  public:
   /// Builds the independent and dependent schedules of `maps` for
-  /// `options.schedule` (schedule_for) and the dependent task graph,
+  /// `options.schedule` and the dependent task graph,
   /// recording the time under "setup.schedule_*" in `registry`, which
   /// also receives the "apply.*" gauges. `maps`, `options` and `registry`
   /// must outlive the skeleton; overlap and taskgraph are read per apply.
   ApplySkeleton(DofMaps& maps, const HymvOptions& options,
                 hymv::obs::MetricsRegistry& registry);
+  /// Region backends hold the addresses of the schedules.
+  ApplySkeleton(const ApplySkeleton&) = delete;
+  ApplySkeleton& operator=(const ApplySkeleton&) = delete;
 
   /// Schedule of region 0 (independent elements) or 1 (dependent).
   [[nodiscard]] const ElementSchedule& schedule(int region) const {
@@ -131,7 +118,8 @@ class ApplySkeleton {
   /// Zero the v DA, let `scatter` add element diagonal entries into it,
   /// and reduce the result to the owned DoFs.
   std::vector<double> diagonal(
-      simmpi::Comm& comm, const std::function<void(std::span<double>)>& scatter);
+      simmpi::Comm& comm,
+      const std::function<void(std::span<double>)>& scatter);
 
   /// Per-apply phase timings since construction or the last reset.
   [[nodiscard]] ApplyBreakdown breakdown() const;

@@ -443,10 +443,16 @@ inline void emv_interleaved_lane(const double* keb, std::size_t n,
 //
 // Only the upper triangle is stored, packed column-major: entry (r, c)
 // with r <= c lives at kp[c(c+1)/2 + r]. FEM operators produce symmetric
-// K_e, so this halves the streamed bytes. Each kernel accumulates every
-// output v[r] over u-indices in ascending order — the same order the dense
-// kernels use — so a symmetric matrix applied through the packed store
-// reproduces the dense result exactly (up to compiler contraction).
+// K_e, so this halves the streamed bytes. The store mirrors the upper
+// triangle, so it reproduces the dense result only for K_e that is
+// bitwise symmetric. Poisson's K_e is; ElasticityOperator's is not (79 of
+// 276 off-diagonal pairs differ in the last bits at hex8, 553 of 1770 at
+// hex20), so packed elasticity results differ from kPadded's. Even for a
+// bitwise-symmetric K_e, only the panel kernel reproduces the dense bits:
+// it runs the dense kernels' ascending fused chain per output. The
+// single-vector emv_sym sums each column's mirrored half with an omp simd
+// reduction, which associates differently (its bits match kPadded's on the
+// tet4 and hex8 Poisson goldens and differ on the 100-DoF block element).
 // ---------------------------------------------------------------------------
 
 /// Packed length of one n×n upper triangle.

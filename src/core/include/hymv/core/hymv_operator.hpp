@@ -11,7 +11,10 @@
 /// ghost-node scatter (LNSM) with the independent-element EMV and finishing
 /// with the ghost-contribution gather (GNGM). No global matrix ever exists;
 /// distributed behaviour matches the matrix-free approach while node-local
-/// computation is dense and regular.
+/// computation is dense and regular. That distributed apply is
+/// ApplySkeleton's (apply_skeleton.hpp), shared with the matrix-free and
+/// adaptive operators; this class owns the store and runs the skeleton
+/// over two StoredRegionBackends.
 ///
 /// The adaptive property: update_elements() recomputes a subset of stored
 /// matrices in place with zero communication — the XFEM-enrichment / AMR

@@ -119,11 +119,4 @@ class ElementSchedule {
   std::vector<std::int64_t> block_offsets_;  ///< num_colors+1 into blocks_
 };
 
-/// The schedule `strategy` traverses `elements` in: kColored colors blocks
-/// of kDefaultBlockElems; kSerial keeps the whole subset as one block in
-/// subset order — the plain element-order loop, run on one thread.
-[[nodiscard]] ElementSchedule schedule_for(
-    const DofMaps& maps, std::span<const std::int64_t> elements,
-    ThreadSchedule strategy);
-
 }  // namespace hymv::core

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 
+#include "dual_timer.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/trace.hpp"
 
 namespace hymv::core {
 
 namespace {
+
+/// The schedule `strategy` traverses `elements` in: kColored colors blocks
+/// of kDefaultBlockElems; kSerial keeps the whole subset as one block in
+/// subset order — the plain element-order loop, run on one thread.
+ElementSchedule schedule_for(const DofMaps& maps,
+                             std::span<const std::int64_t> elements,
+                             ThreadSchedule strategy) {
+  const auto ne = static_cast<std::int64_t>(elements.size());
+  return ElementSchedule(maps, elements,
+                         strategy == ThreadSchedule::kSerial
+                             ? std::max<std::int64_t>(ne, 1)
+                             : ElementSchedule::kDefaultBlockElems);
+}
 
 /// The exchange calls of one apply: the single-vector ones (lanes == 0) or
 /// the panel ones.
@@ -32,7 +46,8 @@ struct LaneExchange {
   [[nodiscard]] std::span<const double> ghosts() const {
     return lanes == 0 ? ex.ghost_values() : ex.ghost_panel();
   }
-  void reverse_begin(simmpi::Comm& comm, std::span<const double> contrib) const {
+  void reverse_begin(simmpi::Comm& comm,
+                     std::span<const double> contrib) const {
     if (lanes == 0) {
       ex.reverse_begin(comm, contrib);
     } else {

@@ -7,6 +7,7 @@
 #include <omp.h>
 #endif
 
+#include "dual_timer.hpp"
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/trace.hpp"

@@ -150,16 +150,6 @@ ElementSchedule::ElementSchedule(const DofMaps& maps,
   }
 }
 
-ElementSchedule schedule_for(const DofMaps& maps,
-                             std::span<const std::int64_t> elements,
-                             ThreadSchedule strategy) {
-  const auto ne = static_cast<std::int64_t>(elements.size());
-  return ElementSchedule(maps, elements,
-                         strategy == ThreadSchedule::kSerial
-                             ? std::max<std::int64_t>(ne, 1)
-                             : ElementSchedule::kDefaultBlockElems);
-}
-
 std::int64_t ElementSchedule::max_color_size() const {
   std::int64_t largest = 0;
   for (int c = 0; c < num_colors(); ++c) {

@@ -976,7 +976,8 @@ TEST_P(PathGoldenTest, ApplyPanelAndDiagonalBitsHoldAtEveryLevel) {
                 {.box = {.nx = 5, .ny = 5, .nz = 5}, .jitter = 0.2, .seed = 7},
                 type)
           : mesh::build_structured_hex({.nx = 8, .ny = 8, .nz = 10}, type);
-  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto ids =
+      mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
   const auto dist = mesh::distribute_mesh(m, ids, kRanks);
 
   // Runs `make`'s operator on both ranks; returns the apply, panel and

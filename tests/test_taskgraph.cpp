@@ -255,8 +255,8 @@ TEST(TaskGraphAdaptiveTest, ForcedBackendsReturnTwoPhaseBits) {
         const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
         const fem::PoissonOperator op(mesh::ElementType::kHex8);
         core::AdaptiveOperator ref(comm, part, op, {.force = force});
-        core::AdaptiveOperator tg(comm, part, op,
-                                  {.hymv = {.taskgraph = true}, .force = force});
+        core::AdaptiveOperator tg(
+            comm, part, op, {.hymv = {.taskgraph = true}, .force = force});
         ASSERT_TRUE(tg.stored_operator().options().taskgraph);
 
         const pla::DistVector x = seeded_input(ref.layout());
