@@ -92,10 +92,10 @@ struct ApplyBreakdown {
 class ApplySkeleton {
  public:
   /// Builds the independent and dependent schedules of `maps` for
-  /// `options.schedule` and the dependent task graph,
-  /// recording the time under "setup.schedule_*" in `registry`, which
-  /// also receives the "apply.*" gauges. `maps`, `options` and `registry`
-  /// must outlive the skeleton; overlap and taskgraph are read per apply.
+  /// `options.schedule` and the dependent task graph, recording the time
+  /// under "setup.schedule_*" in `registry`, which also receives the
+  /// "apply.*" gauges. `maps`, `options` and `registry` must outlive the
+  /// skeleton; overlap and taskgraph are read per apply.
   ApplySkeleton(DofMaps& maps, const HymvOptions& options,
                 hymv::obs::MetricsRegistry& registry);
   /// Region backends hold the addresses of the schedules.
