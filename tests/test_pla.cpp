@@ -4,11 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hymv/common/rng.hpp"
+#include "hymv/obs/metrics.hpp"
 #include "hymv/pla/bicgstab.hpp"
 #include "hymv/pla/cg.hpp"
 #include "hymv/pla/constraints.hpp"
@@ -521,6 +530,182 @@ TEST(CgDetailTest, IndefiniteOperatorReportsBreakdownWithoutThrowing) {
                 1e-10 * (1.0 + result.final_residual));
   });
 }
+
+// ---------------------------------------------------------------------------
+// golden solver bits
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::span<const double> v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : v) {
+    unsigned char b[8];
+    std::memcpy(b, &d, 8);
+    for (const unsigned char byte : b) {
+      h ^= byte;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+void set_threads(int n) {
+#ifdef _OPENMP
+  omp_set_num_threads(n);
+#else
+  (void)n;
+#endif
+}
+
+/// The solver entry point a CgGoldenCase pins.
+enum class CgEntry : int { kStandard, kPipelined, kMulti, kBicgstab };
+
+struct CgGoldenCase {
+  const char* name;
+  CgEntry entry;
+  int lanes;       ///< panel width for kMulti; 1 otherwise
+  bool resilient;  ///< checkpoint_every = 4, true_residual_every = 7
+  std::uint64_t x_hash;         ///< FNV-1a of x, ranks concatenated
+  std::uint64_t residual_hash;  ///< FNV-1a of {final, relative} per lane
+  std::array<std::int64_t, 8> iterations;  ///< per lane
+  std::int64_t allreduces;                 ///< cg.allreduces delta
+};
+
+class CgGoldenTest : public ::testing::TestWithParam<CgGoldenCase> {
+ protected:
+  void TearDown() override { set_threads(1); }
+};
+
+/// Right-hand side lane `lane` of a `lanes`-wide case at global row g. Lane
+/// 0 is the all-ones vector of PreconditioningReducesIterations; the 3-lane
+/// panel adds a zero lane and a scaled lane, the 8-lane panel seven
+/// distinct vectors of exactly representable values.
+double golden_rhs(std::int64_t g, int lane, int lanes) {
+  if (lane == 0) {
+    return 1.0;
+  }
+  if (lanes == 3) {
+    return lane == 1 ? 0.0 : 2.5;
+  }
+  return static_cast<double>((g * 13 + lane * 7) % 64 - 32) * 0.03125 + 0.5;
+}
+
+/// Every solver entry point must reproduce the iterate, iteration counts,
+/// residuals and reduction count captured before the CG bodies shared one
+/// engine, fault-free and with checkpoints and true-residual replacement
+/// armed, at 1 and 4 threads on 2 ranks. The system is the badly scaled 1D
+/// operator of PreconditioningReducesIterations with Jacobi, so the CSR
+/// apply, the panel apply and the preconditioner all run; CI forces the
+/// ISA levels through HYMV_ISA.
+TEST_P(CgGoldenTest, SolveBitsHold) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
+#endif
+  const CgGoldenCase c = GetParam();
+  constexpr int kRanks = 2;
+  for (const int threads : {1, 4}) {
+    set_threads(threads);
+    std::vector<std::vector<double>> x_out(kRanks);
+    std::vector<CgResult> results;
+    std::vector<std::int64_t> allreduces(kRanks);
+    simmpi::run(kRanks, [&](Comm& comm) {
+      const Layout layout = Layout::from_owned_count(comm, 40);
+      const std::int64_t n = layout.global_size;
+      DistCsrMatrix a(layout);
+      for (std::int64_t g = layout.begin; g < layout.end_excl; ++g) {
+        const double scale = 1.0 + static_cast<double>(g % 17) * 10.0;
+        a.add_value(g, g, 2.0 * scale);
+        if (g > 0) a.add_value(g, g - 1, -0.9);
+        if (g < n - 1) a.add_value(g, g + 1, -0.9);
+      }
+      a.assemble(comm);
+      JacobiPreconditioner m(comm, a);
+      CgOptions options{.rtol = 1e-10,
+                        .pipelined = c.entry == CgEntry::kPipelined};
+      if (c.resilient) {
+        options.true_residual_every = 7;
+        options.checkpoint_every = 4;
+      }
+      hymv::obs::Counter& reds = comm.metrics().counter("cg.allreduces");
+      const std::int64_t before = reds.value();
+      std::vector<CgResult> got;
+      const auto rank = static_cast<std::size_t>(comm.rank());
+      if (c.entry == CgEntry::kMulti) {
+        DistMultiVector b(layout, c.lanes), x(layout, c.lanes);
+        for (std::int64_t i = 0; i < layout.owned(); ++i) {
+          for (int j = 0; j < c.lanes; ++j) {
+            b.at(i, j) = golden_rhs(layout.begin + i, j, c.lanes);
+          }
+        }
+        got = cg_solve_multi(comm, a, m, b, x, options);
+        x_out[rank].assign(x.values().begin(), x.values().end());
+      } else {
+        DistVector b(layout), x(layout);
+        b.set_all(1.0);
+        got.push_back(c.entry == CgEntry::kBicgstab
+                          ? bicgstab_solve(comm, a, m, b, x, options)
+                          : cg_solve(comm, a, m, b, x, options));
+        x_out[rank].assign(x.values().begin(), x.values().end());
+      }
+      allreduces[rank] = reds.value() - before;
+      if (rank == 0) {
+        results = got;
+      }
+    });
+
+    std::vector<double> x_all, residuals;
+    for (const std::vector<double>& part : x_out) {
+      x_all.insert(x_all.end(), part.begin(), part.end());
+    }
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(c.lanes));
+    for (std::size_t j = 0; j < results.size(); ++j) {
+      residuals.push_back(results[j].final_residual);
+      residuals.push_back(results[j].relative_residual);
+      EXPECT_EQ(results[j].iterations, c.iterations[j])
+          << "lane " << j << " threads=" << threads;
+    }
+    EXPECT_EQ(fnv1a(x_all), c.x_hash)
+        << "x got 0x" << std::hex << fnv1a(x_all) << std::dec
+        << " threads=" << threads;
+    EXPECT_EQ(fnv1a(residuals), c.residual_hash)
+        << "residuals got 0x" << std::hex << fnv1a(residuals) << std::dec
+        << " (lane 0: " << results[0].final_residual << ", "
+        << results[0].relative_residual << ") threads=" << threads;
+    for (const std::int64_t delta : allreduces) {
+      EXPECT_EQ(delta, c.allreduces) << "threads=" << threads;
+    }
+  }
+}
+
+constexpr CgGoldenCase kCgGoldenCases[] = {
+    {"StandardFaultFree", CgEntry::kStandard, 1, false, 0xc1a88fe776e8da9cULL,
+     0x82efd3dbcbcde165ULL, {8}, 26},
+    {"StandardResilient", CgEntry::kStandard, 1, true, 0x8567e920a00bda9aULL,
+     0xb1ed7641f07df246ULL, {8}, 27},
+    {"PipelinedFaultFree", CgEntry::kPipelined, 1, false, 0x42475299ae55c4e6ULL,
+     0xaf18be03898e6a47ULL, {8}, 11},
+    {"PipelinedResilient", CgEntry::kPipelined, 1, true, 0xd40ec434aa21ddaaULL,
+     0xf557617b2e652247ULL, {8}, 12},
+    {"MultiK1FaultFree", CgEntry::kMulti, 1, false, 0x5717ea6346412110ULL,
+     0x69ca2fe86bf97b51ULL, {8}, 26},
+    {"MultiK1Resilient", CgEntry::kMulti, 1, true, 0x833ae21e52319ab6ULL,
+     0xfd230d8a5c027962ULL, {8}, 27},
+    {"MultiK3FaultFree", CgEntry::kMulti, 3, false, 0x97a0fad4c6befa64ULL,
+     0x59cf58139429fc85ULL, {8, 0, 8}, 26},
+    {"MultiK3Resilient", CgEntry::kMulti, 3, true, 0x00c9fc9812acb7f0ULL,
+     0x1b819855a9ddb1d6ULL, {8, 0, 8}, 27},
+    {"MultiK8FaultFree", CgEntry::kMulti, 8, false, 0xd6a58c95bc9f9a0dULL,
+     0x0f15ed1c0279fa68ULL, {8, 8, 8, 8, 8, 8, 8, 8}, 26},
+    {"MultiK8Resilient", CgEntry::kMulti, 8, true, 0x6aea950a7346bd39ULL,
+     0x57d46739b0549cc9ULL, {8, 8, 8, 8, 8, 8, 8, 8}, 27},
+    {"Bicgstab", CgEntry::kBicgstab, 1, false, 0x6f6ff85dad665be8ULL,
+     0x90754523a66dc19cULL, {5}, 0},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, CgGoldenTest, ::testing::ValuesIn(kCgGoldenCases),
+    [](const ::testing::TestParamInfo<CgGoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // constraints
