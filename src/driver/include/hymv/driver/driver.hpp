@@ -312,6 +312,7 @@ struct SolveReport {
 };
 
 /// Assemble, constrain, precondition, and CG-solve the problem. Collective.
+/// HYMV_CG_PIPELINED=1 selects pipelined CG (CgOptions::pipelined).
 SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
                           const SolveOptions& options = {});
 

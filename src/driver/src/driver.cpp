@@ -137,6 +137,19 @@ std::int64_t env_count(const char* name, std::int64_t fallback) {
   return v;
 }
 
+/// HYMV_CG_PIPELINED (0/1) selects pipelined CG; any other value warns to
+/// stderr and keeps standard CG.
+bool cg_pipelined_from_env() {
+  const std::int64_t value = hymv::env_int("HYMV_CG_PIPELINED", 0);
+  if (value != 0 && value != 1) {
+    std::fprintf(stderr,
+                 "hymv: ignoring HYMV_CG_PIPELINED=%lld (expected 0 or 1)\n",
+                 static_cast<long long>(value));
+    return false;
+  }
+  return value == 1;
+}
+
 /// Publish the hardware-adaptation state — active/detected dispatch level,
 /// NUMA placement, measured bandwidth — as idempotent gauges (set, not add:
 /// safe to publish from every measurement and solve). The triad gauge only
@@ -634,6 +647,7 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
 
   const pla::CgOptions cg_options{.rtol = options.rtol,
                                   .max_iters = options.max_iters,
+                                  .pipelined = cg_pipelined_from_env(),
                                   .true_residual_every = true_residual_every,
                                   .checkpoint_every = checkpoint_every,
                                   .max_rollbacks = options.max_rollbacks,

@@ -1,11 +1,13 @@
 #include "hymv/pla/cg.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <span>
+#include <tuple>
+#include <vector>
 
-#include "hymv/common/env.hpp"
+#include "convergence.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/metrics.hpp"
 #include "hymv/obs/trace.hpp"
@@ -14,18 +16,495 @@ namespace hymv::pla {
 
 namespace {
 
-/// HYMV_CG_PIPELINED environment override (0/1), resolved at solve entry:
-/// warns to stderr and keeps `fallback` on any other value.
-bool cg_pipelined_from_env(bool fallback) {
-  const std::int64_t value =
-      hymv::env_int("HYMV_CG_PIPELINED", fallback ? 1 : 0);
-  if (value != 0 && value != 1) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_CG_PIPELINED=%lld (expected 0 or 1)\n",
-                 static_cast<long long>(value));
-    return fallback;
+/// Lane j of a solve iterates while active[j] != 0.
+using Mask = std::span<const unsigned char>;
+
+// The steps of standard CG that differ between one vector and a panel. One
+// lane keeps the single-vector apply and vector kernels (the fused residual
+// update + norm included): a width-1 panel rounds differently and costs more.
+
+std::size_t lane_count(const DistVector& /*v*/) { return 1; }
+std::size_t lane_count(const DistMultiVector& v) {
+  return static_cast<std::size_t>(v.width());
+}
+
+DistVector zeros_like(const DistVector& /*v*/, const Layout& layout) {
+  return DistVector(layout);
+}
+DistMultiVector zeros_like(const DistMultiVector& v, const Layout& layout) {
+  return DistMultiVector(layout, v.width());
+}
+
+const auto& fault_hook(const CgOptions& options, const DistVector& /*x*/) {
+  return options.fault_hook;
+}
+const auto& fault_hook(const CgOptions& options, const DistMultiVector& /*x*/) {
+  return options.fault_hook_multi;
+}
+
+void apply(simmpi::Comm& comm, LinearOperator& a, const DistVector& x,
+           DistVector& y) {
+  a.apply(comm, x, y);
+}
+void apply(simmpi::Comm& comm, LinearOperator& a, const DistMultiVector& x,
+           DistMultiVector& y) {
+  a.apply_multi(comm, x, y);
+}
+
+/// Per-lane global dot products (one allreduce).
+void dots(simmpi::Comm& comm, const DistVector& x, const DistVector& y,
+          std::span<double> out) {
+  out[0] = dot(comm, x, y);
+}
+void dots(simmpi::Comm& comm, const DistMultiVector& x,
+          const DistMultiVector& y, std::span<double> out) {
+  dot_lanes(comm, x, y, out);
+}
+
+/// Per-lane global 2-norms (one allreduce).
+template <class V>
+void norms(simmpi::Comm& comm, const V& x, std::span<double> out) {
+  dots(comm, x, x, out);
+  for (double& v : out) {
+    v = std::sqrt(v);
   }
-  return value == 1;
+}
+
+/// y(i) = f(i) for every entry i of a panel's active lanes.
+template <class F>
+void assign_active(DistMultiVector& y, Mask active, F f) {
+  const auto ys = y.values();
+  for (std::size_t i = 0; i < ys.size(); i += active.size()) {
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      if (active[j] != 0) {
+        ys[i + j] = f(i + j);
+      }
+    }
+  }
+}
+
+/// r = b − q on the active lanes.
+void residual(const DistVector& b, const DistVector& q, DistVector& r,
+              Mask /*active*/) {
+  copy(b, r);
+  axpy(-1.0, q, r);
+}
+void residual(const DistMultiVector& b, const DistMultiVector& q,
+              DistMultiVector& r, Mask active) {
+  const auto bs = b.values();
+  const auto qs = q.values();
+  assign_active(r, active, [&](std::size_t i) { return bs[i] - qs[i]; });
+}
+
+/// r = b − A x on the active lanes and its per-lane norms (one allreduce);
+/// q is scratch.
+template <class V>
+void true_residual(simmpi::Comm& comm, LinearOperator& a, const V& b,
+                   const V& x, V& q, V& r, Mask active,
+                   std::span<double> rnorm) {
+  apply(comm, a, x, q);
+  residual(b, q, r, active);
+  norms(comm, r, rnorm);
+}
+
+/// x += α p, r −= α q on the active lanes, and the new per-lane ‖r‖ (one
+/// allreduce; one fused sweep over r for a single vector).
+void step(simmpi::Comm& comm, std::span<const double> alpha,
+          const DistVector& p, const DistVector& q, DistVector& x,
+          DistVector& r, Mask /*active*/, std::span<double> rnorm) {
+  axpy(alpha[0], p, x);
+  rnorm[0] = std::sqrt(axpy_dot(comm, -alpha[0], q, r));
+}
+void step(simmpi::Comm& comm, std::span<const double> alpha,
+          const DistMultiVector& p, const DistMultiVector& q,
+          DistMultiVector& x, DistMultiVector& r, Mask active,
+          std::span<double> rnorm) {
+  axpy_lanes(alpha, p, x, active);
+  std::vector<double> minus_alpha(alpha.begin(), alpha.end());
+  for (double& v : minus_alpha) {
+    v = -v;
+  }
+  axpy_lanes(minus_alpha, q, r, active);
+  norm2_lanes(comm, r, rnorm);
+}
+
+/// Staging vectors for preconditioning a panel one lane at a time.
+template <class V>
+struct Stage {
+  explicit Stage(const Layout& /*layout*/) {}
+};
+template <>
+struct Stage<DistMultiVector> {
+  explicit Stage(const Layout& layout) : r(layout), z(layout) {}
+  DistVector r, z;
+};
+
+/// z = M r on the active lanes.
+void precondition(simmpi::Comm& comm, Preconditioner& m, const DistVector& r,
+                  DistVector& z, Mask /*active*/, Stage<DistVector>& /*s*/) {
+  m.apply(comm, r, z);
+}
+void precondition(simmpi::Comm& comm, Preconditioner& m,
+                  const DistMultiVector& r, DistMultiVector& z, Mask active,
+                  Stage<DistMultiVector>& s) {
+  for (int j = 0; j < r.width(); ++j) {
+    if (active[static_cast<std::size_t>(j)] != 0) {
+      r.get_lane(j, s.r);
+      m.apply(comm, s.r, s.z);
+      z.set_lane(j, s.z);
+    }
+  }
+}
+
+/// p = z on the active lanes (a restarted search direction).
+void restart_direction(const DistVector& z, DistVector& p, Mask /*active*/) {
+  copy(z, p);
+}
+void restart_direction(const DistMultiVector& z, DistMultiVector& p,
+                       Mask active) {
+  const auto zs = z.values();
+  assign_active(p, active, [&](std::size_t i) { return zs[i]; });
+}
+
+/// p = z + β p on the active lanes.
+void update_direction(const DistVector& z, std::span<const double> beta,
+                      DistVector& p, Mask /*active*/) {
+  xpby(z, beta[0], p);
+}
+void update_direction(const DistMultiVector& z, std::span<const double> beta,
+                      DistMultiVector& p, Mask active) {
+  xpby_lanes(z, beta, p, active);
+}
+
+/// Per-lane results and the lanes still iterating. A checkpoint copies it
+/// whole, so a rollback also revives lanes that finished after it.
+struct Lanes {
+  std::vector<CgResult> results;
+  std::vector<unsigned char> active;
+};
+
+/// A registry counter and its value at solve entry: the registry stays the
+/// single source of truth, and a CgResult reports the per-solve delta.
+struct Tally {
+  obs::Counter& counter;
+  std::int64_t at_entry = counter.value();
+  [[nodiscard]] std::int64_t delta() const {
+    return counter.value() - at_entry;
+  }
+};
+
+/// The type of a checkpoint of the state a std::tie names, holding a copy of
+/// every part: `ck = tie()` takes it and `tie() = *ck` restores it.
+template <class... T>
+std::optional<std::tuple<T...>> checkpoint_of(std::tuple<T&...> state);
+
+/// What every CG recurrence shares, for one lane or a panel: entry checks,
+/// targets, lane state, counters, the cancel check, the rollback budget and
+/// the publish epilogue. Decisions read allreduced scalars or the
+/// collective should_stop, so every rank takes the same branch. A panel
+/// counts each recovery event once; every lane reports the solve's deltas.
+class Ledger {
+ public:
+  template <class V>
+  Ledger(simmpi::Comm& comm, const LinearOperator& a, const V& b, const V& x,
+         const CgOptions& options)
+      : lanes{std::vector<CgResult>(lane_count(b)),
+              std::vector<unsigned char>(lane_count(b), 1)},
+        options_(options),
+        mets_(comm.metrics()) {
+    HYMV_CHECK_MSG(lane_count(b) >= 1 && lane_count(x) == lane_count(b),
+                   "cg_solve_multi: panel width mismatch");
+    HYMV_CHECK_MSG(b.owned_size() == a.layout().owned() &&
+                       x.owned_size() == a.layout().owned(),
+                   "cg_solve: vector/operator layout mismatch");
+  }
+
+  Lanes lanes;
+
+  [[nodiscard]] Mask active() const { return lanes.active; }
+  [[nodiscard]] bool any_active() const {
+    return std::ranges::find(lanes.active, 1) != lanes.active.end();
+  }
+  void reduced(std::int64_t n = 1) { allreduces_.add(n); }
+
+  /// Calls f(j) for every lane j still iterating.
+  template <class F>
+  void for_active(F f) {
+    for (std::size_t j = 0; j < lanes.active.size(); ++j) {
+      if (lanes.active[j] != 0) {
+        f(j);
+      }
+    }
+  }
+
+  /// Records ‖b‖ and the targets and retires the lanes whose initial
+  /// residual meets its target. Returns whether any lane iterates.
+  bool start(std::span<const double> bnorm, std::span<const double> rnorm) {
+    bnorm_.assign(bnorm.begin(), bnorm.end());
+    best_.assign(rnorm.begin(), rnorm.end());
+    for (std::size_t j = 0; j < bnorm.size(); ++j) {
+      target_.push_back(convergence_target(options_, bnorm[j]));
+      converged(j, rnorm[j]);
+    }
+    return any_active();
+  }
+
+  /// Retires lane j as converged when ‖r‖ meets its target.
+  bool converged(std::size_t j, double rnorm) {
+    if (!(rnorm <= target_[j])) {
+      return false;
+    }
+    lanes.results[j].converged = true;
+    lanes.active[j] = 0;
+    return true;
+  }
+  /// converged(), else tracks the lane's best ‖r‖ for the divergence test.
+  bool accept(std::size_t j, double rnorm) {
+    if (converged(j, rnorm)) {
+      return true;
+    }
+    best_[j] = std::min(best_[j], rnorm);
+    return false;
+  }
+  void break_down(std::size_t j, const char* reason) {
+    lanes.results[j].breakdown = true;
+    lanes.results[j].breakdown_reason = reason;
+    lanes.active[j] = 0;
+  }
+
+  /// The cooperative stop: marks the lanes still iterating canceled.
+  bool stopped(std::int64_t it) {
+    if (!options_.should_stop || !options_.should_stop(it)) {
+      return false;
+    }
+    for_active([&](std::size_t j) { lanes.results[j].canceled = true; });
+    return true;
+  }
+
+  /// Whether an active lane holds a fault a rollback can repair: a
+  /// non-finite value or, for a new ‖r‖ (`diverging`), one above
+  /// divergence_factor × the lane's best.
+  [[nodiscard]] bool faulted(std::span<const double> v,
+                             bool diverging = false) const {
+    for (std::size_t j = 0; j < v.size(); ++j) {
+      if (lanes.active[j] != 0 &&
+          (!std::isfinite(v[j]) ||
+           (diverging && v[j] > options_.divergence_factor * best_[j]))) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Restores checkpoint `ck` into `state` (a std::tie) within the
+  /// rollback budget. Once max_rollbacks are spent the lanes still
+  /// iterating break down instead, and this returns false.
+  template <class Checkpoint, class State>
+  bool roll_back(const Checkpoint& ck, State state) {
+    if (rollbacks_.delta() >= options_.max_rollbacks) {
+      for_active([&](std::size_t j) {
+        break_down(j,
+                   "cg_solve: exceeded the rollback budget (persistent "
+                   "fault?)");
+      });
+      return false;
+    }
+    state = *ck;
+    rollbacks_.counter.inc();
+    HYMV_TRACE_INSTANT("cg.rollback", "cg");
+    return true;
+  }
+
+  /// Whether to checkpoint after `it` completed iterations, counting the
+  /// checkpoint if so: every checkpoint_every iterations, and only states
+  /// whose active lanes all carry a finite ‖r‖.
+  bool checkpoint_due(std::int64_t it, std::span<const double> rnorm) {
+    if (options_.checkpoint_every <= 0 ||
+        it % options_.checkpoint_every != 0 || faulted(rnorm)) {
+      return false;
+    }
+    checkpoints_.counter.inc();
+    HYMV_TRACE_INSTANT("cg.checkpoint", "cg");
+    return true;
+  }
+
+  [[nodiscard]] bool replacement_due(std::int64_t it) const {
+    return options_.true_residual_every > 0 &&
+           it % options_.true_residual_every == 0;
+  }
+  /// Counts a true-residual replacement and sets cg.residual_drift, the
+  /// largest |recurrence ‖r‖ − true ‖r‖| / true ‖r‖ over the active lanes:
+  /// a mixed-precision solve watches it to validate its refinement cadence.
+  void replaced(std::span<const double> recurrence,
+                std::span<const double> truth) {
+    replacements_.counter.inc();
+    double drift = -1.0;
+    for_active([&](std::size_t j) {
+      if (std::isfinite(truth[j]) && truth[j] > 0.0) {
+        drift = std::max(drift, std::abs(recurrence[j] - truth[j]) / truth[j]);
+      }
+    });
+    if (drift >= 0.0) {
+      mets_.gauge("cg.residual_drift").set(drift);
+    }
+    HYMV_TRACE_INSTANT("cg.residual_replace", "cg");
+  }
+
+  /// The one epilogue, on every exit: per-lane residuals and recovery
+  /// deltas, and the cg.solves / cg.iterations / cg.converged /
+  /// cg.breakdowns counters (a panel is one solve of its longest lane).
+  std::vector<CgResult> publish(std::span<const double> rnorm) {
+    std::int64_t iterations = 0;
+    for (std::size_t j = 0; j < lanes.results.size(); ++j) {
+      CgResult& result = lanes.results[j];
+      set_residuals(result, bnorm_[j], rnorm[j]);
+      result.checkpoints_taken = checkpoints_.delta();
+      result.rollbacks = rollbacks_.delta();
+      result.residual_replacements = replacements_.delta();
+      iterations = std::max(iterations, result.iterations);
+      if (result.converged) {
+        mets_.counter("cg.converged").inc();
+      }
+      if (result.breakdown) {
+        mets_.counter("cg.breakdowns").inc();
+      }
+    }
+    mets_.counter("cg.solves").inc();
+    mets_.counter("cg.iterations").add(iterations);
+    return std::move(lanes.results);
+  }
+
+ private:
+  const CgOptions& options_;
+  obs::MetricsRegistry& mets_;
+  obs::Counter& allreduces_ = mets_.counter("cg.allreduces");
+  Tally checkpoints_{mets_.counter("cg.checkpoints_taken")};
+  Tally rollbacks_{mets_.counter("cg.rollbacks")};
+  Tally replacements_{mets_.counter("cg.residual_replacements")};
+  std::vector<double> bnorm_, target_, best_;
+};
+
+/// Standard preconditioned CG over one vector or a panel of k lanes: one
+/// operator apply per iteration and one allreduce per reduction serve every
+/// lane, while α, β and convergence stay per lane. A finished lane is
+/// deflated: its x, r, p and z stop changing, bitwise. A non-finite p·Ap or
+/// ‖r‖, or a diverging ‖r‖, on any active lane rolls the whole panel back
+/// to its last checkpoint; a finite p·Ap ≤ 0 (an indefinite operator,
+/// which recomputation would reproduce) breaks that lane down instead.
+template <class V>
+std::vector<CgResult> standard_cg(simmpi::Comm& comm, LinearOperator& a,
+                                  Preconditioner& m, const V& b, V& x,
+                                  const CgOptions& options) {
+  Ledger book(comm, a, b, x, options);
+  const Layout& layout = a.layout();
+  V r = zeros_like(b, layout), z = zeros_like(b, layout),
+    p = zeros_like(b, layout), q = zeros_like(b, layout);
+  Stage<V> stage(layout);
+  const std::size_t k = lane_count(b);
+  std::vector<double> bnorm(k), rnorm(k), trial(k), pq(k), rz(k), rz_new(k),
+      alpha(k), beta(k);
+
+  true_residual(comm, a, b, x, q, r, book.active(), rnorm);
+  norms(comm, b, bnorm);
+  book.reduced(2);
+  if (!book.start(bnorm, rnorm)) {
+    return book.publish(rnorm);
+  }
+  // z = M r, p = z on the active lanes: a (re)started search direction.
+  const auto restart = [&] {
+    precondition(comm, m, r, z, book.active(), stage);
+    restart_direction(z, p, book.active());
+    dots(comm, r, z, rz);
+    book.reduced();
+  };
+  restart();
+
+  std::int64_t done = 0;  // completed iterations
+  const auto state = [&] {
+    return std::tie(x, r, p, rz, rnorm, book.lanes, done);
+  };
+  decltype(checkpoint_of(state())) ck;
+  if (book.checkpoint_due(done, rnorm)) {
+    ck = state();
+  }
+
+  while (done < options.max_iters && book.any_active()) {
+    const std::int64_t it = done + 1;
+    if (book.stopped(it)) {
+      break;
+    }
+    if (const auto& hook = fault_hook(options, x)) {
+      hook(it, x, r);
+    }
+    apply(comm, a, p, q);
+    dots(comm, p, q, pq);
+    book.reduced();
+    if (ck && book.faulted(pq)) {
+      if (!book.roll_back(ck, state())) {
+        break;
+      }
+      continue;
+    }
+    book.for_active([&](std::size_t j) {
+      if (!(pq[j] > 0.0)) {
+        book.break_down(
+            j, "cg_solve: operator is not positive definite (p·Ap <= 0)");
+        return;
+      }
+      alpha[j] = rz[j] / pq[j];
+      book.lanes.results[j].iterations = it;
+    });
+    if (!book.any_active()) {
+      break;
+    }
+    step(comm, alpha, p, q, x, r, book.active(), trial);
+    book.reduced();
+    if (ck && book.faulted(trial, /*diverging=*/true)) {
+      if (!book.roll_back(ck, state())) {
+        break;
+      }
+      continue;
+    }
+    book.for_active(
+        [&](std::size_t j) { book.accept(j, rnorm[j] = trial[j]); });
+    if (!book.any_active()) {
+      break;
+    }
+    if (book.replacement_due(it)) {
+      // Replace the recurrence residual with the true residual b − A x and
+      // restart the search direction: repairs drift a transient fault
+      // injected into x or r has caused.
+      true_residual(comm, a, b, x, q, r, book.active(), trial);
+      book.reduced();
+      book.replaced(rnorm, trial);
+      if (ck && book.faulted(trial)) {
+        if (!book.roll_back(ck, state())) {
+          break;
+        }
+        continue;
+      }
+      book.for_active(
+          [&](std::size_t j) { book.converged(j, rnorm[j] = trial[j]); });
+      if (!book.any_active()) {
+        break;
+      }
+      restart();
+    } else {
+      precondition(comm, m, r, z, book.active(), stage);
+      dots(comm, r, z, rz_new);
+      book.reduced();
+      book.for_active([&](std::size_t j) {
+        beta[j] = rz_new[j] / rz[j];
+        rz[j] = rz_new[j];
+      });
+      update_direction(z, beta, p, book.active());
+    }
+    done = it;
+    if (book.checkpoint_due(done, rnorm)) {
+      ck = state();
+    }
+  }
+  return book.publish(rnorm);
 }
 
 /// Rank-local partial dot product — the pipelined iteration batches three of
@@ -41,232 +520,6 @@ double local_dot(const DistVector& x, const DistVector& y) {
   return local;
 }
 
-CgResult cg_solve_pipelined(simmpi::Comm& comm, LinearOperator& a,
-                            Preconditioner& m, const DistVector& b,
-                            DistVector& x, const CgOptions& options);
-
-}  // namespace
-
-CgResult cg_solve(simmpi::Comm& comm, LinearOperator& a, Preconditioner& m,
-                  const DistVector& b, DistVector& x,
-                  const CgOptions& options) {
-  if (cg_pipelined_from_env(options.pipelined)) {
-    return cg_solve_pipelined(comm, a, m, b, x, options);
-  }
-  HYMV_TRACE_SCOPE("cg.solve", "cg");
-  const Layout& layout = a.layout();
-  HYMV_CHECK_MSG(b.owned_size() == layout.owned() &&
-                     x.owned_size() == layout.owned(),
-                 "cg_solve: vector/operator layout mismatch");
-
-  // Recovery events land in the per-rank registry; the CgResult fields are
-  // read back as deltas at exit, so the registry is the single source of
-  // truth and multiple solves per job keep accumulating totals.
-  obs::MetricsRegistry& mets = comm.metrics();
-  obs::Counter& c_checkpoints = mets.counter("cg.checkpoints_taken");
-  obs::Counter& c_rollbacks = mets.counter("cg.rollbacks");
-  obs::Counter& c_replacements = mets.counter("cg.residual_replacements");
-  obs::Counter& c_allreduces = mets.counter("cg.allreduces");
-  const std::int64_t checkpoints0 = c_checkpoints.value();
-  const std::int64_t rollbacks0 = c_rollbacks.value();
-  const std::int64_t replacements0 = c_replacements.value();
-
-  DistVector r(layout), z(layout), p(layout), q(layout);
-
-  // r = b - A x
-  a.apply(comm, x, q);
-  copy(b, r);
-  axpy(-1.0, q, r);
-
-  const double bnorm = norm2(comm, b);
-  c_allreduces.inc();
-  const double target =
-      std::max(options.atol, options.rtol * (bnorm > 0.0 ? bnorm : 1.0));
-
-  CgResult result;
-  double rnorm = norm2(comm, r);
-  c_allreduces.inc();
-  // Single epilogue: EVERY exit — including the x0-already-converged return
-  // just below — reads the registry deltas back into the result and
-  // publishes the solve counters. The early return used to skip both, so
-  // "cg.solves"/"cg.converged" undercounted and the recovery fields of a
-  // trivially converged solve stayed unset.
-  const auto publish = [&]() {
-    result.final_residual = rnorm;
-    // ‖b‖ = 0 convention (see CgResult): converged means the exact x = 0
-    // solution — relative residual 0, not the mislabeled absolute ‖r‖.
-    result.relative_residual = bnorm > 0.0
-                                   ? rnorm / bnorm
-                                   : (result.converged ? 0.0 : rnorm);
-    result.checkpoints_taken = c_checkpoints.value() - checkpoints0;
-    result.rollbacks = c_rollbacks.value() - rollbacks0;
-    result.residual_replacements = c_replacements.value() - replacements0;
-    mets.counter("cg.solves").inc();
-    mets.counter("cg.iterations").add(result.iterations);
-    if (result.converged) {
-      mets.counter("cg.converged").inc();
-    }
-    if (result.breakdown) {
-      mets.counter("cg.breakdowns").inc();
-    }
-  };
-  if (rnorm <= target) {
-    result.converged = true;
-    publish();
-    return result;
-  }
-
-  m.apply(comm, r, z);
-  copy(z, p);
-  double rz = dot(comm, r, z);
-  c_allreduces.inc();
-
-  // In-memory checkpoint for rollback-and-continue. Every recovery
-  // decision below derives from allreduced scalars (pq, rnorm), so all
-  // ranks take the same branch — rollback is naturally collective.
-  struct Checkpoint {
-    DistVector x, r, p;
-    double rz = 0.0;
-    double rnorm = 0.0;
-    std::int64_t it = 0;
-    explicit Checkpoint(const Layout& layout) : x(layout), r(layout), p(layout) {}
-  };
-  std::optional<Checkpoint> ck;
-  double best_rnorm = rnorm;
-  const auto take_checkpoint = [&](std::int64_t it) {
-    copy(x, ck->x);
-    copy(r, ck->r);
-    copy(p, ck->p);
-    ck->rz = rz;
-    ck->rnorm = rnorm;
-    ck->it = it;
-    c_checkpoints.inc();
-    HYMV_TRACE_INSTANT("cg.checkpoint", "cg");
-  };
-  // `true` = restored, `false` = rollback budget exhausted (breakdown set).
-  const auto roll_back = [&]() {
-    if (c_rollbacks.value() - rollbacks0 >= options.max_rollbacks) {
-      result.breakdown = true;
-      result.breakdown_reason =
-          "cg_solve: exceeded the rollback budget (persistent fault?)";
-      return false;
-    }
-    copy(ck->x, x);
-    copy(ck->r, r);
-    copy(ck->p, p);
-    rz = ck->rz;
-    rnorm = ck->rnorm;
-    c_rollbacks.inc();
-    HYMV_TRACE_INSTANT("cg.rollback", "cg");
-    return true;
-  };
-  if (options.checkpoint_every > 0) {
-    ck.emplace(layout);
-    take_checkpoint(0);
-  }
-
-  std::int64_t it = 1;
-  while (it <= options.max_iters) {
-    if (options.should_stop && options.should_stop(it)) {
-      result.canceled = true;
-      break;
-    }
-    if (options.fault_hook) {
-      options.fault_hook(it, x, r);
-    }
-    a.apply(comm, p, q);
-    const double pq = dot(comm, p, q);
-    c_allreduces.inc();
-    if (!(pq > 0.0)) {
-      // Non-finite pq means corrupted state — a rollback can repair it. A
-      // *finite* pq ≤ 0 is a genuinely indefinite operator: deterministic
-      // recomputation from the checkpoint would reproduce it, so report
-      // the breakdown with the iterate accumulated so far.
-      if (ck && !std::isfinite(pq)) {
-        if (!roll_back()) {
-          break;
-        }
-        it = ck->it + 1;
-        continue;
-      }
-      result.breakdown = true;
-      result.breakdown_reason =
-          "cg_solve: operator is not positive definite (p·Ap <= 0)";
-      break;
-    }
-    const double alpha = rz / pq;
-    axpy(alpha, p, x);
-    // Fused residual update + norm: one sweep over r instead of two.
-    rnorm = std::sqrt(axpy_dot(comm, -alpha, q, r));
-    c_allreduces.inc();
-    result.iterations = it;
-    if (ck && (!std::isfinite(rnorm) ||
-               rnorm > options.divergence_factor * best_rnorm)) {
-      if (!roll_back()) {
-        break;
-      }
-      it = ck->it + 1;
-      continue;
-    }
-    if (rnorm <= target) {
-      result.converged = true;
-      break;
-    }
-    best_rnorm = std::min(best_rnorm, rnorm);
-    if (options.true_residual_every > 0 &&
-        it % options.true_residual_every == 0) {
-      // Replace the recurrence residual with the true residual b − A x and
-      // restart the search direction — repairs drift a transient fault
-      // injected into x or r has caused.
-      const double rnorm_recurrence = rnorm;
-      a.apply(comm, x, q);
-      copy(b, r);
-      axpy(-1.0, q, r);
-      rnorm = norm2(comm, r);
-      c_allreduces.inc();
-      c_replacements.inc();
-      // How far the recurrence had drifted from the truth, relative to the
-      // true norm — the observable a mixed-precision (fp32 preconditioner)
-      // solve watches to validate its refinement cadence.
-      if (std::isfinite(rnorm) && rnorm > 0.0) {
-        mets.gauge("cg.residual_drift")
-            .set(std::abs(rnorm_recurrence - rnorm) / rnorm);
-      }
-      HYMV_TRACE_INSTANT("cg.residual_replace", "cg");
-      if (ck && !std::isfinite(rnorm)) {
-        if (!roll_back()) {
-          break;
-        }
-        it = ck->it + 1;
-        continue;
-      }
-      if (rnorm <= target) {
-        result.converged = true;
-        break;
-      }
-      m.apply(comm, r, z);
-      copy(z, p);
-      rz = dot(comm, r, z);
-      c_allreduces.inc();
-    } else {
-      m.apply(comm, r, z);
-      const double rz_new = dot(comm, r, z);
-      c_allreduces.inc();
-      const double beta = rz_new / rz;
-      rz = rz_new;
-      xpby(z, beta, p);  // p = z + beta p
-    }
-    if (ck && it % options.checkpoint_every == 0 && std::isfinite(rnorm)) {
-      take_checkpoint(it);
-    }
-    ++it;
-  }
-  publish();
-  return result;
-}
-
-namespace {
-
 /// Ghysels & Vanroose pipelined PCG. The three reductions of a standard
 /// iteration fuse into ONE split allreduce whose messages fly while the
 /// next preconditioner + operator applies (including the apply's ghost
@@ -281,137 +534,42 @@ namespace {
 /// fused ‖r‖² — it describes the residual of the PREVIOUS update, so the
 /// loop checks before computing the next step, and a converged run performs
 /// exactly iterations + 3 allreduces (2 setup norms + one per loop entry).
-/// Checkpoint/rollback and true-residual replacement mirror cg_solve; a
-/// replacement restarts the four direction recurrences (restart = true).
-CgResult cg_solve_pipelined(simmpi::Comm& comm, LinearOperator& a,
-                            Preconditioner& m, const DistVector& b,
-                            DistVector& x, const CgOptions& options) {
-  HYMV_TRACE_SCOPE("cg.solve_pipelined", "cg");
+/// Checkpoint/rollback and true-residual replacement follow standard_cg;
+/// the checkpoint holds all eight recurrence vectors, and a replacement
+/// restarts the four direction recurrences (restart = true).
+CgResult pipelined_cg(simmpi::Comm& comm, LinearOperator& a, Preconditioner& m,
+                      const DistVector& b, DistVector& x,
+                      const CgOptions& options) {
+  Ledger book(comm, a, b, x, options);
   const Layout& layout = a.layout();
-  HYMV_CHECK_MSG(b.owned_size() == layout.owned() &&
-                     x.owned_size() == layout.owned(),
-                 "cg_solve: vector/operator layout mismatch");
-
-  obs::MetricsRegistry& mets = comm.metrics();
-  obs::Counter& c_checkpoints = mets.counter("cg.checkpoints_taken");
-  obs::Counter& c_rollbacks = mets.counter("cg.rollbacks");
-  obs::Counter& c_replacements = mets.counter("cg.residual_replacements");
-  obs::Counter& c_allreduces = mets.counter("cg.allreduces");
-  const std::int64_t checkpoints0 = c_checkpoints.value();
-  const std::int64_t rollbacks0 = c_rollbacks.value();
-  const std::int64_t replacements0 = c_replacements.value();
-
   DistVector r(layout), u(layout), w(layout), mv(layout), nv(layout),
       z(layout), q(layout), s(layout), p(layout);
 
-  // r = b - A x
-  a.apply(comm, x, nv);
-  copy(b, r);
-  axpy(-1.0, nv, r);
-
-  const double bnorm = norm2(comm, b);
-  c_allreduces.inc();
-  const double target =
-      std::max(options.atol, options.rtol * (bnorm > 0.0 ? bnorm : 1.0));
-
-  CgResult result;
-  double rnorm = norm2(comm, r);
-  c_allreduces.inc();
-  const auto publish = [&]() {
-    result.final_residual = rnorm;
-    // ‖b‖ = 0 convention (see CgResult): converged means the exact x = 0
-    // solution — relative residual 0, not the mislabeled absolute ‖r‖.
-    result.relative_residual = bnorm > 0.0
-                                   ? rnorm / bnorm
-                                   : (result.converged ? 0.0 : rnorm);
-    result.checkpoints_taken = c_checkpoints.value() - checkpoints0;
-    result.rollbacks = c_rollbacks.value() - rollbacks0;
-    result.residual_replacements = c_replacements.value() - replacements0;
-    mets.counter("cg.solves").inc();
-    mets.counter("cg.iterations").add(result.iterations);
-    if (result.converged) {
-      mets.counter("cg.converged").inc();
-    }
-    if (result.breakdown) {
-      mets.counter("cg.breakdowns").inc();
-    }
-  };
-  if (rnorm <= target) {
-    result.converged = true;
-    publish();
-    return result;
+  double rnorm = 0.0, bnorm = 0.0;
+  true_residual(comm, a, b, x, nv, r, book.active(), {&rnorm, 1});
+  norms(comm, b, {&bnorm, 1});
+  book.reduced(2);
+  if (!book.start({&bnorm, 1}, {&rnorm, 1})) {
+    return book.publish({&rnorm, 1})[0];
   }
-
   m.apply(comm, r, u);  // u = M r
   a.apply(comm, u, w);  // w = A u
 
-  struct Checkpoint {
-    DistVector x, r, u, w, z, q, s, p;
-    double gamma_old = 0.0;
-    double alpha_old = 0.0;
-    double rnorm = 0.0;
-    bool restart = true;
-    std::int64_t it = 0;
-    explicit Checkpoint(const Layout& layout)
-        : x(layout), r(layout), u(layout), w(layout), z(layout), q(layout),
-          s(layout), p(layout) {}
-  };
-  std::optional<Checkpoint> ck;
-  double best_rnorm = rnorm;
   double gamma_old = 0.0;
   double alpha_old = 0.0;
   bool restart = true;  // first iteration + after every residual replacement
-  std::int64_t it = 0;
-
-  const auto take_checkpoint = [&]() {
-    copy(x, ck->x);
-    copy(r, ck->r);
-    copy(u, ck->u);
-    copy(w, ck->w);
-    copy(z, ck->z);
-    copy(q, ck->q);
-    copy(s, ck->s);
-    copy(p, ck->p);
-    ck->gamma_old = gamma_old;
-    ck->alpha_old = alpha_old;
-    ck->rnorm = rnorm;
-    ck->restart = restart;
-    ck->it = it;
-    c_checkpoints.inc();
-    HYMV_TRACE_INSTANT("cg.checkpoint", "cg");
+  std::int64_t it = 0;  // completed iterations
+  const auto state = [&] {
+    return std::tie(x, r, u, w, z, q, s, p, gamma_old, alpha_old, rnorm,
+                    restart, book.lanes, it);
   };
-  const auto roll_back = [&]() {
-    if (c_rollbacks.value() - rollbacks0 >= options.max_rollbacks) {
-      result.breakdown = true;
-      result.breakdown_reason =
-          "cg_solve: exceeded the rollback budget (persistent fault?)";
-      return false;
-    }
-    copy(ck->x, x);
-    copy(ck->r, r);
-    copy(ck->u, u);
-    copy(ck->w, w);
-    copy(ck->z, z);
-    copy(ck->q, q);
-    copy(ck->s, s);
-    copy(ck->p, p);
-    gamma_old = ck->gamma_old;
-    alpha_old = ck->alpha_old;
-    rnorm = ck->rnorm;
-    restart = ck->restart;
-    it = ck->it;
-    c_rollbacks.inc();
-    HYMV_TRACE_INSTANT("cg.rollback", "cg");
-    return true;
-  };
-  if (options.checkpoint_every > 0) {
-    ck.emplace(layout);
-    take_checkpoint();
+  decltype(checkpoint_of(state())) ck;
+  if (book.checkpoint_due(it, {&rnorm, 1})) {
+    ck = state();
   }
 
   for (;;) {
-    if (options.should_stop && options.should_stop(it + 1)) {
-      result.canceled = true;
+    if (book.stopped(it + 1)) {
       break;
     }
     if (options.fault_hook) {
@@ -426,24 +584,18 @@ CgResult cg_solve_pipelined(simmpi::Comm& comm, LinearOperator& a,
     a.apply(comm, mv, nv);
     double red[3];
     comm.allreduce_finish(handle, red);
-    c_allreduces.inc();
+    book.reduced();
     const double gamma = red[0];
     const double delta = red[1];
     rnorm = std::sqrt(red[2]);
 
-    if (ck && (!std::isfinite(rnorm) ||
-               rnorm > options.divergence_factor * best_rnorm)) {
-      if (!roll_back()) {
+    if (ck && book.faulted({&rnorm, 1}, /*diverging=*/true)) {
+      if (!book.roll_back(ck, state())) {
         break;
       }
       continue;
     }
-    if (rnorm <= target) {
-      result.converged = true;
-      break;
-    }
-    best_rnorm = std::min(best_rnorm, rnorm);
-    if (it >= options.max_iters) {
+    if (book.accept(0, rnorm) || it >= options.max_iters) {
       break;
     }
 
@@ -451,18 +603,17 @@ CgResult cg_solve_pipelined(simmpi::Comm& comm, LinearOperator& a,
     const double denom = restart ? delta : delta - beta * gamma / alpha_old;
     const double alpha = gamma / denom;
     if (!(denom > 0.0) || !std::isfinite(alpha)) {
-      // Mirror cg_solve: a non-finite denominator means corrupted state a
+      // As in standard_cg: a non-finite denominator is corrupted state a
       // rollback can repair; a finite denom <= 0 is genuine indefiniteness.
       if (ck && (!std::isfinite(denom) || !std::isfinite(alpha))) {
-        if (!roll_back()) {
+        if (!book.roll_back(ck, state())) {
           break;
         }
         continue;
       }
-      result.breakdown = true;
-      result.breakdown_reason =
-          "cg_solve: operator is not positive definite (pipelined "
-          "denominator <= 0)";
+      book.break_down(0,
+                      "cg_solve: operator is not positive definite (pipelined "
+                      "denominator <= 0)");
       break;
     }
 
@@ -485,48 +636,47 @@ CgResult cg_solve_pipelined(simmpi::Comm& comm, LinearOperator& a,
     alpha_old = alpha;
     restart = false;
     ++it;
-    result.iterations = it;
+    book.lanes.results[0].iterations = it;
 
-    if (options.true_residual_every > 0 &&
-        it % options.true_residual_every == 0) {
+    if (book.replacement_due(it)) {
       // True-residual replacement: recompute r = b − A x, then rebuild the
       // u/w recurrences and restart the four direction vectors.
-      const double rnorm_recurrence = rnorm;
-      a.apply(comm, x, nv);
-      copy(b, r);
-      axpy(-1.0, nv, r);
-      rnorm = norm2(comm, r);
-      c_allreduces.inc();
-      c_replacements.inc();
-      // Recurrence-vs-truth drift, as in cg_solve.
-      if (std::isfinite(rnorm) && rnorm > 0.0) {
-        mets.gauge("cg.residual_drift")
-            .set(std::abs(rnorm_recurrence - rnorm) / rnorm);
-      }
-      HYMV_TRACE_INSTANT("cg.residual_replace", "cg");
+      const double recurrence = rnorm;
+      true_residual(comm, a, b, x, nv, r, book.active(), {&rnorm, 1});
+      book.reduced();
+      book.replaced({&recurrence, 1}, {&rnorm, 1});
       if (ck && !std::isfinite(rnorm)) {
-        if (!roll_back()) {
+        if (!book.roll_back(ck, state())) {
           break;
         }
         continue;
       }
-      if (rnorm <= target) {
-        result.converged = true;
+      if (book.converged(0, rnorm)) {
         break;
       }
       m.apply(comm, r, u);
       a.apply(comm, u, w);
       restart = true;
     }
-    if (ck && it % options.checkpoint_every == 0 && std::isfinite(rnorm)) {
-      take_checkpoint();
+    if (book.checkpoint_due(it, {&rnorm, 1})) {
+      ck = state();
     }
   }
-  publish();
-  return result;
+  return book.publish({&rnorm, 1})[0];
 }
 
 }  // namespace
+
+CgResult cg_solve(simmpi::Comm& comm, LinearOperator& a, Preconditioner& m,
+                  const DistVector& b, DistVector& x,
+                  const CgOptions& options) {
+  if (options.pipelined) {
+    HYMV_TRACE_SCOPE("cg.solve_pipelined", "cg");
+    return pipelined_cg(comm, a, m, b, x, options);
+  }
+  HYMV_TRACE_SCOPE("cg.solve", "cg");
+  return standard_cg(comm, a, m, b, x, options)[0];
+}
 
 std::vector<CgResult> cg_solve_multi(simmpi::Comm& comm, LinearOperator& a,
                                      Preconditioner& m,
@@ -534,319 +684,7 @@ std::vector<CgResult> cg_solve_multi(simmpi::Comm& comm, LinearOperator& a,
                                      DistMultiVector& x,
                                      const CgOptions& options) {
   HYMV_TRACE_SCOPE("cg.solve_multi", "cg");
-  const Layout& layout = a.layout();
-  const int k = b.width();
-  HYMV_CHECK_MSG(k >= 1 && x.width() == k,
-                 "cg_solve_multi: panel width mismatch");
-  HYMV_CHECK_MSG(b.owned_size() == layout.owned() &&
-                     x.owned_size() == layout.owned(),
-                 "cg_solve_multi: vector/operator layout mismatch");
-  const auto ku = static_cast<std::size_t>(k);
-
-  DistMultiVector r(layout, k), z(layout, k), p(layout, k), q(layout, k);
-  DistVector rj(layout), zj(layout);  // per-lane preconditioner staging
-
-  std::vector<CgResult> results(ku);
-  std::vector<double> bnorm(ku), target(ku), rz(ku), rz_new(ku), pq(ku),
-      alpha(ku, 0.0), beta(ku, 0.0), rnorm(ku), lane_dot(ku);
-  std::vector<unsigned char> active(ku, 1);
-
-  // r = b - A x (one panel apply), plus the per-lane norms — the same two
-  // reductions a standalone solve performs, folded into one allreduce each.
-  // (No pipelined panel variant: options.pipelined applies to cg_solve
-  // only — the panel iteration keeps the standard reduction structure.)
-  a.apply_multi(comm, x, q);
-  copy(b, r);
-  std::vector<double> minus_one(ku, -1.0);
-  axpy_lanes(minus_one, q, r);
-  obs::Counter& c_allreduces = comm.metrics().counter("cg.allreduces");
-  norm2_lanes(comm, b, bnorm);
-  norm2_lanes(comm, r, rnorm);
-  c_allreduces.add(2);
-
-  int n_active = 0;
-  for (std::size_t j = 0; j < ku; ++j) {
-    target[j] = std::max(options.atol,
-                         options.rtol * (bnorm[j] > 0.0 ? bnorm[j] : 1.0));
-    if (rnorm[j] <= target[j]) {
-      results[j].converged = true;
-      active[j] = 0;
-    } else {
-      ++n_active;
-    }
-  }
-
-  // z = M r, p = z, rz = r·z for the live lanes.
-  const auto precondition = [&] {
-    for (std::size_t j = 0; j < ku; ++j) {
-      if (active[j] == 0) {
-        continue;
-      }
-      r.get_lane(static_cast<int>(j), rj);
-      m.apply(comm, rj, zj);
-      z.set_lane(static_cast<int>(j), zj);
-    }
-  };
-  if (n_active > 0) {
-    precondition();
-    copy(z, p);
-    dot_lanes(comm, r, z, rz);
-    c_allreduces.inc();
-  }
-
-  // Panel-granularity checkpoint: one snapshot of the full panel state.
-  // Rollback restores every lane (cheaper bookkeeping than per-lane
-  // checkpoints, and a corrupted panel apply taints all lanes anyway).
-  // Decisions use allreduced per-lane scalars → collective by construction.
-  struct Checkpoint {
-    DistMultiVector x, r, p;
-    std::vector<double> rz, rnorm;
-    std::vector<unsigned char> active;
-    std::vector<CgResult> results;
-    int n_active = 0;
-    std::int64_t it = 0;
-    Checkpoint(const Layout& layout, int width)
-        : x(layout, width), r(layout, width), p(layout, width) {}
-  };
-  std::optional<Checkpoint> ck;
-  std::vector<double> best_rnorm = rnorm;
-
-  // Same registry-backed accounting as cg_solve: the panel solve counts
-  // each recovery event once (not once per lane) and the per-lane results
-  // report the solve-wide deltas, matching the previous local counters.
-  obs::MetricsRegistry& mets = comm.metrics();
-  obs::Counter& c_checkpoints = mets.counter("cg.checkpoints_taken");
-  obs::Counter& c_rollbacks = mets.counter("cg.rollbacks");
-  obs::Counter& c_replacements = mets.counter("cg.residual_replacements");
-  const std::int64_t checkpoints0 = c_checkpoints.value();
-  const std::int64_t rollbacks0 = c_rollbacks.value();
-  const std::int64_t replacements0 = c_replacements.value();
-  const auto take_checkpoint = [&](std::int64_t it) {
-    copy(x, ck->x);
-    copy(r, ck->r);
-    copy(p, ck->p);
-    ck->rz = rz;
-    ck->rnorm = rnorm;
-    ck->active = active;
-    ck->results = results;
-    ck->n_active = n_active;
-    ck->it = it;
-    c_checkpoints.inc();
-    HYMV_TRACE_INSTANT("cg.checkpoint", "cg");
-  };
-  const auto roll_back = [&]() {
-    if (c_rollbacks.value() - rollbacks0 >= options.max_rollbacks) {
-      for (std::size_t j = 0; j < ku; ++j) {
-        if (active[j] != 0) {
-          results[j].breakdown = true;
-          results[j].breakdown_reason =
-              "cg_solve_multi: exceeded the rollback budget (persistent "
-              "fault?)";
-          active[j] = 0;
-        }
-      }
-      n_active = 0;
-      return false;
-    }
-    copy(ck->x, x);
-    copy(ck->r, r);
-    copy(ck->p, p);
-    rz = ck->rz;
-    rnorm = ck->rnorm;
-    active = ck->active;
-    results = ck->results;
-    n_active = ck->n_active;
-    c_rollbacks.inc();
-    HYMV_TRACE_INSTANT("cg.rollback", "cg");
-    return true;
-  };
-  if (options.checkpoint_every > 0) {
-    ck.emplace(layout, k);
-    take_checkpoint(0);
-  }
-  // True-residual replacement for the still-active lanes: r_j = b_j − A x_j
-  // (one panel apply serves all of them), restart p_j from M r_j. Deflated
-  // lanes are untouched — they stay frozen bitwise.
-  const auto replace_residuals = [&] {
-    a.apply_multi(comm, x, q);
-    for (std::size_t j = 0; j < ku; ++j) {
-      if (active[j] == 0) {
-        continue;
-      }
-      b.get_lane(static_cast<int>(j), rj);
-      q.get_lane(static_cast<int>(j), zj);
-      axpy(-1.0, zj, rj);
-      r.set_lane(static_cast<int>(j), rj);
-    }
-    norm2_lanes(comm, r, lane_dot);
-    c_allreduces.inc();
-    for (std::size_t j = 0; j < ku; ++j) {
-      if (active[j] != 0) {
-        rnorm[j] = lane_dot[j];
-      }
-    }
-    c_replacements.inc();
-    HYMV_TRACE_INSTANT("cg.residual_replace", "cg");
-  };
-
-  std::int64_t it = 1;
-  while (it <= options.max_iters && n_active > 0) {
-    if (options.should_stop && options.should_stop(it)) {
-      // Deflated lanes keep their converged result; only still-active
-      // lanes are marked canceled.
-      for (std::size_t j = 0; j < ku; ++j) {
-        if (active[j] != 0) {
-          results[j].canceled = true;
-        }
-      }
-      break;
-    }
-    if (options.fault_hook_multi) {
-      options.fault_hook_multi(it, x, r);
-    }
-    // ONE operator traversal serves every lane. Deflated lanes ride along
-    // in the panel (their p stopped changing, so this recomputes the same
-    // q), which keeps the panel width schedule-stable; the savings of
-    // deflation are the vector updates and preconditioner applies.
-    a.apply_multi(comm, p, q);
-    dot_lanes(comm, p, q, pq);
-    c_allreduces.inc();
-    if (ck) {
-      bool corrupt = false;
-      for (std::size_t j = 0; j < ku; ++j) {
-        corrupt = corrupt || (active[j] != 0 && !std::isfinite(pq[j]));
-      }
-      if (corrupt) {
-        if (!roll_back()) {
-          break;
-        }
-        it = ck->it + 1;
-        continue;
-      }
-    }
-    for (std::size_t j = 0; j < ku; ++j) {
-      if (active[j] == 0) {
-        continue;
-      }
-      if (!(pq[j] > 0.0)) {
-        results[j].breakdown = true;
-        results[j].breakdown_reason =
-            "cg_solve_multi: operator is not positive definite (p·Ap <= 0)";
-        active[j] = 0;
-        --n_active;
-        continue;
-      }
-      alpha[j] = rz[j] / pq[j];
-      results[j].iterations = it;
-    }
-    if (n_active == 0) {
-      break;
-    }
-    axpy_lanes(alpha, p, x, active);
-    for (std::size_t j = 0; j < ku; ++j) {
-      lane_dot[j] = -alpha[j];
-    }
-    axpy_lanes(lane_dot, q, r, active);
-    norm2_lanes(comm, r, lane_dot);
-    c_allreduces.inc();
-    if (ck) {
-      bool corrupt = false;
-      for (std::size_t j = 0; j < ku; ++j) {
-        corrupt = corrupt ||
-                  (active[j] != 0 &&
-                   (!std::isfinite(lane_dot[j]) ||
-                    lane_dot[j] > options.divergence_factor * best_rnorm[j]));
-      }
-      if (corrupt) {
-        if (!roll_back()) {
-          break;
-        }
-        it = ck->it + 1;
-        continue;
-      }
-    }
-    for (std::size_t j = 0; j < ku; ++j) {
-      if (active[j] == 0) {
-        continue;
-      }
-      rnorm[j] = lane_dot[j];
-      best_rnorm[j] = std::min(best_rnorm[j], rnorm[j]);
-      if (rnorm[j] <= target[j]) {
-        results[j].converged = true;
-        active[j] = 0;
-        --n_active;
-      }
-    }
-    if (n_active == 0) {
-      break;
-    }
-    if (options.true_residual_every > 0 &&
-        it % options.true_residual_every == 0) {
-      replace_residuals();
-      for (std::size_t j = 0; j < ku; ++j) {
-        if (active[j] != 0 && rnorm[j] <= target[j]) {
-          results[j].converged = true;
-          active[j] = 0;
-          --n_active;
-        }
-      }
-      if (n_active == 0) {
-        break;
-      }
-      precondition();
-      for (std::size_t j = 0; j < ku; ++j) {
-        if (active[j] == 0) {
-          continue;
-        }
-        z.get_lane(static_cast<int>(j), zj);
-        p.set_lane(static_cast<int>(j), zj);
-      }
-      dot_lanes(comm, r, z, rz);
-      c_allreduces.inc();
-    } else {
-      precondition();
-      dot_lanes(comm, r, z, rz_new);
-      c_allreduces.inc();
-      for (std::size_t j = 0; j < ku; ++j) {
-        if (active[j] == 0) {
-          continue;
-        }
-        beta[j] = rz_new[j] / rz[j];
-        rz[j] = rz_new[j];
-      }
-      xpby_lanes(z, beta, p, active);
-    }
-    if (ck && it % options.checkpoint_every == 0) {
-      take_checkpoint(it);
-    }
-    ++it;
-  }
-
-  const std::int64_t checkpoints_taken = c_checkpoints.value() - checkpoints0;
-  const std::int64_t rollbacks = c_rollbacks.value() - rollbacks0;
-  const std::int64_t residual_replacements =
-      c_replacements.value() - replacements0;
-  std::int64_t max_iterations = 0;
-  for (std::size_t j = 0; j < ku; ++j) {
-    results[j].final_residual = rnorm[j];
-    // Same ‖b‖ = 0 convention as cg_solve (see CgResult), per lane.
-    results[j].relative_residual =
-        bnorm[j] > 0.0 ? rnorm[j] / bnorm[j]
-                       : (results[j].converged ? 0.0 : rnorm[j]);
-    results[j].checkpoints_taken = checkpoints_taken;
-    results[j].rollbacks = rollbacks;
-    results[j].residual_replacements = residual_replacements;
-    max_iterations = std::max(max_iterations, results[j].iterations);
-    if (results[j].converged) {
-      mets.counter("cg.converged").inc();
-    }
-    if (results[j].breakdown) {
-      mets.counter("cg.breakdowns").inc();
-    }
-  }
-  mets.counter("cg.solves").inc();
-  mets.counter("cg.iterations").add(max_iterations);
-  return results;
+  return standard_cg(comm, a, m, b, x, options);
 }
 
 }  // namespace hymv::pla

@@ -28,6 +28,7 @@
 #include "hymv/driver/driver.hpp"
 #include "hymv/io/store_io.hpp"
 #include "hymv/mesh/distributed.hpp"
+#include "hymv/pla/dist_csr.hpp"
 #include "hymv/pla/preconditioner.hpp"
 
 namespace {
@@ -854,6 +855,68 @@ TEST(CgRecoveryTest, MultiRhsRollbackRecoversAllLanes) {
       ASSERT_NEAR(u2[i], 1.5 * u0[i], 1e-6);
     }
   });
+}
+
+/// A NaN written into x reaches the recurrence only through a true-residual
+/// replacement. When that replacement lands on a checkpoint iteration, the
+/// panel solve must roll back to the last finite checkpoint, as cg_solve
+/// does, instead of checkpointing the non-finite state and restoring it on
+/// every later rollback until the budget runs out.
+TEST(CgRecoveryTest, MultiRhsNonFiniteReplacementRollsBack) {
+  constexpr int kWidth = 2;
+  constexpr double kRtol = 1e-10;
+  for (const int ranks : {1, 2}) {
+    simmpi::run(ranks, [&](Comm& comm) {
+      // CgDetailTest's shifted 1D Laplacian, 48 rows in all.
+      const Layout layout = Layout::from_owned_count(comm, 48 / ranks);
+      const std::int64_t n = layout.global_size;
+      pla::DistCsrMatrix a(layout);
+      for (std::int64_t g = layout.begin; g < layout.end_excl; ++g) {
+        a.add_value(g, g, 2.5);
+        if (g > 0) a.add_value(g, g - 1, -1.0);
+        if (g < n - 1) a.add_value(g, g + 1, -1.0);
+      }
+      a.assemble(comm);
+      pla::IdentityPreconditioner ident;
+      pla::DistMultiVector b(layout, kWidth), x(layout, kWidth),
+          x_ref(layout, kWidth);
+      for (std::int64_t i = 0; i < layout.owned(); ++i) {
+        const auto g = static_cast<double>(layout.begin + i);
+        b.at(i, 0) = std::sin(g + 1.0);
+        b.at(i, 1) = std::cos(0.3 * g);
+      }
+      const auto clean =
+          pla::cg_solve_multi(comm, a, ident, b, x_ref, {.rtol = kRtol});
+
+      bool fired = false;
+      pla::CgOptions options{.rtol = kRtol,
+                             .true_residual_every = 5,
+                             .checkpoint_every = 5};
+      options.fault_hook_multi = [&](std::int64_t it, pla::DistMultiVector& xm,
+                                     pla::DistMultiVector& /*r*/) {
+        if (it == 7 && !fired) {
+          fired = true;
+          xm.at(0, 1) = std::numeric_limits<double>::quiet_NaN();
+        }
+      };
+      const auto results = pla::cg_solve_multi(comm, a, ident, b, x, options);
+      EXPECT_TRUE(fired);
+      ASSERT_EQ(results.size(), static_cast<std::size_t>(kWidth));
+      for (int j = 0; j < kWidth; ++j) {
+        const pla::CgResult& r = results[static_cast<std::size_t>(j)];
+        EXPECT_TRUE(clean[static_cast<std::size_t>(j)].converged);
+        EXPECT_TRUE(r.converged) << "lane " << j << " ranks=" << ranks << ": "
+                                 << r.breakdown_reason;
+        EXPECT_GE(r.rollbacks, 1) << "lane " << j;
+        // ‖A⁻¹‖ ≤ 2 for this operator, so two iterates whose residuals are
+        // within rtol·‖b‖ (‖b‖ < 7) agree to 4·rtol·‖b‖ < 3e-9.
+        for (std::int64_t i = 0; i < layout.owned(); ++i) {
+          ASSERT_NEAR(x.at(i, j), x_ref.at(i, j), 3e-9)
+              << "lane " << j << " i=" << i << " ranks=" << ranks;
+        }
+      }
+    });
+  }
 }
 
 TEST(CgRecoveryTest, CheckpointingAloneIsBitwiseNeutral) {

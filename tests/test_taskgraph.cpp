@@ -31,6 +31,7 @@
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
 #include "hymv/core/taskgraph.hpp"
+#include "hymv/driver/driver.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -504,10 +505,27 @@ TEST(PipelinedCgTest, CheckpointRollbackRecoversFromInjectedNan) {
 }
 
 TEST(PipelinedCgTest, EnvOverrideSelectsThePipelinedPath) {
+  // The driver resolves the knob at solve entry; pla reads no environment.
   // setenv happens OUTSIDE simmpi::run — ranks are threads and the
   // environment is process-global.
+  driver::ProblemSpec spec;
+  spec.pde = driver::Pde::kElasticity;
+  spec.box = {.nx = 4, .ny = 4, .nz = 4};
+  const driver::SolveOptions options{.rtol = 1e-8};
+  const auto setup2 = driver::ProblemSetup::build(spec, 2);
   ::setenv("HYMV_CG_PIPELINED", "1", 1);
-  simmpi::run(2, [](Comm& comm) {
+  simmpi::run(2, [&](Comm& comm) {
+    driver::RankContext ctx(comm, setup2);
+    obs::Counter& c = comm.metrics().counter("cg.allreduces");
+    const std::int64_t before = c.value();
+    // options say standard; the env flips the solve to pipelined, which
+    // the allreduce budget proves (standard would cost 2 + 3/iter).
+    const driver::SolveReport report =
+        driver::solve_problem(comm, ctx, options);
+    EXPECT_TRUE(report.cg.converged);
+    EXPECT_EQ(c.value() - before, report.cg.iterations + 3);
+
+    // A direct pla::cg_solve ignores the environment and stays standard.
     const pla::Layout layout = pla::Layout::from_owned_count(comm, 24);
     pla::DistCsrMatrix a = laplacian_1d(comm, layout);
     pla::DistVector b(layout), x(layout);
@@ -515,30 +533,23 @@ TEST(PipelinedCgTest, EnvOverrideSelectsThePipelinedPath) {
       b[i] = std::sin(static_cast<double>(layout.begin + i + 1));
     }
     pla::IdentityPreconditioner ident;
-    obs::Counter& c = comm.metrics().counter("cg.allreduces");
-    const std::int64_t before = c.value();
-    // options say standard; the env flips the solve to pipelined, which
-    // the allreduce budget proves (standard would cost 3 + 3/iter).
-    const pla::CgResult r = pla::cg_solve(comm, a, ident, b, x,
-                                          {.rtol = 1e-10, .max_iters = 200});
+    const std::int64_t before_direct = c.value();
+    const pla::CgResult r =
+        pla::cg_solve(comm, a, ident, b, x, {.rtol = 1e-10, .max_iters = 200});
     EXPECT_TRUE(r.converged);
-    EXPECT_EQ(c.value() - before, r.iterations + 3);
+    EXPECT_EQ(c.value() - before_direct, 2 + 3 * r.iterations);
   });
-  ::setenv("HYMV_CG_PIPELINED", "7", 1);  // garbage: warn, keep options value
-  simmpi::run(1, [](Comm& comm) {
-    const pla::Layout layout = pla::Layout::from_owned_count(comm, 24);
-    pla::DistCsrMatrix a = laplacian_1d(comm, layout);
-    pla::DistVector b(layout), x(layout);
-    for (std::int64_t i = 0; i < layout.owned(); ++i) {
-      b[i] = 1.0;
-    }
-    pla::IdentityPreconditioner ident;
+  ::setenv("HYMV_CG_PIPELINED", "7", 1);  // garbage: warn, keep standard CG
+  const auto setup1 = driver::ProblemSetup::build(spec, 1);
+  simmpi::run(1, [&](Comm& comm) {
+    driver::RankContext ctx(comm, setup1);
     obs::Counter& c = comm.metrics().counter("cg.allreduces");
     const std::int64_t before = c.value();
-    const pla::CgResult r = pla::cg_solve(comm, a, ident, b, x,
-                                          {.rtol = 1e-10, .max_iters = 200});
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(c.value() - before, 2 + 3 * r.iterations);  // stayed standard
+    const driver::SolveReport report =
+        driver::solve_problem(comm, ctx, options);
+    EXPECT_TRUE(report.cg.converged);
+    EXPECT_EQ(c.value() - before,
+              2 + 3 * report.cg.iterations);  // stayed standard
   });
   ::unsetenv("HYMV_CG_PIPELINED");
 }
