@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "convergence.hpp"
 #include "hymv/common/error.hpp"
 
 namespace hymv::pla {
@@ -23,19 +24,11 @@ CgResult bicgstab_solve(simmpi::Comm& comm, LinearOperator& a,
   copy(r, r0);  // shadow residual
 
   const double bnorm = norm2(comm, b);
-  const double target =
-      std::max(options.atol, options.rtol * (bnorm > 0.0 ? bnorm : 1.0));
+  const double target = convergence_target(options, bnorm);
 
   CgResult result;
   double rnorm = norm2(comm, r);
-  if (rnorm <= target) {
-    result.converged = true;
-    result.final_residual = rnorm;
-    // ‖b‖ = 0 convention (see CgResult): converged ⇒ relative residual 0.
-    result.relative_residual =
-        bnorm > 0.0 ? rnorm / bnorm : (result.converged ? 0.0 : rnorm);
-    return result;
-  }
+  result.converged = rnorm <= target;
 
   double rho_prev = 1.0, alpha = 1.0, omega = 1.0;
   v.set_all(0.0);
@@ -49,7 +42,8 @@ CgResult bicgstab_solve(simmpi::Comm& comm, LinearOperator& a,
     result.breakdown_reason = reason;
   };
 
-  for (std::int64_t it = 1; it <= options.max_iters; ++it) {
+  for (std::int64_t it = 1; !result.converged && it <= options.max_iters;
+       ++it) {
     const double rho = dot(comm, r0, r);
     if (!(std::abs(rho) > 1e-300)) {
       broke("bicgstab_solve: rho breakdown (r0 ⊥ r)");
@@ -106,10 +100,7 @@ CgResult bicgstab_solve(simmpi::Comm& comm, LinearOperator& a,
     }
     rho_prev = rho;
   }
-  result.final_residual = rnorm;
-  // ‖b‖ = 0 convention (see CgResult): converged ⇒ relative residual 0.
-  result.relative_residual =
-      bnorm > 0.0 ? rnorm / bnorm : (result.converged ? 0.0 : rnorm);
+  set_residuals(result, bnorm, rnorm);
   return result;
 }
 
