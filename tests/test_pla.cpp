@@ -559,11 +559,13 @@ void set_threads(int n) {
 /// The solver entry point a CgGoldenCase pins.
 enum class CgEntry : int { kStandard, kPipelined, kMulti, kBicgstab };
 
+/// No pointer and no padding: gtest prints the parameter's bytes into the
+/// ctest name, which must be the same in every build.
 struct CgGoldenCase {
-  const char* name;
   CgEntry entry;
-  int lanes;       ///< panel width for kMulti; 1 otherwise
-  bool resilient;  ///< checkpoint_every = 4, true_residual_every = 7
+  int lanes;                ///< panel width for kMulti; 1 otherwise
+  int checkpoint_every;     ///< CgOptions passthrough
+  int true_residual_every;  ///< CgOptions passthrough
   std::uint64_t x_hash;         ///< FNV-1a of x, ranks concatenated
   std::uint64_t residual_hash;  ///< FNV-1a of {final, relative} per lane
   std::array<std::int64_t, 8> iterations;  ///< per lane
@@ -619,12 +621,10 @@ TEST_P(CgGoldenTest, SolveBitsHold) {
       }
       a.assemble(comm);
       JacobiPreconditioner m(comm, a);
-      CgOptions options{.rtol = 1e-10,
-                        .pipelined = c.entry == CgEntry::kPipelined};
-      if (c.resilient) {
-        options.true_residual_every = 7;
-        options.checkpoint_every = 4;
-      }
+      const CgOptions options{.rtol = 1e-10,
+                              .pipelined = c.entry == CgEntry::kPipelined,
+                              .true_residual_every = c.true_residual_every,
+                              .checkpoint_every = c.checkpoint_every};
       hymv::obs::Counter& reds = comm.metrics().counter("cg.allreduces");
       const std::int64_t before = reds.value();
       std::vector<CgResult> got;
@@ -677,35 +677,44 @@ TEST_P(CgGoldenTest, SolveBitsHold) {
 }
 
 constexpr CgGoldenCase kCgGoldenCases[] = {
-    {"StandardFaultFree", CgEntry::kStandard, 1, false, 0xc1a88fe776e8da9cULL,
-     0x82efd3dbcbcde165ULL, {8}, 26},
-    {"StandardResilient", CgEntry::kStandard, 1, true, 0x8567e920a00bda9aULL,
-     0xb1ed7641f07df246ULL, {8}, 27},
-    {"PipelinedFaultFree", CgEntry::kPipelined, 1, false, 0x42475299ae55c4e6ULL,
-     0xaf18be03898e6a47ULL, {8}, 11},
-    {"PipelinedResilient", CgEntry::kPipelined, 1, true, 0xd40ec434aa21ddaaULL,
-     0xf557617b2e652247ULL, {8}, 12},
-    {"MultiK1FaultFree", CgEntry::kMulti, 1, false, 0x5717ea6346412110ULL,
-     0x69ca2fe86bf97b51ULL, {8}, 26},
-    {"MultiK1Resilient", CgEntry::kMulti, 1, true, 0x833ae21e52319ab6ULL,
-     0xfd230d8a5c027962ULL, {8}, 27},
-    {"MultiK3FaultFree", CgEntry::kMulti, 3, false, 0x97a0fad4c6befa64ULL,
-     0x59cf58139429fc85ULL, {8, 0, 8}, 26},
-    {"MultiK3Resilient", CgEntry::kMulti, 3, true, 0x00c9fc9812acb7f0ULL,
-     0x1b819855a9ddb1d6ULL, {8, 0, 8}, 27},
-    {"MultiK8FaultFree", CgEntry::kMulti, 8, false, 0xd6a58c95bc9f9a0dULL,
-     0x0f15ed1c0279fa68ULL, {8, 8, 8, 8, 8, 8, 8, 8}, 26},
-    {"MultiK8Resilient", CgEntry::kMulti, 8, true, 0x6aea950a7346bd39ULL,
-     0x57d46739b0549cc9ULL, {8, 8, 8, 8, 8, 8, 8, 8}, 27},
-    {"Bicgstab", CgEntry::kBicgstab, 1, false, 0x6f6ff85dad665be8ULL,
-     0x90754523a66dc19cULL, {5}, 0},
+    {CgEntry::kStandard, 1, 0, 0, 0xc1a88fe776e8da9cULL, 0x82efd3dbcbcde165ULL,
+     {8}, 26},
+    {CgEntry::kStandard, 1, 4, 7, 0x8567e920a00bda9aULL, 0xb1ed7641f07df246ULL,
+     {8}, 27},
+    {CgEntry::kPipelined, 1, 0, 0, 0x42475299ae55c4e6ULL, 0xaf18be03898e6a47ULL,
+     {8}, 11},
+    {CgEntry::kPipelined, 1, 4, 7, 0xd40ec434aa21ddaaULL, 0xf557617b2e652247ULL,
+     {8}, 12},
+    {CgEntry::kMulti, 1, 0, 0, 0x5717ea6346412110ULL, 0x69ca2fe86bf97b51ULL,
+     {8}, 26},
+    {CgEntry::kMulti, 1, 4, 7, 0x833ae21e52319ab6ULL, 0xfd230d8a5c027962ULL,
+     {8}, 27},
+    {CgEntry::kMulti, 3, 0, 0, 0x97a0fad4c6befa64ULL, 0x59cf58139429fc85ULL,
+     {8, 0, 8}, 26},
+    {CgEntry::kMulti, 3, 4, 7, 0x00c9fc9812acb7f0ULL, 0x1b819855a9ddb1d6ULL,
+     {8, 0, 8}, 27},
+    {CgEntry::kMulti, 8, 0, 0, 0xd6a58c95bc9f9a0dULL, 0x0f15ed1c0279fa68ULL,
+     {8, 8, 8, 8, 8, 8, 8, 8}, 26},
+    {CgEntry::kMulti, 8, 4, 7, 0x6aea950a7346bd39ULL, 0x57d46739b0549cc9ULL,
+     {8, 8, 8, 8, 8, 8, 8, 8}, 27},
+    {CgEntry::kBicgstab, 1, 0, 0, 0x6f6ff85dad665be8ULL, 0x90754523a66dc19cULL,
+     {5}, 0},
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Golden, CgGoldenTest, ::testing::ValuesIn(kCgGoldenCases),
-    [](const ::testing::TestParamInfo<CgGoldenCase>& info) {
-      return std::string(info.param.name);
-    });
+std::string cg_golden_name(
+    const ::testing::TestParamInfo<CgGoldenCase>& info) {
+  const CgGoldenCase& c = info.param;
+  constexpr const char* kEntries[] = {"Standard", "Pipelined", "MultiK",
+                                      "Bicgstab"};
+  std::string name = kEntries[static_cast<int>(c.entry)];
+  if (c.entry == CgEntry::kMulti) {
+    name += std::to_string(c.lanes);
+  }
+  return name + (c.checkpoint_every > 0 ? "Resilient" : "FaultFree");
+}
+
+INSTANTIATE_TEST_SUITE_P(Golden, CgGoldenTest,
+                         ::testing::ValuesIn(kCgGoldenCases), cg_golden_name);
 
 // ---------------------------------------------------------------------------
 // constraints
