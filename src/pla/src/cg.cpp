@@ -120,11 +120,10 @@ void step(simmpi::Comm& comm, std::span<const double> alpha,
           DistMultiVector& x, DistMultiVector& r, Mask active,
           std::span<double> rnorm) {
   axpy_lanes(alpha, p, x, active);
-  std::vector<double> minus_alpha(alpha.begin(), alpha.end());
-  for (double& v : minus_alpha) {
-    v = -v;
+  for (std::size_t j = 0; j < alpha.size(); ++j) {
+    rnorm[j] = -alpha[j];  // scratch until the norms overwrite it
   }
-  axpy_lanes(minus_alpha, q, r, active);
+  axpy_lanes(rnorm, q, r, active);
   norm2_lanes(comm, r, rnorm);
 }
 
