@@ -29,8 +29,8 @@ struct CgOptions {
   /// rounding — iteration counts may differ from standard CG by a few (the
   /// pinning test guards the counts). Checkpoint/rollback and true-residual
   /// replacement work unchanged. cg_solve_multi has no pipelined variant
-  /// and falls back to the standard panel iteration. The HYMV_CG_PIPELINED
-  /// environment variable (0/1), when set, overrides this at solve entry.
+  /// and falls back to the standard panel iteration. driver::solve_problem
+  /// sets this from the HYMV_CG_PIPELINED environment variable (0/1).
   bool pipelined = false;
 
   // --- resilience (every knob defaults OFF; with the defaults the
@@ -108,11 +108,13 @@ CgResult cg_solve(simmpi::Comm& comm, LinearOperator& a, Preconditioner& m,
 /// Multi-RHS CG: solve A x_j = b_j for every lane j of the panel at once.
 /// One apply_multi() per iteration serves all lanes (the operator — HYMV's
 /// element-matrix stream — is traversed once per iteration instead of once
-/// per lane), while α/β/convergence stay *per lane*, so each lane walks
-/// exactly the Krylov trajectory its standalone cg_solve would. Converged
-/// (or broken-down) lanes are deflated: their x/r/p/z updates stop — frozen
-/// bitwise, like a finished standalone solve — and only the shared applies
-/// still touch them. Iteration stops when every lane is done. Collective.
+/// per lane), while α/β/convergence stay *per lane*: each lane runs the
+/// recurrence of a standalone cg_solve, equal to it up to rounding (the
+/// panel kernels round differently, so a lane's iteration count may differ
+/// by one). Converged (or broken-down) lanes are deflated: their x/r/p/z
+/// updates stop — frozen bitwise, like a finished standalone solve — and
+/// only the shared applies still touch them. Iteration stops when every
+/// lane is done. Collective.
 std::vector<CgResult> cg_solve_multi(simmpi::Comm& comm, LinearOperator& a,
                                      Preconditioner& m,
                                      const DistMultiVector& b,
