@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <ostream>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "hymv/common/rng.hpp"
 #include "hymv/core/assembly.hpp"
@@ -368,5 +376,218 @@ TEST(GpuOperatorTest2, RepeatedAppliesStayConsistent) {
     EXPECT_EQ(gpu_op.timings().applies, 5);
   });
 }
+
+// ---------------------------------------------------------------------------
+// golden bits and device timelines of HymvGpuOperator
+// ---------------------------------------------------------------------------
+
+void set_threads(int n) {
+#ifdef _OPENMP
+  omp_set_num_threads(n);
+#else
+  (void)n;
+#endif
+}
+
+std::uint64_t fnv1a(const double* p, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    unsigned char b[8];
+    std::memcpy(b, &p[i], 8);
+    for (int k = 0; k < 8; ++k) {
+      h ^= b[k];
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// The entry points a GpuGoldenCase pins, in the order they run on one
+/// operator: apply(), then apply_multi() at k = 1 and at k = 8.
+constexpr int kGoldenEntries = 3;
+constexpr int kGoldenLanes[kGoldenEntries] = {0, 1, 8};  // 0: apply()
+
+struct GpuGoldenCase {
+  core::GpuOverlapMode mode;
+  int streams;
+  core::StoreLayout layout;  ///< host store; kInterleaved keeps its batches
+                             ///< on the device, kPadded uses padded slots
+  /// Per entry point: FNV-1a of y with the ranks concatenated, the device
+  /// commands the call enqueued (summed over ranks), and FNV-1a of each
+  /// rank's device_virtual_s delta (rank order).
+  std::uint64_t y_hash[kGoldenEntries];
+  int commands[kGoldenEntries];
+  std::uint64_t virtual_hash[kGoldenEntries];
+};
+
+const char* mode_name(core::GpuOverlapMode mode) {
+  switch (mode) {
+    case core::GpuOverlapMode::kNone:
+      return "none";
+    case core::GpuOverlapMode::kGpuCpu:
+      return "gpucpu";
+    case core::GpuOverlapMode::kGpuGpu:
+      return "gpugpu";
+  }
+  return "unknown";
+}
+
+std::string case_name(const GpuGoldenCase& c) {
+  return std::string(mode_name(c.mode)) + "_s" + std::to_string(c.streams) +
+         "_" + core::to_string(c.layout);
+}
+
+/// gtest prints this in the test's listing instead of a byte dump of the
+/// struct, whose padding would rename the ctest entry per build.
+void PrintTo(const GpuGoldenCase& c, std::ostream* os) { *os << case_name(c); }
+
+class GpuGoldenTest : public ::testing::TestWithParam<GpuGoldenCase> {
+ protected:
+  void TearDown() override { set_threads(1); }
+};
+
+/// Every overlap mode at 1 and 8 streams, over a padded and an interleaved
+/// host store, must reproduce the y bits, the device command count and the
+/// device's virtual-clock delta of apply() and apply_multi() at k = 1 and
+/// k = 8, at 1 and 4 threads, on 2 ranks under the default DeviceSpec. A
+/// chunk floor of 2 elements lets 8 streams split this small mesh. Inputs
+/// are exact binary fractions, as in test_layout's goldens.
+TEST_P(GpuGoldenTest, ApplyPanelAndTimelineHold) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
+#endif
+  const GpuGoldenCase c = GetParam();
+  constexpr int kRanks = 2;
+  const mesh::Mesh m = mesh::build_structured_hex({.nx = 3, .ny = 3, .nz = 4},
+                                                  mesh::ElementType::kHex8);
+  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, kRanks);
+  const fem::ElasticityOperator op(mesh::ElementType::kHex8, 200.0, 0.3);
+
+  for (const int threads : {1, 4}) {
+    std::array<std::array<std::vector<double>, kRanks>, kGoldenEntries> y;
+    std::array<std::array<std::size_t, kRanks>, kGoldenEntries> commands{};
+    std::array<std::array<double, kRanks>, kGoldenEntries> virtual_s{};
+    simmpi::run(kRanks, [&](Comm& comm) {
+      set_threads(threads);
+      const auto r = static_cast<std::size_t>(comm.rank());
+      gpu::Device device;
+      core::HymvGpuOperator gpu_op(comm, dist.parts[r], op, device,
+                                   {.num_streams = c.streams,
+                                    .mode = c.mode,
+                                    .host = {.layout = c.layout},
+                                    .min_chunk_elements = 2});
+      const pla::Layout& lay = gpu_op.layout();
+      for (int e = 0; e < kGoldenEntries; ++e) {
+        const int k = kGoldenLanes[e];
+        const auto eu = static_cast<std::size_t>(e);
+        const std::size_t before = device.timeline().size();
+        gpu_op.reset_timings();
+        pla::DistMultiVector xm(lay, std::max(k, 1)), ym(lay, std::max(k, 1));
+        for (std::int64_t i = 0; i < xm.owned_size(); ++i) {
+          const std::int64_t g = lay.begin + i;
+          for (int l = 0; l < xm.width(); ++l) {
+            xm.at(i, l) =
+                static_cast<double>((g * 13 + l * 7) % 64 - 32) * 0.03125 +
+                static_cast<double>(i % 5) * 0.25;
+          }
+        }
+        if (k == 0) {
+          pla::DistVector x(lay), yv(lay);
+          std::copy(xm.values().begin(), xm.values().end(),
+                    x.values().begin());
+          gpu_op.apply(comm, x, yv);
+          y[eu][r].assign(yv.values().begin(),
+                          yv.values().begin() + yv.owned_size());
+        } else {
+          gpu_op.apply_multi(comm, xm, ym);
+          y[eu][r].assign(ym.values().begin(), ym.values().end());
+        }
+        commands[eu][r] = device.timeline().size() - before;
+        virtual_s[eu][r] = gpu_op.timings().device_virtual_s;
+      }
+    });
+    for (std::size_t e = 0; e < kGoldenEntries; ++e) {
+      std::vector<double> all;
+      std::size_t total_commands = 0;
+      for (std::size_t r = 0; r < kRanks; ++r) {
+        all.insert(all.end(), y[e][r].begin(), y[e][r].end());
+        total_commands += commands[e][r];
+      }
+      const std::uint64_t y_hash = fnv1a(all.data(), all.size());
+      const std::uint64_t v_hash = fnv1a(virtual_s[e].data(), kRanks);
+      const std::string where = std::string(e == 0 ? "apply" : "apply_multi") +
+                                " k=" + std::to_string(kGoldenLanes[e]) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(y_hash, c.y_hash[e])
+          << where << ": y got 0x" << std::hex << y_hash;
+      EXPECT_EQ(total_commands, static_cast<std::size_t>(c.commands[e]))
+          << where << ": commands";
+      EXPECT_EQ(v_hash, c.virtual_hash[e])
+          << where << ": device_virtual_s got 0x" << std::hex << v_hash
+          << std::dec << " (" << virtual_s[e][0] << ", " << virtual_s[e][1]
+          << ")";
+    }
+  }
+}
+
+// Captured from the operator's own copy of the apply skeleton, before it
+// ran on ApplySkeleton, in the default -march=native build.
+const GpuGoldenCase kGpuGoldenCases[] = {
+    {core::GpuOverlapMode::kNone, 1, core::StoreLayout::kPadded,
+     {0x758e29d9a99729e0ULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {6, 6, 6},
+     {0x4d81947d0d4fc2efULL, 0x109b565bf95f7e23ULL, 0x9a892ed2eb48660fULL}},
+    {core::GpuOverlapMode::kNone, 8, core::StoreLayout::kPadded,
+     {0x758e29d9a99729e0ULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {36, 36, 36},
+     {0x1f04316f3c5e7c27ULL, 0xaa42dcb839646d53ULL, 0xdb364eda5b553337ULL}},
+    {core::GpuOverlapMode::kNone, 1, core::StoreLayout::kInterleaved,
+     {0x73a562a23b949d1dULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {6, 6, 6},
+     {0x109b565bf95f7e23ULL, 0x109b565bf95f7e23ULL, 0x9a892ed2eb48660fULL}},
+    {core::GpuOverlapMode::kNone, 8, core::StoreLayout::kInterleaved,
+     {0x73a562a23b949d1dULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {36, 36, 36},
+     {0x1f04316f3c5e7c27ULL, 0x0a203335de3d0693ULL, 0xdb364eda5b553337ULL}},
+    {core::GpuOverlapMode::kGpuCpu, 1, core::StoreLayout::kPadded,
+     {0x28036dd517d7643eULL, 0x28036dd517d7643eULL, 0x3a459a51032b45a6ULL},
+     {6, 6, 6},
+     {0x4ddde6f218c7ace9ULL, 0x653b83bfcc4c73bdULL, 0x71cec31f288a2421ULL}},
+    {core::GpuOverlapMode::kGpuCpu, 8, core::StoreLayout::kPadded,
+     {0x28036dd517d7643eULL, 0x28036dd517d7643eULL, 0x3a459a51032b45a6ULL},
+     {27, 27, 27},
+     {0x9513dbd7cb2700f3ULL, 0xa932dbb8387d3870ULL, 0xb094691640d4b7aeULL}},
+    {core::GpuOverlapMode::kGpuCpu, 1, core::StoreLayout::kInterleaved,
+     {0x5839b7feeba83867ULL, 0x28036dd517d7643eULL, 0x3a459a51032b45a6ULL},
+     {6, 6, 6},
+     {0x621f69a056476e27ULL, 0x621f69a056476e27ULL, 0x71cec31f288a2421ULL}},
+    {core::GpuOverlapMode::kGpuCpu, 8, core::StoreLayout::kInterleaved,
+     {0x5839b7feeba83867ULL, 0x28036dd517d7643eULL, 0x3a459a51032b45a6ULL},
+     {27, 27, 27},
+     {0x9513dbd7cb2700f3ULL, 0x40f17b322192d19eULL, 0x6720d2c374c3ac98ULL}},
+    {core::GpuOverlapMode::kGpuGpu, 1, core::StoreLayout::kPadded,
+     {0x758e29d9a99729e0ULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {9, 9, 9},
+     {0xbd97677d303e849bULL, 0x5eef68a05391d2e4ULL, 0x6664b67c79661d04ULL}},
+    {core::GpuOverlapMode::kGpuGpu, 8, core::StoreLayout::kPadded,
+     {0x758e29d9a99729e0ULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {36, 36, 36},
+     {0x1f04316f3c5e7c27ULL, 0xaa42dcb839646d53ULL, 0xdb364eda5b553337ULL}},
+    {core::GpuOverlapMode::kGpuGpu, 1, core::StoreLayout::kInterleaved,
+     {0x73a562a23b949d1dULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {9, 9, 9},
+     {0x5eef68a05391d2e4ULL, 0x5eef68a05391d2e4ULL, 0x6664b67c79661d04ULL}},
+    {core::GpuOverlapMode::kGpuGpu, 8, core::StoreLayout::kInterleaved,
+     {0x73a562a23b949d1dULL, 0x758e29d9a99729e0ULL, 0xc79910e7a076993fULL},
+     {36, 36, 36},
+     {0x1f04316f3c5e7c27ULL, 0x0a203335de3d0693ULL, 0xdb364eda5b553337ULL}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, GpuGoldenTest, ::testing::ValuesIn(kGpuGoldenCases),
+    [](const ::testing::TestParamInfo<GpuGoldenCase>& info) {
+      return case_name(info.param);
+    });
 
 }  // namespace
