@@ -15,6 +15,11 @@ namespace hymv {
 [[nodiscard]] std::int64_t env_int(const std::string& name,
                                    std::int64_t fallback);
 
+/// Read a 0/1 switch. Returns `fallback` when unset, false for 0 and true
+/// for 1 (surrounding whitespace is fine); any other value ("2", "yes",
+/// "") is rejected with a one-line stderr warning and keeps `fallback`.
+[[nodiscard]] bool env_flag(const std::string& name, bool fallback);
+
 /// Read a floating-point environment variable. Returns `fallback` when
 /// unset; trailing garbage and values outside the double range are rejected
 /// with a one-line stderr warning.

@@ -49,6 +49,20 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
+bool env_flag(const std::string& name, bool fallback) {
+  const char* value = std::getenv(name.c_str());
+  if (value == nullptr) {
+    return fallback;
+  }
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value, &end, 10);
+  if (!fully_consumed(value, end) || (parsed != 0 && parsed != 1)) {
+    warn_rejected(name.c_str(), value, "0/1 switch");
+    return fallback;
+  }
+  return parsed == 1;
+}
+
 double env_double(const std::string& name, double fallback) {
   const char* value = std::getenv(name.c_str());
   if (value == nullptr) {

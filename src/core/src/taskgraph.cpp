@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
@@ -12,15 +11,7 @@
 namespace hymv::core {
 
 bool apply_taskgraph_from_env(bool fallback) {
-  const std::int64_t value =
-      hymv::env_int("HYMV_APPLY_TASKGRAPH", fallback ? 1 : 0);
-  if (value != 0 && value != 1) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_APPLY_TASKGRAPH=%lld (expected 0 or 1)\n",
-                 static_cast<long long>(value));
-    return fallback;
-  }
-  return value == 1;
+  return hymv::env_flag("HYMV_APPLY_TASKGRAPH", fallback);
 }
 
 ApplyTaskGraph::ApplyTaskGraph(const DofMaps& maps,

@@ -137,19 +137,6 @@ std::int64_t env_count(const char* name, std::int64_t fallback) {
   return v;
 }
 
-/// HYMV_CG_PIPELINED (0/1) selects pipelined CG; any other value warns to
-/// stderr and keeps standard CG.
-bool cg_pipelined_from_env() {
-  const std::int64_t value = hymv::env_int("HYMV_CG_PIPELINED", 0);
-  if (value != 0 && value != 1) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_CG_PIPELINED=%lld (expected 0 or 1)\n",
-                 static_cast<long long>(value));
-    return false;
-  }
-  return value == 1;
-}
-
 /// Publish the hardware-adaptation state — active/detected dispatch level,
 /// NUMA placement, measured bandwidth — as idempotent gauges (set, not add:
 /// safe to publish from every measurement and solve). The triad gauge only
@@ -458,7 +445,7 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
 
   // HYMV_STORE_CHECKSUM=1 arms the element-store checksums so a corruption
   // campaign over the measurement is detected (and repaired) afterwards.
-  const bool store_checksums = env_count("HYMV_STORE_CHECKSUM", 0) == 1;
+  const bool store_checksums = hymv::env_flag("HYMV_STORE_CHECKSUM", false);
   if (store_checksums && hymv_cpu != nullptr) {
     hymv_cpu->enable_store_checksums();
   }
@@ -618,7 +605,7 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
   // options untouched, so default behavior is bitwise unchanged).
   const Precond precond = precond_from_env(options.precond);
   const bool precond_fp32 =
-      env_count("HYMV_PRECOND_FP32", options.precond_fp32 ? 1 : 0) == 1;
+      hymv::env_flag("HYMV_PRECOND_FP32", options.precond_fp32);
   hymv::Timer precond_timer;
   std::unique_ptr<pla::Preconditioner> m =
       make_preconditioner(comm, ctx, ac, precond, precond_fp32);
@@ -638,20 +625,21 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
   const int max_attempts = static_cast<int>(std::max<std::int64_t>(
       1, env_count("HYMV_SOLVE_ATTEMPTS", options.max_solve_attempts)));
   const bool store_checksums =
-      env_count("HYMV_STORE_CHECKSUM", options.store_checksums ? 1 : 0) == 1;
+      hymv::env_flag("HYMV_STORE_CHECKSUM", options.store_checksums);
 
   auto* hymv_op = dynamic_cast<core::HymvOperator*>(a.get());
   if (store_checksums && hymv_op != nullptr) {
     hymv_op->enable_store_checksums();
   }
 
-  const pla::CgOptions cg_options{.rtol = options.rtol,
-                                  .max_iters = options.max_iters,
-                                  .pipelined = cg_pipelined_from_env(),
-                                  .true_residual_every = true_residual_every,
-                                  .checkpoint_every = checkpoint_every,
-                                  .max_rollbacks = options.max_rollbacks,
-                                  .fault_hook = options.cg_fault_hook};
+  const pla::CgOptions cg_options{
+      .rtol = options.rtol,
+      .max_iters = options.max_iters,
+      .pipelined = hymv::env_flag("HYMV_CG_PIPELINED", false),
+      .true_residual_every = true_residual_every,
+      .checkpoint_every = checkpoint_every,
+      .max_rollbacks = options.max_rollbacks,
+      .fault_hook = options.cg_fault_hook};
 
   pla::DistVector u(a->layout());
   const auto counters_solve0 = comm.counters();

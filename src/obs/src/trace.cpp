@@ -60,16 +60,7 @@ Tracer& Tracer::instance() {
 }
 
 Tracer::Tracer() {
-  const std::int64_t armed_env = hymv::env_int("HYMV_TRACE", 0);
-  bool armed_by_env = false;
-  if (armed_env == 1) {
-    armed_by_env = true;
-  } else if (armed_env != 0) {
-    std::fprintf(stderr,
-                 "hymv: HYMV_TRACE=%lld invalid (expected 0 or 1); tracing "
-                 "stays off\n",
-                 static_cast<long long>(armed_env));
-  }
+  const bool armed_by_env = hymv::env_flag("HYMV_TRACE", false);
   const char* file_env = std::getenv("HYMV_TRACE_FILE");
   if (file_env != nullptr && *file_env != '\0') {
     exit_dump_path_ = file_env;

@@ -56,14 +56,7 @@ void append_trailer(std::vector<std::byte>& wire, std::uint64_t epoch) {
 
 ExchangeProtection ExchangeProtection::from_env() {
   ExchangeProtection prot;
-  const std::int64_t checksum = hymv::env_int("HYMV_FAULT_CHECKSUM", 0);
-  if (checksum != 0 && checksum != 1) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_FAULT_CHECKSUM=%lld (expected 0 or 1)\n",
-                 static_cast<long long>(checksum));
-  } else {
-    prot.checksum = checksum == 1;
-  }
+  prot.checksum = hymv::env_flag("HYMV_FAULT_CHECKSUM", prot.checksum);
   const std::int64_t retries =
       hymv::env_int("HYMV_FAULT_MAX_RETRIES", prot.max_retries);
   if (retries < 0 || retries > 1000) {

@@ -97,9 +97,7 @@ ServiceOptions ServiceOptions::from_env() {
       dir != nullptr && *dir != '\0') {
     o.cache_dir = dir;
   }
-  if (env_int("HYMV_STORE_CHECKSUM", 0) == 1) {
-    o.store_checksums = true;
-  }
+  o.store_checksums = env_flag("HYMV_STORE_CHECKSUM", o.store_checksums);
   return o;
 }
 

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "hymv/common/aligned.hpp"
@@ -265,6 +267,36 @@ TEST(Env, RejectsOutOfRange) {
   ::setenv("HYMV_TEST_RANGE", "1e999", 1);
   EXPECT_EQ(hymv::env_double("HYMV_TEST_RANGE", 1.25), 1.25);
   ::unsetenv("HYMV_TEST_RANGE");
+}
+
+TEST(Env, FlagReadsZeroAndOneAndKeepsFallbackOtherwise) {
+  // Returns the flag's value and how many "hymv:" warnings the read printed.
+  const auto read = [](bool fallback) {
+    ::testing::internal::CaptureStderr();
+    const bool value = hymv::env_flag("HYMV_TEST_FLAG", fallback);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    int warnings = 0;
+    for (std::size_t at = err.find("hymv:"); at != std::string::npos;
+         at = err.find("hymv:", at + 1)) {
+      ++warnings;
+    }
+    return std::pair<bool, int>(value, warnings);
+  };
+  ::unsetenv("HYMV_TEST_FLAG");
+  EXPECT_EQ(read(true), std::make_pair(true, 0));
+  EXPECT_EQ(read(false), std::make_pair(false, 0));
+  ::setenv("HYMV_TEST_FLAG", "0", 1);
+  EXPECT_EQ(read(true), std::make_pair(false, 0));
+  ::setenv("HYMV_TEST_FLAG", "1", 1);
+  EXPECT_EQ(read(false), std::make_pair(true, 0));
+  // A value like 2 must not silently switch the feature either way.
+  ::setenv("HYMV_TEST_FLAG", "2", 1);
+  EXPECT_EQ(read(true), std::make_pair(true, 1));
+  EXPECT_EQ(read(false), std::make_pair(false, 1));
+  ::setenv("HYMV_TEST_FLAG", "yes", 1);
+  EXPECT_EQ(read(true), std::make_pair(true, 1));
+  EXPECT_EQ(read(false), std::make_pair(false, 1));
+  ::unsetenv("HYMV_TEST_FLAG");
 }
 
 TEST(Env, RejectsEmptyValue) {
