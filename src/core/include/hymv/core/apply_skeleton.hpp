@@ -8,10 +8,13 @@
 /// and the same independent/dependent overlap. They differ only in how one
 /// element product is formed. ApplySkeleton owns that structure — DA
 /// staging, the LNSM exchange (overlap off, on, or the task-graph dependent
-/// phase), the GNGM reduce and the `apply.*` phase gauges — and runs two
-/// RegionBackends over it, one per element region. HymvOperator runs it over
-/// its two stored backends, MatrixFreeOperator over two matrix-free ones and
-/// AdaptiveOperator over the pair it chose.
+/// phase), the completion of asynchronous regions, the GNGM reduce and the
+/// `apply.*` phase gauges — and runs two RegionBackends over it, one per
+/// element region. HymvOperator runs it over its two stored backends,
+/// MatrixFreeOperator over two matrix-free ones, AdaptiveOperator over the
+/// pair it chose and HymvGpuOperator over the device regions of its
+/// overlap mode (the GPU path of Algorithm 3 is this same apply with the
+/// element products batched onto a device).
 ///
 /// The skeleton also owns the two region schedules and the task graph of the
 /// dependent one. `apply` and `apply_multi` keep their own exchange calls
@@ -172,7 +175,7 @@ class ApplySkeleton {
 
 /// Reduce a contribution-holding distributed array (owned + ghost slots) to
 /// its owners: owned_out = v.owned + incoming ghost contributions. Shared
-/// by the apply skeleton, the GPU operator and the RHS assembler.
+/// by the skeleton's diagonal and the RHS assembler.
 void reduce_da_to_owned(simmpi::Comm& comm, DofMaps& maps,
                         const DistributedArray& v,
                         std::span<double> ghost_scratch,

@@ -2,10 +2,10 @@
 
 /// \file emv_traversal.hpp
 /// The stored-EMV element body of Algorithm 2: gather, EMV and scatter-add
-/// over a range of one schedule's element order. Every consumer of the
-/// element-matrix store shares it — the stored region backend, which the
-/// apply skeleton runs for HymvOperator and the adaptive composite, and
-/// the GPU operator's host loop. The sweep operates on raw
+/// over a range of one schedule's element order. Every host consumer of
+/// the element-matrix store shares it through the stored region backend,
+/// which the apply skeleton runs for HymvOperator, the adaptive composite
+/// and the GPU operator's GPU/CPU(O) host region. The sweep operates on raw
 /// distributed-array spans and carries no threading, communication or
 /// metrics: the colored traversal and the task-graph runner of
 /// region_backend.hpp drive it block by block.

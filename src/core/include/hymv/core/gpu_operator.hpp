@@ -6,23 +6,28 @@
 ///   * HymvGpuOperator — the paper's Algorithm 3: element matrices resident
 ///     on the device (uploaded once at setup), per-apply element vectors
 ///     chunked across Ns streams so H2D transfers, batched EMV kernels and
-///     D2H transfers pipeline (Fig. 3). Three distribution schemes from
-///     §V-D: blocking (GPU), GPU/CPU(O) — host computes dependent elements
-///     while the device processes independent chunks — and GPU/GPU(O) —
-///     device computes both, overlapped with communication.
+///     D2H transfers pipeline (Fig. 3). It has no distributed apply of its
+///     own: it runs its host operator's ApplySkeleton over
+///     DeviceRegionBackends (region_backend.hpp), and the three
+///     distribution schemes of §V-D are region assignments. Blocking (GPU)
+///     puts one device region over every element after the exchange;
+///     GPU/CPU(O) runs the independent region on the device while the
+///     host's stored backend runs the dependent one; GPU/GPU(O) runs both
+///     regions on the device, overlapped with communication. The device
+///     lands its results in the skeleton's completion step, before GNGM.
 ///   * GpuCsrOperator — the PETSc-GPU (cuSPARSE) baseline: the assembled
 ///     local CSR uploaded once, SpMV on the device.
 ///
 /// Timing semantics (see gpusim.hpp): kernels execute eagerly on the host
 /// for bit-exact results while a virtual device clock models the real
 /// pipeline. Each apply records a GpuApplyTimings with the measured host
-/// wall time (minus the eager execution of simulated work) plus the
-/// virtual device makespan, honoring the overlap structure of the chosen
-/// scheme.
+/// time (minus the eager execution of simulated work) plus the virtual
+/// device makespan, honoring the overlap structure of the chosen scheme.
 
-#include <memory>
+#include <array>
 
 #include "hymv/core/hymv_operator.hpp"
+#include "hymv/core/region_backend.hpp"
 #include "hymv/gpusim/gpusim.hpp"
 #include "hymv/pla/dist_csr.hpp"
 
@@ -39,7 +44,9 @@ enum class GpuOverlapMode : int {
 struct HymvGpuOptions {
   int num_streams = 8;  ///< Ns chunks/streams (paper finds 8 best, §V-D)
   GpuOverlapMode mode = GpuOverlapMode::kNone;
-  HymvOptions host;     ///< options of the host operator (store, EMV)
+  /// Options of the host operator (store, schedule, task graph). Its
+  /// overlap is ignored: the mode decides it.
+  HymvOptions host;
   /// Adaptive chunking floor: a batch is split into at most
   /// count / min_chunk_elements chunks so tiny batches don't drown in
   /// per-command launch/transfer latency.
@@ -95,69 +102,36 @@ class HymvGpuOperator final : public pla::LinearOperator {
     return host_op_.apply_bytes_multi(nrhs);
   }
 
-  /// Host-side HYMV operator (shared maps/store).
+  /// Host-side HYMV operator (shared maps/store). Its "apply.*" metrics
+  /// carry the phases of this operator's applies.
   [[nodiscard]] const HymvOperator& host_op() const { return host_op_; }
   /// Virtual seconds spent uploading the element matrices at setup.
   [[nodiscard]] double setup_upload_virtual_s() const {
-    return setup_upload_virtual_s_;
+    return device_store_.upload_virtual_s();
   }
   [[nodiscard]] const GpuApplyTimings& timings() const { return timings_; }
-  void reset_timings() { timings_.reset(); }
+  /// Zero the modeled timings and the host operator's apply breakdown.
+  void reset_timings() {
+    timings_.reset();
+    host_op_.reset_apply_breakdown();
+  }
   [[nodiscard]] const HymvGpuOptions& options() const { return options_; }
-  void set_mode(GpuOverlapMode mode) { options_.mode = mode; }
 
  private:
-  /// Enqueue chunked H2D → batched EMV → D2H for elements
-  /// [first, first + count) of the reordered element list, spread over the
-  /// device streams. Returns immediately (virtual async).
-  void enqueue_range(std::int64_t first, std::int64_t count);
-  /// Pack element input vectors for list range [first, first+count) from
-  /// the u distributed array.
-  void pack_ue(std::int64_t first, std::int64_t count);
-  /// Accumulate element result vectors for the range into the v array.
-  void accumulate_ve(std::int64_t first, std::int64_t count);
-
-  /// Panel twins: element panels of n × k lane-interleaved doubles per
-  /// slot, fed to the batched multi-RHS device kernels.
-  void enqueue_range_multi(std::int64_t first, std::int64_t count, int k);
-  void pack_ue_multi(std::int64_t first, std::int64_t count, int k);
-  void accumulate_ve_multi(std::int64_t first, std::int64_t count, int k);
-  /// (Re)size the width-k panel DAs + host/device panel buffers; no-op
-  /// when already sized for k.
-  void ensure_multi_buffers(int k);
+  /// Runs `run` (one skeleton apply) and adds its modeled time to
+  /// timings_.
+  template <typename Run>
+  void timed(const Run& run);
 
   HymvGpuOptions options_;
   HymvOperator host_op_;
   gpu::Device* device_;
-  /// Element ids in device order: independent first, then dependent.
-  std::vector<std::int64_t> elem_order_;
-  std::int64_t num_independent_ = 0;
-  /// Device-resident matrix format: entry-interleaved batches when the
-  /// host store is kInterleaved (its natural device form), padded
-  /// column-major slots otherwise (any host layout unpacks into it).
-  bool interleaved_device_ = false;
-  std::size_t dev_ld_ = 0;      ///< leading dim of one padded device slot
-  std::size_t dev_stride_ = 0;  ///< doubles per device slot
-  gpu::DeviceBuffer d_ke_;
-  gpu::DeviceBuffer d_ue_;
-  gpu::DeviceBuffer d_ve_;
-  hymv::aligned_vector<double> h_ue_;  ///< pinned-memory stand-in
-  hymv::aligned_vector<double> h_ve_;
-  DistributedArray u_da_;
-  DistributedArray v_da_;
-  std::vector<double> ghost_buf_;
-  /// Width-k panel state, lazily created on the first apply_multi of each
-  /// width (device panel buffers are reallocated when k changes).
-  std::unique_ptr<DistributedArray> u_mda_;
-  std::unique_ptr<DistributedArray> v_mda_;
-  std::vector<double> ghost_panel_buf_;
-  gpu::DeviceBuffer d_ue_m_;
-  gpu::DeviceBuffer d_ve_m_;
-  hymv::aligned_vector<double> h_ue_m_;
-  hymv::aligned_vector<double> h_ve_m_;
-  int multi_width_ = 0;
-  double setup_upload_virtual_s_ = 0.0;
-  double staging_s_ = 0.0;  ///< per-apply pack/accumulate CPU time
+  DeviceElementStore device_store_;
+  std::array<DeviceRegionBackend, 2> device_regions_;  ///< ind., dep.
+  /// The dependent region's backend: the host's stored one under
+  /// GPU/CPU(O), device_regions_[1] otherwise.
+  RegionBackend* dependent_;
+  hymv::obs::Gauge* emv_cpu_s_;  ///< the skeleton's element-phase CPU time
   GpuApplyTimings timings_;
 };
 

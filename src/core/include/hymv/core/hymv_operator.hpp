@@ -171,8 +171,11 @@ class HymvOperator final : public pla::LinearOperator {
 
  private:
   /// The adaptive composite runs its chosen backends through this
-  /// operator's skeleton, and its stored candidates are regions_.
+  /// operator's skeleton, and its stored candidates are regions_. The GPU
+  /// operator runs its device regions through the skeleton, and its
+  /// GPU/CPU(O) host region is regions_[1].
   friend class AdaptiveOperator;
+  friend class HymvGpuOperator;
 
   /// True when update_elements should run an OpenMP team (kColored,
   /// use_openmp, and more than one thread available).

@@ -7,24 +7,27 @@
 /// independent/dependent split of the overlap scheme, each with its own
 /// ElementSchedule). A RegionBackend evaluates that region's contribution
 /// v_da += Σ_e P_eᵀ K_e P_e u_da directly on distributed-array storage, so
-/// every backend — stored-EMV, matrix-free recompute, or the locally
-/// assembled SELL-C-σ path — plugs into the same skeleton unchanged.
-/// HymvOperator runs two stored backends, MatrixFreeOperator two
-/// matrix-free ones, and AdaptiveOperator picks one backend per region
-/// (perfmodel score + measured probes).
+/// every backend — stored-EMV, matrix-free recompute, the locally
+/// assembled SELL-C-σ path, or a simulated device — plugs into the same
+/// skeleton unchanged. HymvOperator runs two stored backends,
+/// MatrixFreeOperator two matrix-free ones, AdaptiveOperator picks one
+/// backend per region (perfmodel score + measured probes), and
+/// HymvGpuOperator runs device regions.
 ///
 /// The stored and matrix-free backends are ElementBlockBackends: one
 /// per-block element body (StoredEmvSweep::range{,_multi} or the
 /// matrix-free recompute) driven by the colored block traversal and by the
 /// task-graph block runner, each written once here. The SELL backend
-/// assembles its region instead, so the skeleton runs it two-phase.
+/// assembles its region and the device backend batches it asynchronously,
+/// so the skeleton runs both two-phase.
 ///
 /// Contract: apply/apply_multi ACCUMULATE into v_da (the skeleton zeroes
-/// it once per apply); per-lane/DoF determinism is each backend's own
-/// promise (the element-block backends are bitwise identical serial vs
-/// threaded via the colored schedule; the SELL backend is bitwise stable
-/// across C/σ/threads but rounds element contributions in assembled order,
-/// not traversal order).
+/// it once per apply), by complete() at the latest; per-lane/DoF
+/// determinism is each backend's own promise (the element-block backends
+/// are bitwise identical serial vs threaded via the colored schedule; the
+/// SELL backend is bitwise stable across C/σ/threads but rounds element
+/// contributions in assembled order, not traversal order; the device
+/// accumulates serially in device order).
 
 #include <cstdint>
 #include <functional>
@@ -36,6 +39,7 @@
 #include "hymv/core/maps.hpp"
 #include "hymv/core/schedule.hpp"
 #include "hymv/fem/operators.hpp"
+#include "hymv/gpusim/gpusim.hpp"
 
 namespace hymv::core {
 
@@ -45,8 +49,8 @@ class RegionBackend {
  public:
   virtual ~RegionBackend() = default;
 
-  /// Stable identifier ("stored" | "matrixfree" | "sell") — the token the
-  /// decision-replay file and the adaptive.* metrics use.
+  /// Stable identifier ("stored" | "matrixfree" | "sell" | "device") — the
+  /// token the decision-replay file and the adaptive.* metrics use.
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// v_da += K_region u_da over full DA spans (da_size each).
@@ -55,6 +59,10 @@ class RegionBackend {
   /// Panel twin over lane-interleaved width-k DAs (da_size·k each).
   virtual void apply_multi(std::span<const double> u_da,
                            std::span<double> v_da, int k) = 0;
+  /// Land in v_da what the last apply (lanes == 0) or k-lane apply_multi
+  /// (lanes == k) left in flight. The skeleton calls it on both regions
+  /// after both ran, before GNGM; only an asynchronous backend has work.
+  virtual void complete(std::span<double> /*v_da*/, int /*lanes*/) {}
 
   /// Scatter-add this region's diagonal contribution into v_da.
   virtual void add_diagonal(std::span<double> v_da) = 0;
@@ -215,6 +223,125 @@ class MatrixFreeRegionBackend final : public ElementBlockBackend {
   const fem::ElementOperator* op_;
   std::span<const mesh::Point> elem_coords_;
   const std::vector<std::int64_t>* elements_;
+};
+
+/// Every local element matrix resident on a simulated device (paper
+/// Algorithm 3, §IV-F), in device order: the independent elements, then
+/// the dependent ones, so each region is one run of slots. The matrices
+/// move host → device once: a kInterleaved host store keeps its
+/// entry-interleaved batches (their natural device form), every other
+/// layout unpacks into padded column-major slots. `lanes` is 0 for the
+/// single-vector apply and k for a k-lane panel, whose n × k slot panels
+/// feed the multi-RHS kernels (each matrix read once for all lanes).
+class DeviceElementStore {
+ public:
+  /// Creates streams on `device` up to `num_streams` and uploads `store`.
+  /// A run is split into at most count / min_chunk_elements chunks, so
+  /// small runs do not drown in per-command latency. All referents must
+  /// outlive the store.
+  DeviceElementStore(gpu::Device& device, const DofMaps& maps,
+                     const ElementMatrixStore& store, int num_streams,
+                     std::int64_t min_chunk_elements);
+  DeviceElementStore(const DeviceElementStore&) = delete;
+  DeviceElementStore& operator=(const DeviceElementStore&) = delete;
+
+  [[nodiscard]] std::int64_t num_elements() const {
+    return static_cast<std::int64_t>(order_.size());
+  }
+  /// Slots [0, num_independent()) hold the independent elements.
+  [[nodiscard]] std::int64_t num_independent() const {
+    return num_independent_;
+  }
+  [[nodiscard]] std::int64_t ndofs() const { return store_->ndofs(); }
+  /// Virtual seconds the setup upload took.
+  [[nodiscard]] double upload_virtual_s() const { return upload_virtual_s_; }
+
+  /// Pack the element vectors of slots [first, first + count) from u_da
+  /// and enqueue H2D → batched EMV → D2H for them in chunks spread over
+  /// the streams (Fig. 3). Returns at once (virtual async).
+  void issue(std::int64_t first, std::int64_t count, int lanes,
+             std::span<const double> u_da);
+  /// Wait for the device and scatter-add the slots' results into v_da,
+  /// serially in slot order (shared nodes would race under threads).
+  void accumulate(std::int64_t first, std::int64_t count, int lanes,
+                  std::span<double> v_da);
+  /// Scatter-add the slots' diagonal entries, read from the host store.
+  void add_diagonal(std::int64_t first, std::int64_t count,
+                    std::span<double> v_da) const;
+
+ private:
+  /// Host and device element-vector buffers of one width, by slot.
+  struct Staging {
+    int width = 0;
+    gpu::DeviceBuffer d_ue;
+    gpu::DeviceBuffer d_ve;
+    hymv::aligned_vector<double> h_ue;
+    hymv::aligned_vector<double> h_ve;
+  };
+  /// Width-1 buffers for a single vector or a one-lane panel, width-k ones
+  /// (re)made on the first panel of each width otherwise.
+  Staging& staging(int lanes);
+
+  gpu::Device* device_;
+  const DofMaps* maps_;
+  const ElementMatrixStore* store_;
+  int num_streams_;
+  std::int64_t min_chunk_elements_;
+  std::vector<std::int64_t> order_;
+  std::int64_t num_independent_;
+  bool interleaved_;  ///< entry-interleaved device batches
+  std::size_t ld_;    ///< leading dim of one padded device slot
+  gpu::DeviceBuffer d_ke_;
+  double upload_virtual_s_ = 0.0;
+  Staging single_;
+  Staging panel_;
+};
+
+/// The device behind the region interface: slots [first, first + count)
+/// of a DeviceElementStore, which must outlive the backend. apply issues
+/// them; complete accumulates their results.
+class DeviceRegionBackend final : public RegionBackend {
+ public:
+  DeviceRegionBackend(DeviceElementStore& store, std::int64_t first,
+                      std::int64_t count);
+
+  [[nodiscard]] const char* name() const override { return "device"; }
+  void apply(std::span<const double> u_da, std::span<double> /*v_da*/)
+      override {
+    store_->issue(first_, count_, 0, u_da);
+  }
+  void apply_multi(std::span<const double> u_da, std::span<double> /*v_da*/,
+                   int k) override {
+    store_->issue(first_, count_, k, u_da);
+  }
+  void complete(std::span<double> v_da, int lanes) override {
+    store_->accumulate(first_, count_, lanes, v_da);
+  }
+  void add_diagonal(std::span<double> v_da) override {
+    store_->add_diagonal(first_, count_, v_da);
+  }
+  /// The device copy is uploaded once: `dirty` must be empty.
+  void update_elements(std::span<const std::int64_t> dirty) override;
+
+  /// 2·ndofs² flops per element, as on the host; bytes are the element
+  /// vectors' PCIe round trip (the matrices stay resident).
+  [[nodiscard]] std::int64_t apply_flops() const override {
+    return count_ * 2 * store_->ndofs() * store_->ndofs();
+  }
+  [[nodiscard]] std::int64_t apply_bytes() const override {
+    return count_ * 16 * store_->ndofs();
+  }
+  [[nodiscard]] std::int64_t apply_flops_multi(int k) const override {
+    return apply_flops() * k;
+  }
+  [[nodiscard]] std::int64_t apply_bytes_multi(int k) const override {
+    return apply_bytes() * k;
+  }
+
+ private:
+  DeviceElementStore* store_;
+  std::int64_t first_;
+  std::int64_t count_;
 };
 
 }  // namespace hymv::core

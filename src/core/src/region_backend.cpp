@@ -13,6 +13,14 @@
 
 namespace hymv::core {
 
+namespace {
+
+/// Bytes per H2D of the setup upload: a few MB amortizes PCIe latency
+/// without starving the pipeline.
+constexpr std::int64_t kUploadChunkBytes = 8 << 20;
+
+}  // namespace
+
 ElementBlockBackend::ElementBlockBackend(const ElementSchedule& sched,
                                          bool use_openmp, int rank_tag)
     : sched_(&sched), use_openmp_(use_openmp), rank_tag_(rank_tag) {}
@@ -298,6 +306,181 @@ std::int64_t MatrixFreeRegionBackend::apply_bytes_multi(int k) const {
   const auto nper = static_cast<std::int64_t>(op_->num_nodes());
   return static_cast<std::int64_t>(elements_->size()) *
          (op_->matrix_traffic_bytes() + 24 * n * n + nper * 24 + k * 40 * n);
+}
+
+DeviceElementStore::DeviceElementStore(gpu::Device& device,
+                                       const DofMaps& maps,
+                                       const ElementMatrixStore& store,
+                                       int num_streams,
+                                       std::int64_t min_chunk_elements)
+    : device_(&device),
+      maps_(&maps),
+      store_(&store),
+      num_streams_(num_streams),
+      min_chunk_elements_(std::max<std::int64_t>(1, min_chunk_elements)),
+      order_(maps.independent_elements()),
+      num_independent_(static_cast<std::int64_t>(order_.size())),
+      interleaved_(store.layout() == StoreLayout::kInterleaved),
+      ld_(interleaved_ ? static_cast<std::size_t>(store.ndofs())
+                       : hymv::round_up_to(
+                             static_cast<std::size_t>(store.ndofs()), 8)) {
+  HYMV_CHECK_MSG(num_streams >= 1,
+                 "DeviceElementStore: need at least one stream");
+  while (device_->num_streams() < num_streams) {
+    device_->create_stream();
+  }
+  order_.insert(order_.end(), maps.dependent_elements().begin(),
+                maps.dependent_elements().end());
+
+  // Each H2D ships one chunk's image in the device format, a few MB of
+  // whole interleaved batches, into its slot range of the device buffer.
+  const auto n = static_cast<std::size_t>(store.ndofs());
+  const std::size_t slot_bytes = ld_ * n * 8;
+  const std::int64_t batch = interleaved_ ? ElementMatrixStore::kBatchElems : 1;
+  const auto whole_batches = [batch](std::int64_t count) {
+    return (count + batch - 1) / batch * batch;
+  };
+  const std::int64_t per_chunk = whole_batches(std::max<std::int64_t>(
+      1, kUploadChunkBytes / static_cast<std::int64_t>(slot_bytes)));
+  const std::int64_t ne = num_elements();
+  const double vt0 = device_->virtual_time();
+  d_ke_ = device_->alloc(static_cast<std::size_t>(whole_batches(ne)) *
+                         slot_bytes);
+  std::vector<double> dense(n * n);
+  for (std::int64_t first = 0; first < ne; first += per_chunk) {
+    const std::int64_t count = std::min(per_chunk, ne - first);
+    ElementMatrixStore image(
+        count, store.ndofs(),
+        interleaved_ ? StoreLayout::kInterleaved : StoreLayout::kPadded);
+    for (std::int64_t i = 0; i < count; ++i) {
+      store.get(order_[static_cast<std::size_t>(first + i)], dense);
+      image.set(i, dense);
+    }
+    const std::span<const std::byte> bytes = image.raw_bytes();
+    device_->memcpy_h2d(static_cast<int>(first / per_chunk % num_streams),
+                        d_ke_, bytes.data(), bytes.size(),
+                        static_cast<std::size_t>(first) * slot_bytes);
+  }
+  device_->synchronize();
+  upload_virtual_s_ = device_->virtual_time() - vt0;
+  staging(0);  // the single-vector buffers exist from the start
+}
+
+DeviceElementStore::Staging& DeviceElementStore::staging(int lanes) {
+  Staging& s = lanes <= 1 ? single_ : panel_;
+  const int width = std::max(lanes, 1);
+  if (s.width != width) {
+    const std::size_t doubles = order_.size() *
+                                static_cast<std::size_t>(store_->ndofs()) *
+                                static_cast<std::size_t>(width);
+    s.width = width;
+    s.d_ue = device_->alloc(doubles * 8);
+    s.d_ve = device_->alloc(doubles * 8);
+    s.h_ue.assign(doubles, 0.0);
+    s.h_ve.assign(doubles, 0.0);
+  }
+  return s;
+}
+
+void DeviceElementStore::issue(std::int64_t first, std::int64_t count,
+                               int lanes, std::span<const double> u_da) {
+  if (count <= 0) {
+    return;
+  }
+  Staging& s = staging(lanes);
+  const auto n = static_cast<std::size_t>(store_->ndofs());
+  const auto k = static_cast<std::size_t>(s.width);
+  const DofMaps& maps = *maps_;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+  for (std::int64_t i = first; i < first + count; ++i) {
+    const auto e2l = maps.e2l(order_[static_cast<std::size_t>(i)]);
+    double* dst = s.h_ue.data() + static_cast<std::size_t>(i) * n * k;
+    for (std::size_t a = 0; a < n; ++a) {
+      const double* src = u_da.data() + static_cast<std::size_t>(e2l[a]) * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        dst[a * k + j] = src[j];
+      }
+    }
+  }
+
+  // Never split below min_chunk_elements per chunk: small runs use few
+  // commands (latency), large ones every stream (overlap).
+  const auto ns = static_cast<int>(std::clamp<std::int64_t>(
+      count / min_chunk_elements_, 1, num_streams_));
+  const std::int64_t per_chunk = (count + ns - 1) / ns;
+  for (int stream = 0; stream < ns; ++stream) {
+    const std::int64_t c_first = first + stream * per_chunk;
+    const std::int64_t c_count = std::min(per_chunk, first + count - c_first);
+    if (c_count <= 0) {
+      break;
+    }
+    const auto slot = static_cast<std::size_t>(c_first);
+    const auto slots = static_cast<std::size_t>(c_count);
+    const std::size_t offset = slot * n * k;
+    device_->memcpy_h2d(stream, s.d_ue, s.h_ue.data() + offset,
+                        slots * n * k * 8, offset * 8);
+    if (lanes == 0 && interleaved_) {
+      device_->batched_emv_interleaved(stream, d_ke_, n, slots, s.d_ue,
+                                       s.d_ve, slot);
+    } else if (lanes == 0) {
+      device_->batched_emv(stream, d_ke_, ld_, n, slots, s.d_ue, s.d_ve,
+                           slot);
+    } else if (interleaved_) {
+      device_->batched_emv_interleaved_multi(stream, d_ke_, n, k, slots,
+                                             s.d_ue, s.d_ve, slot);
+    } else {
+      device_->batched_emv_multi(stream, d_ke_, ld_, n, k, slots, s.d_ue,
+                                 s.d_ve, slot);
+    }
+    device_->memcpy_d2h(stream, s.h_ve.data() + offset, s.d_ve,
+                        slots * n * k * 8, offset * 8);
+  }
+}
+
+void DeviceElementStore::accumulate(std::int64_t first, std::int64_t count,
+                                    int lanes, std::span<double> v_da) {
+  device_->synchronize();
+  if (count <= 0) {
+    return;
+  }
+  HYMV_TRACE_SCOPE("device_accumulate", "apply");
+  const Staging& s = staging(lanes);
+  const auto n = static_cast<std::size_t>(store_->ndofs());
+  const auto k = static_cast<std::size_t>(s.width);
+  for (std::int64_t i = first; i < first + count; ++i) {
+    const auto e2l = maps_->e2l(order_[static_cast<std::size_t>(i)]);
+    const double* src = s.h_ve.data() + static_cast<std::size_t>(i) * n * k;
+    for (std::size_t a = 0; a < n; ++a) {
+      double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        dst[j] += src[a * k + j];
+      }
+    }
+  }
+}
+
+void DeviceElementStore::add_diagonal(std::int64_t first, std::int64_t count,
+                                      std::span<double> v_da) const {
+  StoredEmvSweep(*maps_, *store_)
+      .diagonal_range(order_, first, first + count, v_da);
+}
+
+DeviceRegionBackend::DeviceRegionBackend(DeviceElementStore& store,
+                                         std::int64_t first,
+                                         std::int64_t count)
+    : store_(&store), first_(first), count_(count) {
+  HYMV_CHECK_MSG(first >= 0 && count >= 0 &&
+                     first + count <= store.num_elements(),
+                 "DeviceRegionBackend: slots out of range");
+}
+
+void DeviceRegionBackend::update_elements(
+    std::span<const std::int64_t> dirty) {
+  HYMV_CHECK_MSG(dirty.empty(),
+                 "DeviceRegionBackend: the device copy of the element "
+                 "matrices cannot be updated");
 }
 
 }  // namespace hymv::core

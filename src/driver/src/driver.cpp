@@ -484,17 +484,6 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
   // Warm-up apply (touches all maps/buffers, fills caches).
   do_apply();
 
-  // Reset GPU modeled timing / CPU phase breakdown after warm-up.
-  if (hymv_cpu != nullptr) {
-    hymv_cpu->reset_apply_breakdown();
-  }
-  if (hymv_gpu != nullptr) {
-    hymv_gpu->reset_timings();
-  }
-  if (csr_gpu != nullptr) {
-    csr_gpu->reset_timings();
-  }
-
   // Repeat the timed loop and keep the fastest round: simmpi ranks share
   // the machine, so single rounds carry scheduler noise.
   const int repeats = std::max(1, options.repeats);
@@ -502,9 +491,10 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
   report.spmv_cpu_s = std::numeric_limits<double>::infinity();
   double gpu_modeled = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < repeats; ++rep) {
-    // Each rep starts from a clean phase breakdown — otherwise the phases
-    // accumulate across every round while the wall time keeps the minimum,
-    // and the reported per-round breakdown is repeats× too large.
+    // Each rep starts from a clean phase breakdown and modeled timing —
+    // otherwise the warm-up counts, the phases accumulate across every
+    // round while the wall time keeps the minimum, and the reported
+    // per-round breakdown is repeats× too large.
     if (hymv_cpu != nullptr) {
       hymv_cpu->reset_apply_breakdown();
     }

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -449,9 +450,10 @@ class GpuGoldenTest : public ::testing::TestWithParam<GpuGoldenCase> {
 /// Every overlap mode at 1 and 8 streams, over a padded and an interleaved
 /// host store, must reproduce the y bits, the device command count and the
 /// device's virtual-clock delta of apply() and apply_multi() at k = 1 and
-/// k = 8, at 1 and 4 threads, on 2 ranks under the default DeviceSpec. A
-/// chunk floor of 2 elements lets 8 streams split this small mesh. Inputs
-/// are exact binary fractions, as in test_layout's goldens.
+/// k = 8, at 1 and 4 threads and with the host's task graph off and on,
+/// on 2 ranks under the default DeviceSpec. A chunk floor of 2 elements
+/// lets 8 streams split this small mesh. Inputs are exact binary
+/// fractions, as in test_layout's goldens.
 TEST_P(GpuGoldenTest, ApplyPanelAndTimelineHold) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
@@ -460,11 +462,16 @@ TEST_P(GpuGoldenTest, ApplyPanelAndTimelineHold) {
   constexpr int kRanks = 2;
   const mesh::Mesh m = mesh::build_structured_hex({.nx = 3, .ny = 3, .nz = 4},
                                                   mesh::ElementType::kHex8);
-  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto ids =
+      mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
   const auto dist = mesh::distribute_mesh(m, ids, kRanks);
   const fem::ElasticityOperator op(mesh::ElementType::kHex8, 200.0, 0.3);
 
-  for (const int threads : {1, 4}) {
+  // The task graph only reaches GPU/CPU(O)'s host region, which keeps its
+  // bits with it on and off.
+  for (const auto& [threads, taskgraph] :
+       {std::pair{1, false}, std::pair{4, false}, std::pair{1, true},
+        std::pair{4, true}}) {
     std::array<std::array<std::vector<double>, kRanks>, kGoldenEntries> y;
     std::array<std::array<std::size_t, kRanks>, kGoldenEntries> commands{};
     std::array<std::array<double, kRanks>, kGoldenEntries> virtual_s{};
@@ -475,7 +482,8 @@ TEST_P(GpuGoldenTest, ApplyPanelAndTimelineHold) {
       core::HymvGpuOperator gpu_op(comm, dist.parts[r], op, device,
                                    {.num_streams = c.streams,
                                     .mode = c.mode,
-                                    .host = {.layout = c.layout},
+                                    .host = {.layout = c.layout,
+                                             .taskgraph = taskgraph},
                                     .min_chunk_elements = 2});
       const pla::Layout& lay = gpu_op.layout();
       for (int e = 0; e < kGoldenEntries; ++e) {
@@ -518,7 +526,8 @@ TEST_P(GpuGoldenTest, ApplyPanelAndTimelineHold) {
       const std::uint64_t v_hash = fnv1a(virtual_s[e].data(), kRanks);
       const std::string where = std::string(e == 0 ? "apply" : "apply_multi") +
                                 " k=" + std::to_string(kGoldenLanes[e]) +
-                                " threads=" + std::to_string(threads);
+                                " threads=" + std::to_string(threads) +
+                                " taskgraph=" + std::to_string(taskgraph);
       EXPECT_EQ(y_hash, c.y_hash[e])
           << where << ": y got 0x" << std::hex << y_hash;
       EXPECT_EQ(total_commands, static_cast<std::size_t>(c.commands[e]))

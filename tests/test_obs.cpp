@@ -6,7 +6,7 @@
 //  * registry-vs-legacy parity: ApplyBreakdown/SetupBreakdown/
 //    TrafficCounters/CgResult must equal the registry values they view;
 //  * bench hygiene: measure_spmv's phase breakdown covers ONE round (the
-//    fastest), not the sum of all repeats.
+//    fastest), not the sum of all repeats, and GPU applies report theirs.
 
 #include <gtest/gtest.h>
 
@@ -686,6 +686,25 @@ TEST(ObsRepHygieneTest, MeasureSpmvBreakdownIsPerRound) {
     EXPECT_EQ(comm.metrics().counter_value("spmv.measurements"), 1);
     EXPECT_EQ(comm.metrics().counter_value("spmv.applies"), napplies);
     EXPECT_EQ(comm.metrics().gauge_value("spmv.wall_s"), report.spmv_wall_s);
+  });
+}
+
+TEST(ObsRepHygieneTest, MeasureSpmvGpuReportsApplyPhases) {
+  // A GPU apply runs its host operator's skeleton, so the apply.* metrics
+  // the driver merges from host_op() cover the timed round of GPU applies.
+  const auto setup = driver::ProblemSetup::build(small_poisson(), 2);
+  simmpi::run(2, [&](Comm& comm) {
+    driver::RankContext ctx(comm, setup);
+    gpu::Device device;
+    driver::MeasureOptions options;
+    options.device = &device;
+    options.repeats = 2;
+    const int napplies = 3;
+    (void)driver::measure_spmv(comm, ctx, driver::Backend::kHymvGpu,
+                               napplies, options);
+    const obs::MetricsRegistry& reg = comm.metrics();
+    EXPECT_EQ(reg.counter_value("apply.applies"), napplies);
+    EXPECT_GT(reg.gauge_value("apply.emv_s"), 0.0);
   });
 }
 
