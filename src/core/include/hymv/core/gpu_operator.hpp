@@ -115,7 +115,6 @@ class HymvGpuOperator final : public pla::LinearOperator {
     timings_.reset();
     host_op_.reset_apply_breakdown();
   }
-  [[nodiscard]] const HymvGpuOptions& options() const { return options_; }
 
  private:
   /// Runs `run` (one skeleton apply) and adds its modeled time to
@@ -123,7 +122,6 @@ class HymvGpuOperator final : public pla::LinearOperator {
   template <typename Run>
   void timed(const Run& run);
 
-  HymvGpuOptions options_;
   HymvOperator host_op_;
   gpu::Device* device_;
   DeviceElementStore device_store_;

@@ -21,13 +21,13 @@
 /// assembles its region and the device backend batches it asynchronously,
 /// so the skeleton runs both two-phase.
 ///
-/// Contract: apply/apply_multi ACCUMULATE into v_da (the skeleton zeroes
-/// it once per apply), by complete() at the latest; per-lane/DoF
-/// determinism is each backend's own promise (the element-block backends
-/// are bitwise identical serial vs threaded via the colored schedule; the
-/// SELL backend is bitwise stable across C/σ/threads but rounds element
-/// contributions in assembled order, not traversal order; the device
-/// accumulates serially in device order).
+/// Contract: apply ACCUMULATES into v_da (the skeleton zeroes it once per
+/// apply), by complete() at the latest; per-lane/DoF determinism is each
+/// backend's own promise (the element-block backends are bitwise identical
+/// serial vs threaded via the colored schedule; the SELL backend is
+/// bitwise stable across C/σ/threads but rounds element contributions in
+/// assembled order, not traversal order; the device accumulates serially
+/// in device order).
 
 #include <cstdint>
 #include <functional>
@@ -53,15 +53,14 @@ class RegionBackend {
   /// token the decision-replay file and the adaptive.* metrics use.
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// v_da += K_region u_da over full DA spans (da_size each).
-  virtual void apply(std::span<const double> u_da,
-                     std::span<double> v_da) = 0;
-  /// Panel twin over lane-interleaved width-k DAs (da_size·k each).
-  virtual void apply_multi(std::span<const double> u_da,
-                           std::span<double> v_da, int k) = 0;
-  /// Land in v_da what the last apply (lanes == 0) or k-lane apply_multi
-  /// (lanes == k) left in flight. The skeleton calls it on both regions
-  /// after both ran, before GNGM; only an asynchronous backend has work.
+  /// v_da += K_region u_da over full DA spans: a single vector of da_size
+  /// (lanes == 0) or a lane-interleaved k-lane panel of da_size·k
+  /// (lanes == k).
+  virtual void apply(std::span<const double> u_da, std::span<double> v_da,
+                     int lanes) = 0;
+  /// Land in v_da what the last apply of `lanes` left in flight. The
+  /// skeleton calls it on both regions after both ran, before GNGM; only
+  /// an asynchronous backend has work.
   virtual void complete(std::span<double> /*v_da*/, int /*lanes*/) {}
 
   /// Scatter-add this region's diagonal contribution into v_da.
@@ -90,14 +89,12 @@ class RegionBackend {
 };
 
 /// A region evaluated block by block of its ElementSchedule through one
-/// per-block element body. `lanes` selects the body: 0 is the single-vector
-/// apply, k ≥ 1 a k-lane panel.
+/// per-block element body, picked by `lanes` as in RegionBackend::apply.
 class ElementBlockBackend : public RegionBackend {
  public:
   /// The colored traversal of every block of schedule().
-  void apply(std::span<const double> u_da, std::span<double> v_da) final;
-  void apply_multi(std::span<const double> u_da, std::span<double> v_da,
-                   int k) final;
+  void apply(std::span<const double> u_da, std::span<double> v_da,
+             int lanes) final;
   [[nodiscard]] ElementBlockBackend* element_blocks() final { return this; }
   [[nodiscard]] const ElementSchedule& schedule() const { return *sched_; }
 
@@ -306,13 +303,9 @@ class DeviceRegionBackend final : public RegionBackend {
                       std::int64_t count);
 
   [[nodiscard]] const char* name() const override { return "device"; }
-  void apply(std::span<const double> u_da, std::span<double> /*v_da*/)
-      override {
-    store_->issue(first_, count_, 0, u_da);
-  }
-  void apply_multi(std::span<const double> u_da, std::span<double> /*v_da*/,
-                   int k) override {
-    store_->issue(first_, count_, k, u_da);
+  void apply(std::span<const double> u_da, std::span<double> /*v_da*/,
+             int lanes) override {
+    store_->issue(first_, count_, lanes, u_da);
   }
   void complete(std::span<double> v_da, int lanes) override {
     store_->accumulate(first_, count_, lanes, v_da);

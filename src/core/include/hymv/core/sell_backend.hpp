@@ -39,9 +39,8 @@ class SellRegionBackend final : public RegionBackend {
                     int sigma, bool threaded);
 
   [[nodiscard]] const char* name() const override { return "sell"; }
-  void apply(std::span<const double> u_da, std::span<double> v_da) override;
-  void apply_multi(std::span<const double> u_da, std::span<double> v_da,
-                   int k) override;
+  void apply(std::span<const double> u_da, std::span<double> v_da,
+             int lanes) override;
   void add_diagonal(std::span<double> v_da) override;
   /// Values-only re-assembly from the (already updated) store: re-scatter
   /// every region element into the kept CSR slots and refill the SELL

@@ -261,11 +261,11 @@ void AdaptiveOperator::tune_region(int region,
     }
     for (int i = 0; i < kNumKinds; ++i) {
       RegionBackend* b = backend(region, static_cast<RegionBackendKind>(i));
-      b->apply(u_da.all(), v_da.all());  // warm caches / page in
+      b->apply(u_da.all(), v_da.all(), 0);  // warm caches / page in
       double min_s = std::numeric_limits<double>::infinity();
       for (int rep = 0; rep < options_.probes; ++rep) {
         Timer timer;
-        b->apply(u_da.all(), v_da.all());
+        b->apply(u_da.all(), v_da.all(), 0);
         min_s = std::min(min_s, timer.elapsed_s());
       }
       d.probe_s[static_cast<std::size_t>(i)] = min_s;

@@ -152,11 +152,7 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
   const auto emv = [&](RegionBackend& region) {
     HYMV_TRACE_SCOPE("emv", "apply");
     DualTimer emv_timer;
-    if (lanes == 0) {
-      region.apply(s.u.all(), s.v.all());
-    } else {
-      region.apply_multi(s.u.all(), s.v.all(), lanes);
-    }
+    region.apply(s.u.all(), s.v.all(), lanes);
     emv_timer.add_to(gauges_.emv_s, gauges_.emv_cpu_s);
   };
   const auto load_ghosts = [&] { s.u.load_ghosts(ex.ghosts()); };

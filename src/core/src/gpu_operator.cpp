@@ -38,8 +38,7 @@ HymvGpuOperator::HymvGpuOperator(simmpi::Comm& comm,
                                  const mesh::MeshPartition& part,
                                  const fem::ElementOperator& op,
                                  gpu::Device& device, HymvGpuOptions options)
-    : options_(options),
-      host_op_(comm, part, op, host_options(options)),
+    : host_op_(comm, part, op, host_options(options)),
       device_(&device),
       device_store_(device, host_op_.maps(), host_op_.store(),
                     options.num_streams, options.min_chunk_elements),

@@ -1,6 +1,7 @@
 #include "hymv/core/region_backend.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -18,6 +19,18 @@ namespace {
 /// Bytes per H2D of the setup upload: a few MB amortizes PCIe latency
 /// without starving the pipeline.
 constexpr std::int64_t kUploadChunkBytes = 8 << 20;
+
+/// Runs `body(width)` with a compile-time width of 1 for single-lane
+/// staging, so its lane loops compile to plain copies, and with `width`
+/// itself otherwise.
+template <typename Body>
+void with_lane_width(std::size_t width, const Body& body) {
+  if (width == 1) {
+    body(std::integral_constant<std::size_t, 1>{});
+  } else {
+    body(width);
+  }
+}
 
 }  // namespace
 
@@ -42,13 +55,8 @@ ElementBlockBackend::BlockBody ElementBlockBackend::body(
 }
 
 void ElementBlockBackend::apply(std::span<const double> u_da,
-                                std::span<double> v_da) {
-  for_each_block(workspace_size(0), body(0, u_da, v_da));
-}
-
-void ElementBlockBackend::apply_multi(std::span<const double> u_da,
-                                      std::span<double> v_da, int k) {
-  for_each_block(workspace_size(k), body(k, u_da, v_da));
+                                std::span<double> v_da, int lanes) {
+  for_each_block(workspace_size(lanes), body(lanes, u_da, v_da));
 }
 
 void ElementBlockBackend::for_each_block(std::size_t workspace,
@@ -390,20 +398,22 @@ void DeviceElementStore::issue(std::int64_t first, std::int64_t count,
   Staging& s = staging(lanes);
   const auto n = static_cast<std::size_t>(store_->ndofs());
   const auto k = static_cast<std::size_t>(s.width);
-  const DofMaps& maps = *maps_;
+  with_lane_width(k, [&](auto width) {
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
-  for (std::int64_t i = first; i < first + count; ++i) {
-    const auto e2l = maps.e2l(order_[static_cast<std::size_t>(i)]);
-    double* dst = s.h_ue.data() + static_cast<std::size_t>(i) * n * k;
-    for (std::size_t a = 0; a < n; ++a) {
-      const double* src = u_da.data() + static_cast<std::size_t>(e2l[a]) * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        dst[a * k + j] = src[j];
+    for (std::int64_t i = first; i < first + count; ++i) {
+      const auto e2l = maps_->e2l(order_[static_cast<std::size_t>(i)]);
+      double* dst = s.h_ue.data() + static_cast<std::size_t>(i) * n * width;
+      for (std::size_t a = 0; a < n; ++a) {
+        const double* src =
+            u_da.data() + static_cast<std::size_t>(e2l[a]) * width;
+        for (std::size_t j = 0; j < width; ++j) {
+          dst[a * width + j] = src[j];
+        }
       }
     }
-  }
+  });
 
   // Never split below min_chunk_elements per chunk: small runs use few
   // commands (latency), large ones every stream (overlap).
@@ -448,17 +458,19 @@ void DeviceElementStore::accumulate(std::int64_t first, std::int64_t count,
   HYMV_TRACE_SCOPE("device_accumulate", "apply");
   const Staging& s = staging(lanes);
   const auto n = static_cast<std::size_t>(store_->ndofs());
-  const auto k = static_cast<std::size_t>(s.width);
-  for (std::int64_t i = first; i < first + count; ++i) {
-    const auto e2l = maps_->e2l(order_[static_cast<std::size_t>(i)]);
-    const double* src = s.h_ve.data() + static_cast<std::size_t>(i) * n * k;
-    for (std::size_t a = 0; a < n; ++a) {
-      double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        dst[j] += src[a * k + j];
+  with_lane_width(static_cast<std::size_t>(s.width), [&](auto width) {
+    for (std::int64_t i = first; i < first + count; ++i) {
+      const auto e2l = maps_->e2l(order_[static_cast<std::size_t>(i)]);
+      const double* src =
+          s.h_ve.data() + static_cast<std::size_t>(i) * n * width;
+      for (std::size_t a = 0; a < n; ++a) {
+        double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * width;
+        for (std::size_t j = 0; j < width; ++j) {
+          dst[j] += src[a * width + j];
+        }
       }
     }
-  }
+  });
 }
 
 void DeviceElementStore::add_diagonal(std::int64_t first, std::int64_t count,

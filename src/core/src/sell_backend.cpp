@@ -110,13 +110,12 @@ void SellRegionBackend::scatter_values() {
 }
 
 void SellRegionBackend::apply(std::span<const double> u_da,
-                              std::span<double> v_da) {
-  sell_.spmv_scatter_add(u_da, v_da, row_map_);
-}
-
-void SellRegionBackend::apply_multi(std::span<const double> u_da,
-                                    std::span<double> v_da, int k) {
-  sell_.spmv_scatter_add_multi(u_da, v_da, row_map_, k);
+                              std::span<double> v_da, int lanes) {
+  if (lanes == 0) {
+    sell_.spmv_scatter_add(u_da, v_da, row_map_);
+  } else {
+    sell_.spmv_scatter_add_multi(u_da, v_da, row_map_, lanes);
+  }
 }
 
 void SellRegionBackend::add_diagonal(std::span<double> v_da) {

@@ -262,8 +262,8 @@ TEST(SellRegionTest, AssemblyMatchesStoredReferenceOnRandomMeshes) {
                                    static_cast<std::int64_t>(i) * 7 % 23 - 11);
         }
         DistributedArray v_ref(maps), v_sell(maps);
-        stored.apply(u.all(), v_ref.all());
-        sell.apply(u.all(), v_sell.all());
+        stored.apply(u.all(), v_ref.all(), 0);
+        sell.apply(u.all(), v_sell.all(), 0);
         for (std::size_t i = 0; i < v_ref.all().size(); ++i) {
           ASSERT_NEAR(v_sell.all()[i], v_ref.all()[i],
                       1e-12 * (1.0 + std::abs(v_ref.all()[i])))
