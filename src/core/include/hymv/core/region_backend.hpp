@@ -256,8 +256,8 @@ class DeviceElementStore {
   /// Pack the element vectors of slots [first, first + count) from u_da
   /// and enqueue H2D → batched EMV → D2H for them in chunks spread over
   /// the streams (Fig. 3). Returns at once (virtual async).
-  void issue(std::int64_t first, std::int64_t count, int lanes,
-             std::span<const double> u_da);
+  void enqueue(std::int64_t first, std::int64_t count, int lanes,
+               std::span<const double> u_da);
   /// Wait for the device and scatter-add the slots' results into v_da,
   /// serially in slot order (shared nodes would race under threads).
   void accumulate(std::int64_t first, std::int64_t count, int lanes,
@@ -295,7 +295,7 @@ class DeviceElementStore {
 };
 
 /// The device behind the region interface: slots [first, first + count)
-/// of a DeviceElementStore, which must outlive the backend. apply issues
+/// of a DeviceElementStore, which must outlive the backend. apply enqueues
 /// them; complete accumulates their results.
 class DeviceRegionBackend final : public RegionBackend {
  public:
@@ -305,7 +305,7 @@ class DeviceRegionBackend final : public RegionBackend {
   [[nodiscard]] const char* name() const override { return "device"; }
   void apply(std::span<const double> u_da, std::span<double> /*v_da*/,
              int lanes) override {
-    store_->issue(first_, count_, lanes, u_da);
+    store_->enqueue(first_, count_, lanes, u_da);
   }
   void complete(std::span<double> v_da, int lanes) override {
     store_->accumulate(first_, count_, lanes, v_da);

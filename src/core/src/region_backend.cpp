@@ -390,8 +390,8 @@ DeviceElementStore::Staging& DeviceElementStore::staging(int lanes) {
   return s;
 }
 
-void DeviceElementStore::issue(std::int64_t first, std::int64_t count,
-                               int lanes, std::span<const double> u_da) {
+void DeviceElementStore::enqueue(std::int64_t first, std::int64_t count,
+                                 int lanes, std::span<const double> u_da) {
   if (count <= 0) {
     return;
   }
