@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "hymv/core/adaptive_operator.hpp"
 #include "hymv/core/assembly.hpp"
@@ -133,12 +135,22 @@ class RankContext {
   /// Exact solution at owned local dof i (analytic field of the spec).
   [[nodiscard]] double exact_dof(std::int64_t local_dof) const;
 
+  /// exact_dof at every owned DoF, for callers that check many solutions
+  /// against one field (the solve service's pooled rank states).
+  [[nodiscard]] std::vector<double> exact_owned() const;
+
   /// Assembled load vector (body force / manufactured forcing).
   pla::DistVector assemble_rhs(simmpi::Comm& comm);
 
   /// ‖u − u_exact‖∞ over all owned DoFs (collective).
   [[nodiscard]] double error_inf(simmpi::Comm& comm,
                                  const pla::DistVector& u) const;
+
+  /// The same norm against precomputed exact_owned() values: bitwise
+  /// equal to error_inf(comm, u), without evaluating the field.
+  [[nodiscard]] static double error_inf(simmpi::Comm& comm,
+                                        const pla::DistVector& u,
+                                        std::span<const double> exact);
 
  private:
   const ProblemSetup* setup_;

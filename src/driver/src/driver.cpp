@@ -213,6 +213,14 @@ double RankContext::exact_dof(std::int64_t local_dof) const {
   return bar_.displacement(x)[comp];
 }
 
+std::vector<double> RankContext::exact_owned() const {
+  std::vector<double> exact(static_cast<std::size_t>(maps_.layout().owned()));
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    exact[i] = exact_dof(static_cast<std::int64_t>(i));
+  }
+  return exact;
+}
+
 pla::DistVector RankContext::assemble_rhs(simmpi::Comm& comm) {
   return core::assemble_rhs(comm, maps_, *part_, *op_);
 }
@@ -222,6 +230,16 @@ double RankContext::error_inf(simmpi::Comm& comm,
   double local = 0.0;
   for (std::int64_t i = 0; i < u.owned_size(); ++i) {
     local = std::max(local, std::abs(u[i] - exact_dof(i)));
+  }
+  return comm.allreduce(local, simmpi::ReduceOp::kMax);
+}
+
+double RankContext::error_inf(simmpi::Comm& comm, const pla::DistVector& u,
+                              std::span<const double> exact) {
+  double local = 0.0;
+  for (std::int64_t i = 0; i < u.owned_size(); ++i) {
+    local = std::max(local,
+                     std::abs(u[i] - exact[static_cast<std::size_t>(i)]));
   }
   return comm.allreduce(local, simmpi::ReduceOp::kMax);
 }

@@ -11,9 +11,15 @@
 ///   * coalesces compatible single-RHS requests for the same problem into
 ///     one cg_solve_multi panel (one element-matrix traversal per
 ///     iteration serves every lane),
-///   * caches warm setups (mesh partition + element-matrix store) keyed by
-///     a hash of the problem definition, with LRU eviction under a byte
-///     budget and an optional disk tier via io::save_store,
+///   * caches warm setups keyed by a hash of the problem definition: the
+///     mesh partition, the per-rank element-matrix stores and a pool of
+///     built rank states (rank context, operator, constrained b,
+///     preconditioner, exact field), with LRU eviction under a byte
+///     budget that counts pooled states, and an optional disk tier for
+///     the stores via io::save_store. A batch borrows a pooled state and
+///     has it to itself, so a warm batch only scales its lanes, runs CG
+///     and checks the error. The state goes back unless the job threw,
+///     the attempt hook ran on it or a scrub ran on it,
 ///   * enforces per-request deadlines with cooperative cancellation at CG
 ///     iteration granularity (CgOptions::should_stop),
 ///   * degrades gracefully under overload: lowest-priority queued work is
@@ -33,7 +39,9 @@
 /// single-rank simmpi::run job (per-job Context makes concurrent jobs
 /// safe), with RunOptions resolved from the environment so HYMV_FAULT_*
 /// campaigns flow through, and write_metrics_json disabled so concurrent
-/// jobs never race on HYMV_METRICS_JSON.
+/// jobs never race on HYMV_METRICS_JSON. The environment knobs library
+/// constructors read (HYMV_THREAD_SCHEDULE, HYMV_FAULT_CHECKSUM, ...) are
+/// read when a rank state is built, not on every batch.
 
 #include <cstdint>
 #include <functional>
@@ -94,7 +102,9 @@ struct SolveResponse {
   std::string reason;
   pla::CgResult cg;
   double err_inf = 0.0;  ///< ‖x/rhs_scale − u_exact‖∞ (kSolved only)
-  bool cache_hit = false;    ///< warm store reuse (memory or disk tier)
+  /// The batch computed no element matrices: it borrowed a pooled rank
+  /// state or restarted from cached stores (memory or disk tier).
+  bool cache_hit = false;
   bool batched = false;      ///< solved as part of a >1-lane panel
   int panel_lanes = 1;       ///< panel width the request ran at
   int attempts = 0;          ///< solve attempts consumed (0 if never ran)
@@ -132,7 +142,9 @@ struct ServiceOptions {
   /// Test/bench fault-injection hook, mirroring
   /// driver::SolveOptions::attempt_hook: called on every rank of the solve
   /// job with the freshly built (unconstrained) operator and the 1-based
-  /// attempt number, after checksum arming and before the attempt's CG.
+  /// attempt number, after checksum arming and before b, the
+  /// preconditioner and the attempt's CG. A state the hook ran on is never
+  /// pooled, so with a hook set every batch builds a fresh state.
   /// Harnesses use it to corrupt the element store on attempt 1 only and
   /// watch the service's retry + scrub path recover; no environment
   /// override (it is a function), never set in production.
@@ -171,8 +183,11 @@ class SolveService {
   /// solved,failed,deadline_missed,retries}` counters,
   /// `svc.<tenant>.{latency_ms,queue_ms,solve_ms}` histograms, and global
   /// `svc.{queue_depth,batches,panel_lanes,degraded_to_k1,
-  /// watchdog_cancels,cache.hits,cache.misses,cache.disk_hits,
-  /// cache.evictions,cache.bytes,cache.entries}`.
+  /// watchdog_cancels,scrubbed_blocks,cache.hits,cache.misses,
+  /// cache.disk_hits,cache.evictions,cache.bytes,cache.entries,
+  /// state.builds,state.reuses}`. `cache.bytes` includes pooled rank
+  /// states; `state.builds` counts rank states built (one per job, cold
+  /// or restarted) and `state.reuses` batches that borrowed a pooled one.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// Number of requests currently queued (for tests and load shedding

@@ -156,6 +156,9 @@ struct CacheEntry {
   std::shared_ptr<const driver::ProblemSetup> setup;
   std::vector<std::shared_ptr<const core::ElementMatrixStore>> stores;
   std::int64_t bytes = 0;
+  /// Identity of the cache slot the entry came from (0 = no entry): a key
+  /// evicted and inserted again gets a new generation.
+  std::uint64_t generation = 0;
 
   [[nodiscard]] bool empty() const { return setup == nullptr; }
   [[nodiscard]] bool has_stores() const {
@@ -164,6 +167,43 @@ struct CacheEntry {
                        [](const auto& s) { return s != nullptr; });
   }
 };
+
+/// One rank's built solve state: everything a batch needs besides its
+/// lanes' scales. Nothing in it is written after the build — lanes scale
+/// copies of b — so batch after batch reads the same bits.
+struct RankState {
+  std::unique_ptr<driver::RankContext> ctx;
+  std::unique_ptr<pla::LinearOperator> a;
+  core::HymvOperator* hymv = nullptr;  ///< typed view of `a` (HYMV backend)
+  std::unique_ptr<pla::ConstrainedOperator> ac;
+  pla::DistVector b;  ///< constrained right-hand side (Dirichlet lift done)
+  std::unique_ptr<pla::Preconditioner> m;
+  std::vector<double> exact;  ///< exact solution at the owned DoFs
+};
+
+/// A problem's built state for every rank of a job. A batch borrows it
+/// from its cache slot's free list and has it to itself; it holds its own
+/// store copies and keeps the setup its rank contexts point into alive.
+struct SolveState {
+  std::shared_ptr<const driver::ProblemSetup> setup;
+  std::vector<RankState> ranks;
+  std::uint64_t generation = 0;  ///< the cache slot the state belongs to
+  std::int64_t bytes = 0;        ///< footprint counted while pooled
+};
+
+/// A cache slot: the entry, its LRU position, and the free list of pooled
+/// rank states. `bytes` is what the slot charges to the LRU budget.
+struct CacheSlot {
+  CacheEntry entry;
+  std::list<std::uint64_t>::iterator lru;
+  std::vector<std::unique_ptr<SolveState>> free_states;
+  std::int64_t bytes = 0;  ///< entry.bytes + the pooled states' bytes
+};
+
+/// Coarse footprint of a setup's mesh (and of the maps built over it).
+std::int64_t mesh_bytes(const driver::ProblemSetup& setup) {
+  return setup.total_nodes * 64 + setup.total_elements * 32;
+}
 
 /// Outcome of one lane of one executed attempt.
 struct LaneResult {
@@ -200,9 +240,9 @@ struct SolveService::Impl {
   // --- warm cache (guarded by cache_mu) ----------------------------------
   std::mutex cache_mu;
   std::list<std::uint64_t> lru;  // front = most recently used
-  std::map<std::uint64_t, std::pair<CacheEntry, std::list<std::uint64_t>::iterator>>
-      cache;
+  std::map<std::uint64_t, CacheSlot> cache;
   std::int64_t cache_bytes = 0;
+  std::uint64_t next_generation = 1;
 
   // --- per-key solve-time estimate for the degradation ladder ------------
   std::mutex ewma_mu;
@@ -250,11 +290,15 @@ struct SolveService::Impl {
   }
 
   /// finish() for a request that was admitted (tenant_inflight holds a
-  /// slot for it): also releases the slot. Callers must NOT hold `mu`.
+  /// slot for it): also releases the slot — first, so a caller that
+  /// resubmits as soon as it sees the reply finds the slot free. Callers
+  /// must NOT hold `mu`.
   void finish_admitted(Pending& p, SolveResponse&& response) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      --tenant_inflight[p.req.tenant];
+    }
     finish(p, std::move(response));
-    std::lock_guard<std::mutex> lock(mu);
-    --tenant_inflight[p.req.tenant];
   }
 
   double ewma_for(std::uint64_t key) {
@@ -271,35 +315,84 @@ struct SolveService::Impl {
 
   // --- cache -------------------------------------------------------------
 
-  CacheEntry cache_lookup(std::uint64_t key) {
+  /// Look `key` up and, when its slot pools a free rank state, pop it
+  /// into `state`: the caller has it to itself until state_return.
+  CacheEntry cache_lookup(std::uint64_t key,
+                          std::unique_ptr<SolveState>& state) {
     std::lock_guard<std::mutex> lock(cache_mu);
     auto it = cache.find(key);
     if (it == cache.end()) {
       mets->counter("svc.cache.misses").inc();
       return {};
     }
-    lru.erase(it->second.second);
+    CacheSlot& slot = it->second;
+    lru.erase(slot.lru);
     lru.push_front(key);
-    it->second.second = lru.begin();
+    slot.lru = lru.begin();
     mets->counter("svc.cache.hits").inc();
-    return it->second.first;  // shared_ptr copies keep data eviction-safe
+    if (!slot.free_states.empty()) {
+      state = std::move(slot.free_states.back());
+      slot.free_states.pop_back();
+      slot.bytes -= state->bytes;
+      cache_bytes -= state->bytes;
+      mets->gauge("svc.cache.bytes").set(static_cast<double>(cache_bytes));
+    }
+    return slot.entry;  // shared_ptr copies keep data eviction-safe
   }
 
-  void cache_insert(std::uint64_t key, CacheEntry entry) {
+  /// Insert `entry` unless the cache is off or the key is already cached,
+  /// and return the generation of the entry that now holds the key (0 when
+  /// none does).
+  std::uint64_t cache_insert(std::uint64_t key, CacheEntry entry) {
     if (opt.cache_capacity_bytes <= 0) {
+      return 0;
+    }
+    std::vector<CacheSlot> evicted;  // freed after the lock is released
+    std::lock_guard<std::mutex> lock(cache_mu);
+    if (auto it = cache.find(key); it != cache.end()) {
+      return it->second.entry.generation;  // another worker won the race
+    }
+    entry.generation = next_generation++;
+    const std::uint64_t generation = entry.generation;
+    lru.push_front(key);
+    CacheSlot& slot = cache[key];
+    slot.bytes = entry.bytes;
+    slot.entry = std::move(entry);
+    slot.lru = lru.begin();
+    cache_bytes += slot.bytes;
+    evict_locked(evicted);
+    return generation;
+  }
+
+  /// Put a borrowed state back on its slot's free list (the slot becomes
+  /// the most recently used). A state whose slot has left the cache since
+  /// it was borrowed or built is dropped.
+  void state_return(std::uint64_t key, std::unique_ptr<SolveState> state) {
+    std::vector<CacheSlot> evicted;  // freed after the lock is released
+    std::lock_guard<std::mutex> lock(cache_mu);
+    auto it = cache.find(key);
+    if (it == cache.end() ||
+        it->second.entry.generation != state->generation) {
       return;
     }
-    std::lock_guard<std::mutex> lock(cache_mu);
-    if (cache.count(key) != 0) {
-      return;  // another worker won the race; keep the established entry
-    }
-    cache_bytes += entry.bytes;
+    CacheSlot& slot = it->second;
+    lru.erase(slot.lru);
     lru.push_front(key);
-    cache.emplace(key, std::make_pair(std::move(entry), lru.begin()));
+    slot.lru = lru.begin();
+    slot.bytes += state->bytes;
+    cache_bytes += state->bytes;
+    slot.free_states.push_back(std::move(state));
+    evict_locked(evicted);
+  }
+
+  /// Evict least-recently-used slots, pooled states included, until the
+  /// byte budget holds or one slot is left. Requires `cache_mu`; evicted
+  /// slots move to `evicted` so the caller frees them unlocked.
+  void evict_locked(std::vector<CacheSlot>& evicted) {
     while (cache_bytes > opt.cache_capacity_bytes && cache.size() > 1) {
-      const std::uint64_t victim = lru.back();
-      auto vit = cache.find(victim);
-      cache_bytes -= vit->second.first.bytes;
+      auto vit = cache.find(lru.back());
+      cache_bytes -= vit->second.bytes;
+      evicted.push_back(std::move(vit->second));
       cache.erase(vit);
       lru.pop_back();
       mets->counter("svc.cache.evictions").inc();
@@ -593,8 +686,79 @@ struct SolveService::Impl {
     ewma_update(key, ms_between(exec_start, Clock::now()));
   }
 
+  /// Build one rank's solve state in a cold solve's order: context, the
+  /// operator (restarted from this rank's warm store when there is one),
+  /// checksum arming, the attempt hook, then b with its Dirichlet lift,
+  /// the preconditioner and the exact field. Collective.
+  void build_rank_state(
+      simmpi::Comm& comm, RankState& rs, const driver::ProblemSetup& setup,
+      const SolveRequest& proto,
+      const std::vector<std::shared_ptr<const core::ElementMatrixStore>>&
+          warm_stores,
+      int attempt) {
+    rs.ctx = std::make_unique<driver::RankContext>(comm, setup);
+    const driver::RankContext& ctx = *rs.ctx;
+    core::HymvOptions hymv_options;
+    hymv_options.layout = proto.layout;
+    if (proto.backend == driver::Backend::kHymv && !warm_stores.empty()) {
+      // Warm path: restart from this rank's cached element-matrix store
+      // — no quadrature, no emat compute.
+      auto op = std::make_unique<core::HymvOperator>(
+          comm, ctx.part(), setup.spec.ndof_per_node(),
+          core::ElementMatrixStore(
+              *warm_stores[static_cast<std::size_t>(comm.rank())]),
+          hymv_options);
+      rs.hymv = op.get();
+      rs.a = std::move(op);
+    } else {
+      driver::BuiltBackend built = driver::build_backend(
+          comm, ctx, proto.backend, nullptr, {}, hymv_options);
+      rs.a = std::move(built.op);
+      rs.hymv = built.hymv_cpu;
+    }
+    if (opt.store_checksums && rs.hymv != nullptr) {
+      rs.hymv->enable_store_checksums();
+    }
+    // After checksum arming, so injected corruption is detectable and
+    // the post-attempt scrub can repair it.
+    if (opt.attempt_hook) {
+      opt.attempt_hook(*rs.a, attempt);
+    }
+
+    rs.ac = std::make_unique<pla::ConstrainedOperator>(*rs.a,
+                                                       ctx.constraints());
+    rs.b = rs.ctx->assemble_rhs(comm);
+    pla::apply_constraints_to_rhs(comm, *rs.a, ctx.constraints(), rs.b);
+
+    // The shared driver construction path: every Precond the driver knows
+    // (including chebyshev/multigrid) is servable, and the env knobs
+    // resolve identically to a standalone solve_problem run. problem_key
+    // hashes the precond int, so requests for different preconditioners
+    // never coalesce.
+    rs.m = driver::make_preconditioner(comm, ctx, *rs.ac, proto.precond);
+    rs.exact = ctx.exact_owned();
+  }
+
+  /// Footprint of a built state while it is pooled: the coarse mesh
+  /// estimate for its contexts' and operators' maps, plus per rank the
+  /// operator (its store, or the bytes one apply streams for the other
+  /// backends) and three owned vectors (b, exact, a diagonal).
+  [[nodiscard]] static std::int64_t state_bytes(const SolveState& state) {
+    std::int64_t bytes = mesh_bytes(*state.setup);
+    for (const RankState& rs : state.ranks) {
+      bytes += rs.hymv != nullptr ? rs.hymv->store().bytes()
+                                  : rs.a->apply_bytes();
+      bytes += 3 * rs.b.owned_size() *
+               static_cast<std::int64_t>(sizeof(double));
+    }
+    return bytes;
+  }
+
   /// One solve attempt over `lanes` of `batch`, as its own simmpi job
-  /// (opt.ranks ranks; per-job Context makes concurrent jobs safe).
+  /// (opt.ranks ranks; per-job Context makes concurrent jobs safe). The
+  /// job runs on a rank state borrowed from the key's cache slot, or on
+  /// one it builds; the state goes back unless the job threw, the attempt
+  /// hook ran on it, or a scrub ran on it.
   /// Throws what the job throws (TimeoutError from dropped messages,
   /// IntegrityError from checksum failures, ...).
   std::vector<LaneResult> run_attempt(
@@ -604,22 +768,33 @@ struct SolveService::Impl {
     const SolveRequest& proto = batch[lanes.front()]->req;
     const int nranks = opt.ranks;
 
-    CacheEntry entry = cache_lookup(key);
+    std::unique_ptr<SolveState> state;
+    const CacheEntry entry = cache_lookup(key, state);
+    const bool fresh = state == nullptr;
     std::vector<std::shared_ptr<const core::ElementMatrixStore>> warm_stores;
-    if (entry.has_stores() &&
-        entry.stores.size() == static_cast<std::size_t>(nranks)) {
-      warm_stores = entry.stores;
-    } else if (auto disk = disk_load(key, proto.layout, nranks);
-               !disk.empty()) {
-      warm_stores = std::move(disk);
+    if (fresh) {
+      if (entry.has_stores() &&
+          entry.stores.size() == static_cast<std::size_t>(nranks)) {
+        warm_stores = entry.stores;
+      } else if (auto disk = disk_load(key, proto.layout, nranks);
+                 !disk.empty()) {
+        warm_stores = std::move(disk);
+      }
+      state = std::make_unique<SolveState>();
+      state->setup = entry.setup;
+      if (state->setup == nullptr) {
+        state->setup = std::make_shared<const driver::ProblemSetup>(
+            driver::ProblemSetup::build(proto.spec, nranks));
+      }
+      state->ranks.resize(static_cast<std::size_t>(nranks));
+      state->generation = entry.generation;
+      mets->counter("svc.state.builds").inc();
+    } else {
+      mets->counter("svc.state.reuses").inc();
     }
-    const bool cache_hit = !warm_stores.empty();
-
-    std::shared_ptr<const driver::ProblemSetup> setup = entry.setup;
-    if (setup == nullptr) {
-      setup = std::make_shared<const driver::ProblemSetup>(
-          driver::ProblemSetup::build(proto.spec, nranks));
-    }
+    // No element matrices computed: a pooled state, or a restart.
+    const bool cache_hit = !fresh || !warm_stores.empty();
+    const driver::ProblemSetup& setup = *state->setup;
 
     // Panel deadline: the cooperative stop fires only when EVERY lane's
     // deadline has passed (converged lanes deflate on their own; a lane
@@ -644,54 +819,18 @@ struct SolveService::Impl {
     std::vector<std::shared_ptr<const core::ElementMatrixStore>>
         stores_to_cache(static_cast<std::size_t>(nranks));
     auto deadline_stop = std::make_shared<std::atomic<bool>>(false);
+    std::atomic<bool> scrubbed{false};
 
     simmpi::RunOptions run_options = simmpi::RunOptions::from_env();
     run_options.write_metrics_json = false;  // concurrent jobs, one env path
 
     simmpi::run(nranks, [&](simmpi::Comm& comm) {
-      driver::RankContext ctx(comm, *setup);
       const int rank = comm.rank();
-
-      core::HymvOptions hymv_options;
-      hymv_options.layout = proto.layout;
-      std::unique_ptr<pla::LinearOperator> a;
-      core::HymvOperator* hymv = nullptr;
-      if (proto.backend == driver::Backend::kHymv && cache_hit) {
-        // Warm path: restart from this rank's cached element-matrix store
-        // — no quadrature, no emat compute.
-        auto op = std::make_unique<core::HymvOperator>(
-            comm, ctx.part(), setup->spec.ndof_per_node(),
-            core::ElementMatrixStore(
-                *warm_stores[static_cast<std::size_t>(rank)]),
-            hymv_options);
-        hymv = op.get();
-        a = std::move(op);
-      } else {
-        driver::BuiltBackend built = driver::build_backend(
-            comm, ctx, proto.backend, nullptr, {}, hymv_options);
-        a = std::move(built.op);
-        hymv = built.hymv_cpu;
+      RankState& rs = state->ranks[static_cast<std::size_t>(rank)];
+      if (fresh) {
+        build_rank_state(comm, rs, setup, proto, warm_stores, attempt);
       }
-      if (opt.store_checksums && hymv != nullptr) {
-        hymv->enable_store_checksums();
-      }
-      // After checksum arming, so injected corruption is detectable and
-      // the post-attempt scrub can repair it.
-      if (opt.attempt_hook) {
-        opt.attempt_hook(*a, attempt);
-      }
-
-      pla::ConstrainedOperator ac(*a, ctx.constraints());
-      pla::DistVector b = ctx.assemble_rhs(comm);
-      pla::apply_constraints_to_rhs(comm, *a, ctx.constraints(), b);
-
-      // The shared driver construction path: every Precond the driver knows
-      // (including chebyshev/multigrid) is servable, and the env knobs
-      // resolve identically to a standalone solve_problem run. problem_key
-      // hashes the precond int, so requests for different preconditioners
-      // never coalesce.
-      std::unique_ptr<pla::Preconditioner> m =
-          driver::make_preconditioner(comm, ctx, ac, proto.precond);
+      const pla::Layout& layout = rs.a->layout();
 
       pla::CgOptions cg_options;
       cg_options.rtol = proto.rtol;
@@ -723,23 +862,24 @@ struct SolveService::Impl {
         return global >= 1.0;
       };
 
+      // Each lane scales its own copy of the state's b.
       std::vector<pla::CgResult> cg(static_cast<std::size_t>(k));
       pla::DistMultiVector x_panel;
-      pla::DistVector x_single(a->layout());
+      pla::DistVector x_single(layout);
       if (k == 1) {
-        pla::DistVector bj(a->layout());
-        pla::copy(b, bj);
+        pla::DistVector bj(layout);
+        pla::copy(rs.b, bj);
         const double s = batch[lanes[0]]->req.rhs_scale;
         for (std::int64_t d = 0; d < bj.owned_size(); ++d) {
           bj[d] *= s;
         }
-        cg[0] = pla::cg_solve(comm, ac, *m, bj, x_single, cg_options);
+        cg[0] = pla::cg_solve(comm, *rs.ac, *rs.m, bj, x_single, cg_options);
       } else {
-        pla::DistMultiVector b_panel(a->layout(), k);
-        x_panel = pla::DistMultiVector(a->layout(), k);
-        pla::DistVector bj(a->layout());
+        pla::DistMultiVector b_panel(layout, k);
+        x_panel = pla::DistMultiVector(layout, k);
+        pla::DistVector bj(layout);
         for (int j = 0; j < k; ++j) {
-          pla::copy(b, bj);
+          pla::copy(rs.b, bj);
           const double s =
               batch[lanes[static_cast<std::size_t>(j)]]->req.rhs_scale;
           for (std::int64_t d = 0; d < bj.owned_size(); ++d) {
@@ -747,12 +887,13 @@ struct SolveService::Impl {
           }
           b_panel.set_lane(j, bj);
         }
-        cg = pla::cg_solve_multi(comm, ac, *m, b_panel, x_panel, cg_options);
+        cg = pla::cg_solve_multi(comm, *rs.ac, *rs.m, b_panel, x_panel,
+                                 cg_options);
       }
 
       // error_inf is collective — every rank walks the same lane loop, but
       // only rank 0 writes the shared results array.
-      pla::DistVector xj(a->layout());
+      pla::DistVector xj(layout);
       for (int j = 0; j < k; ++j) {
         LaneResult lr;
         lr.cg = cg[static_cast<std::size_t>(j)];
@@ -769,7 +910,7 @@ struct SolveService::Impl {
           for (std::int64_t d = 0; d < xj.owned_size(); ++d) {
             xj[d] /= s;
           }
-          lr.err_inf = ctx.error_inf(comm, xj);
+          lr.err_inf = driver::RankContext::error_inf(comm, xj, rs.exact);
         }
         if (rank == 0) {
           results[static_cast<std::size_t>(j)] = lr;
@@ -781,41 +922,51 @@ struct SolveService::Impl {
       const bool any_unconverged = std::any_of(
           cg.begin(), cg.end(),
           [](const pla::CgResult& c) { return !c.converged; });
-      if (any_unconverged && opt.store_checksums && hymv != nullptr) {
-        const std::int64_t scrubbed = hymv->scrub_store(ctx.element_op());
-        if (scrubbed > 0) {
-          mets->counter("svc.scrubbed_blocks").add(scrubbed);
+      if (any_unconverged && opt.store_checksums && rs.hymv != nullptr) {
+        scrubbed.store(true, std::memory_order_relaxed);
+        const std::int64_t repaired =
+            rs.hymv->scrub_store(rs.ctx->element_op());
+        if (repaired > 0) {
+          mets->counter("svc.scrubbed_blocks").add(repaired);
         }
       }
 
-      if (!cache_hit && hymv != nullptr) {
+      if (!cache_hit && rs.hymv != nullptr) {
         stores_to_cache[static_cast<std::size_t>(rank)] =
-            std::make_shared<const core::ElementMatrixStore>(hymv->store());
+            std::make_shared<const core::ElementMatrixStore>(rs.hymv->store());
       }
     }, run_options);
 
+    if (fresh) {
+      state->bytes = state_bytes(*state);
+    }
     if (entry.empty()) {
-      CacheEntry fresh;
-      fresh.setup = setup;
+      CacheEntry fresh_entry;
+      fresh_entry.setup = state->setup;
       const bool built_stores = std::all_of(
           stores_to_cache.begin(), stores_to_cache.end(),
           [](const auto& s) { return s != nullptr; });
       if (built_stores) {
-        fresh.stores = stores_to_cache;
+        fresh_entry.stores = stores_to_cache;
       } else if (!warm_stores.empty()) {
-        fresh.stores = warm_stores;  // disk hit promoted to memory
+        fresh_entry.stores = warm_stores;  // disk hit promoted to memory
       }
       // Footprint: the dominant store payload plus a coarse mesh estimate.
-      fresh.bytes = setup->total_nodes * 64 + setup->total_elements * 32;
-      for (const auto& s : fresh.stores) {
-        fresh.bytes += s->bytes();
+      fresh_entry.bytes = mesh_bytes(setup);
+      for (const auto& s : fresh_entry.stores) {
+        fresh_entry.bytes += s->bytes();
       }
-      cache_insert(key, std::move(fresh));
+      // The state joins the entry that holds the key now: this one, or
+      // the one another worker inserted first.
+      state->generation = cache_insert(key, std::move(fresh_entry));
       if (built_stores) {
         for (int r = 0; r < nranks; ++r) {
           disk_save(key, r, *stores_to_cache[static_cast<std::size_t>(r)]);
         }
       }
+    }
+    if (!opt.attempt_hook && !scrubbed.load(std::memory_order_relaxed)) {
+      state_return(key, std::move(state));
     }
     return results;
   }
