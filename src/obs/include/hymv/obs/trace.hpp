@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,14 +122,15 @@ void set_current_rank(int rank);
 
 /// RAII span: samples wall + thread-CPU clocks on construction when the
 /// tracer is armed, records a complete event on destruction. When disarmed
-/// the constructor is one relaxed load and the destructor a branch.
+/// the constructor is one relaxed load and the destructor a branch: no
+/// clock is read.
 class TraceSpan {
  public:
   TraceSpan(const char* name, const char* category) {
     if (Tracer::instance().armed()) {
       name_ = name;
       category_ = category;
-      cpu_.restart();
+      cpu_.emplace();
       start_ns_ = Tracer::instance().now_ns();
     }
   }
@@ -136,7 +138,7 @@ class TraceSpan {
     if (name_ != nullptr) {
       Tracer& t = Tracer::instance();
       t.record_complete(name_, category_, start_ns_,
-                        t.now_ns() - start_ns_, cpu_.elapsed_s());
+                        t.now_ns() - start_ns_, cpu_->elapsed_s());
     }
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -146,7 +148,9 @@ class TraceSpan {
   const char* name_ = nullptr;  ///< nullptr == constructed disarmed
   const char* category_ = nullptr;
   std::int64_t start_ns_ = 0;
-  hymv::ThreadCpuTimer cpu_;
+  /// Started only when armed: constructing the timer reads the thread's
+  /// CPU clock, a system call.
+  std::optional<hymv::ThreadCpuTimer> cpu_;
 };
 
 }  // namespace hymv::obs
