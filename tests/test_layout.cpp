@@ -1122,6 +1122,122 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
+// golden bits of panels whose width ends in a lane tail
+// ---------------------------------------------------------------------------
+
+/// A panel width pinned on one operator: a HymvOperator in `layout`, or
+/// the matrix-free operator when `matrix_free` is set.
+struct PanelWidthGoldenCase {
+  bool matrix_free;
+  StoreLayout layout;  ///< stored operators only
+  GoldenShape shape;
+  int lanes;
+  std::uint64_t panel_hash;  ///< FNV-1a of apply_multi(), ranks concatenated
+};
+
+class PanelWidthGoldenTest
+    : public ::testing::TestWithParam<PanelWidthGoldenCase> {
+ protected:
+  void TearDown() override {
+    isa::reset();
+    set_threads(1);
+  }
+};
+
+/// The service sends any panel width from 1 to its max_panel, so widths
+/// that are not a multiple of any SIMD lane block (3, and 13 = 8 + 5) must
+/// hold their bits too: on LayoutGoldenTest's meshes and inputs, at every
+/// runnable forced ISA level, at 1 and 4 threads, on 2 ranks.
+TEST_P(PanelWidthGoldenTest, LaneTailPanelBitsHoldAtEveryLevel) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "golden bits are defined for uninstrumented builds";
+#endif
+  const PanelWidthGoldenCase c = GetParam();
+  constexpr int kRanks = 2;
+  const std::unique_ptr<fem::ElementOperator> op = golden_operator(c.shape);
+  const mesh::ElementType type = op->element_type();
+  const mesh::Mesh m =
+      type == mesh::ElementType::kTet4
+          ? mesh::build_unstructured_tet(
+                {.box = {.nx = 3, .ny = 3, .nz = 3}, .jitter = 0.2, .seed = 7},
+                type)
+          : mesh::build_structured_hex({.nx = 4, .ny = 3, .nz = 4}, type);
+  const auto ids = mesh::partition_elements(m, kRanks, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, kRanks);
+
+  for (const isa::IsaLevel level : runnable_levels()) {
+    isa::force(level);
+    for (const int threads : {1, 4}) {
+      std::vector<std::vector<double>> ym_rank(kRanks);
+      simmpi::run(kRanks, [&](Comm& comm) {
+        set_threads(threads);
+        const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
+        std::unique_ptr<pla::LinearOperator> lin;
+        if (c.matrix_free) {
+          lin = std::make_unique<core::MatrixFreeOperator>(comm, part, *op);
+        } else {
+          lin = std::make_unique<HymvOperator>(
+              comm, part, *op, core::HymvOptions{.layout = c.layout});
+        }
+        const pla::Layout& lay = lin->layout();
+        pla::DistMultiVector xm(lay, c.lanes), ym(lay, c.lanes);
+        for (std::int64_t i = 0; i < xm.owned_size(); ++i) {
+          const std::int64_t g = lay.begin + i;
+          for (int l = 0; l < c.lanes; ++l) {
+            xm.at(i, l) = static_cast<double>((g * 13 + l * 7) % 64 - 32) *
+                              0.03125 +
+                          static_cast<double>(i % 5) * 0.25;
+          }
+        }
+        lin->apply_multi(comm, xm, ym);
+        ym_rank[static_cast<std::size_t>(comm.rank())].assign(
+            ym.values().begin(), ym.values().end());
+      });
+      std::vector<double> all;
+      for (const std::vector<double>& part : ym_rank) {
+        all.insert(all.end(), part.begin(), part.end());
+      }
+      const std::uint64_t h = fnv1a(all.data(), all.size());
+      EXPECT_EQ(h, c.panel_hash)
+          << "apply_multi got 0x" << std::hex << h << std::dec
+          << " level=" << isa::to_string(level) << " threads=" << threads;
+    }
+  }
+}
+
+// Captured from the staged panel path (gather, per-layout panel
+// microkernel, scatter) in the default -march=native build.
+const PanelWidthGoldenCase kPanelWidthGoldenCases[] = {
+    {false, StoreLayout::kPadded, GoldenShape::kTet4Poisson, 3,
+     0x3dbf8f31e42e5db8ULL},
+    {false, StoreLayout::kPadded, GoldenShape::kTet4Poisson, 13,
+     0x09b9c19b10e5755bULL},
+    {false, StoreLayout::kPadded, GoldenShape::kHex20Elasticity, 3,
+     0x02afbeb59b488c55ULL},
+    {false, StoreLayout::kPadded, GoldenShape::kHex20Elasticity, 13,
+     0x7ac723ba7bd7f7fcULL},
+    {false, StoreLayout::kFp32, GoldenShape::kTet4Poisson, 3,
+     0x9edf8a16be16b5abULL},
+    {false, StoreLayout::kFp32, GoldenShape::kTet4Poisson, 13,
+     0xf4162f6e6c53cbcbULL},
+    {false, StoreLayout::kFp32, GoldenShape::kHex20Elasticity, 3,
+     0x8ccea5dc7050e984ULL},
+    {false, StoreLayout::kFp32, GoldenShape::kHex20Elasticity, 13,
+     0xec44d84a1593b9eaULL},
+    {true, StoreLayout::kPadded, GoldenShape::kHex20Elasticity, 3,
+     0x02afbeb59b488c55ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, PanelWidthGoldenTest, ::testing::ValuesIn(kPanelWidthGoldenCases),
+    [](const ::testing::TestParamInfo<PanelWidthGoldenCase>& info) {
+      const PanelWidthGoldenCase& c = info.param;
+      return (c.matrix_free ? std::string("matrixfree")
+                            : std::string(to_string(c.layout))) +
+             "_" + shape_name(c.shape) + "_k" + std::to_string(c.lanes);
+    });
+
+// ---------------------------------------------------------------------------
 // store_io: round-trips, conversion on load, corruption rejection, v1 files
 // ---------------------------------------------------------------------------
 

@@ -354,6 +354,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          StoreLayout::kFp32),
                        ::testing::Values(1, 2, 8)));
 
+// Widths that end in a lane tail at every SIMD lane block (3, and
+// 13 = 8 + 5), in a suite of their own so the names above stay put.
+INSTANTIATE_TEST_SUITE_P(
+    LaneTail, ApplyMultiLayoutTest,
+    ::testing::Combine(::testing::Values(StoreLayout::kPadded,
+                                         StoreLayout::kInterleaved,
+                                         StoreLayout::kSymPacked,
+                                         StoreLayout::kFp32),
+                       ::testing::Values(3, 13)));
+
 // ---------------------------------------------------------------------------
 // ConstrainedOperator forwards panels: every layout × k, against its own
 // per-lane apply
@@ -544,6 +554,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          StoreLayout::kSymPacked,
                                          StoreLayout::kFp32),
                        ::testing::Values(1, 2, 8)));
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneTail, PanelDeterminismTest,
+    ::testing::Combine(::testing::Values(StoreLayout::kPadded,
+                                         StoreLayout::kInterleaved,
+                                         StoreLayout::kSymPacked,
+                                         StoreLayout::kFp32),
+                       ::testing::Values(3, 13)));
 
 TEST(PanelDeterminismTest, MatrixFreeThreadedBitwiseEqualsSerial) {
   const mesh::Mesh m = mesh::build_structured_hex(
