@@ -177,6 +177,11 @@ HYMV_TARGET_AVX512 inline __m512d load_tile8(const float* p) {
 #pragma GCC diagnostic pop
 #endif
 
+/// Software-prefetch distance (columns ahead) for the panel kernels: far
+/// enough to cover an L2 miss at typical n (30-90 doubles per column), near
+/// enough not to thrash the L1 at small n.
+inline constexpr std::size_t kPanelPrefetchCols = 4;
+
 /// Bytes ahead of each cache line of a column that the SIMD entries
 /// prefetch: one 4 KiB page, into the following columns and element
 /// blocks. On a 4-vCPU AVX-512 VM it cut the one-thread sweep over hex8
@@ -328,6 +333,247 @@ void emv_dense(const Scalar* ke, std::size_t ld, std::size_t n,
   const std::int64_t first = 0;
   std::fill_n(v, n, 0.0);
   dense_sweep_body<Scalar>(ld)({ke, 0, ld, n, dofs.data(), &first, 0, 1, u, v});
+}
+
+// ---------------------------------------------------------------------------
+// Register-resident panel sweep over a dense column-major store
+// (StoreLayout::kPadded and kFp32; the matrix-free panel runs it with
+// ld = n)
+//
+// V_e = K_e U_e over a k-lane panel (paper eq. 4, one column·scalar update
+// per lane). u and v are lane-interleaved panel DAs, lane j of DoF d at
+// [d*k + j], so column c's k lanes load straight from u at dofs[c]*k. Per
+// element and lane block (8 lanes at AVX-512, 4 at AVX2, 1 at the portable
+// level), a group of output rows stays in registers across all n columns,
+// and each row is added straight into v. Every (row, lane) output is one
+// ascending-column fma chain from +0, added to v in element order, so the
+// bits depend on neither the level nor the group size (DESIGN.md §5i).
+// ---------------------------------------------------------------------------
+
+/// One panel sweep: v[dofs_e] += K_e u[dofs_e] on all k lanes for each e
+/// of order[begin, end), where dofs_e are the n entries at e2l + e * n.
+template <class Scalar>
+struct PanelSweep {
+  const Scalar* store;      ///< element 0's block
+  std::size_t stride;       ///< scalars per element
+  std::size_t ld;           ///< leading dimension, >= n
+  std::size_t n;            ///< element DoFs (rows == columns)
+  std::size_t k;            ///< lanes per DoF in u and v
+  const std::int64_t* e2l;  ///< element-to-local DoF map, n per element
+  const std::int64_t* order;
+  std::int64_t begin;
+  std::int64_t end;
+  const double* u;
+  double* v;
+};
+
+namespace detail {
+
+template <class Scalar>
+using PanelSweepFn = void (*)(const PanelSweep<Scalar>&);
+
+/// Most output rows one panel body keeps live. On a 4-vCPU AVX-512 VM,
+/// groups of up to 24 rows sped up tet4 and hex8 panels but slowed hex20
+/// and hex27 by 10-30 %; groups of at most 8 held or improved every shape.
+inline constexpr std::size_t kMaxPanelRows = 8;
+
+/// Rows per group for an n-row element: the fewest groups that fit
+/// kMaxPanelRows, split evenly (the last group slides back, as in the
+/// single-vector sweep, to end at row n).
+constexpr std::size_t panel_group_rows(std::size_t n) {
+  const std::size_t groups = (n + kMaxPanelRows - 1) / kMaxPanelRows;
+  return (n + groups - 1) / groups;
+}
+
+/// Portable entry: one lane at a time, kRows scalar chains.
+template <class Scalar, std::size_t kRows>
+void panel_sweep_fma(const PanelSweep<Scalar>& a) {
+  const std::size_t n = a.n;
+  const std::size_t ld = a.ld;
+  const std::size_t k = a.k;
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * n;
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t fresh = 0; fresh < n; fresh += kRows) {
+        const std::size_t r0 = group_first_row(fresh, n, kRows);
+        double acc[kRows] = {};
+        for (std::size_t c = 0; c < n; ++c) {
+          const double uc = a.u[static_cast<std::size_t>(dofs[c]) * k + j];
+          const Scalar* col = ke + c * ld + r0;
+          for (std::size_t r = 0; r < kRows; ++r) {
+            acc[r] = std::fma(static_cast<double>(col[r]), uc, acc[r]);
+          }
+        }
+        for (std::size_t r = fresh - r0; r < kRows; ++r) {
+          a.v[static_cast<std::size_t>(dofs[r0 + r]) * k + j] += acc[r];
+        }
+      }
+    }
+  }
+}
+
+#if HYMV_ISA_X86
+
+/// Four lanes at p; the first `rem` of them, zero beyond, when not full.
+HYMV_TARGET_AVX2 inline __m256d load_lanes4(const double* p, bool full,
+                                            __m256i mask) {
+  return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, mask);
+}
+
+/// How far past each column's rows the panel bodies prefetch. An element
+/// of one row group reads its block front to back, so the single-vector
+/// sweep's page ahead applies; with several groups, each group reads one
+/// line per column, so the same rows kPanelPrefetchCols columns ahead.
+template <class Scalar>
+std::size_t panel_prefetch_bytes(const PanelSweep<Scalar>& a,
+                                 std::size_t rows) {
+  return rows >= a.n ? kSweepPrefetchBytes
+                     : kPanelPrefetchCols * a.ld * sizeof(Scalar);
+}
+
+/// AVX2 entry: kRows 4-lane accumulators live across all columns. The
+/// fields are read into locals and the rows scattered by constant index,
+/// so the accumulators never leave registers inside the column loop.
+template <class Scalar, std::size_t kRows>
+HYMV_TARGET_AVX2 void panel_sweep_avx2(const PanelSweep<Scalar>& a) {
+  const std::size_t n = a.n;
+  const std::size_t ld = a.ld;
+  const std::size_t k = a.k;
+  const double* u = a.u;
+  double* v = a.v;
+  const std::size_t ahead = panel_prefetch_bytes<Scalar>(a, kRows);
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * n;
+    for (std::size_t jb = 0; jb < k; jb += 4) {
+      const bool full = k - jb >= 4;
+      const __m256i mask = avx2_tail_mask(k - jb);
+      for (std::size_t fresh = 0; fresh < n; fresh += kRows) {
+        const std::size_t r0 = group_first_row(fresh, n, kRows);
+        __m256d acc[kRows];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRows; ++r) {
+          acc[r] = _mm256_setzero_pd();
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+          const __m256d uc = load_lanes4(
+              u + static_cast<std::size_t>(dofs[c]) * k + jb, full, mask);
+          const Scalar* col = ke + c * ld + r0;
+          _mm_prefetch(reinterpret_cast<const char*>(
+                           reinterpret_cast<std::uintptr_t>(col) + ahead),
+                       _MM_HINT_T0);
+#pragma GCC unroll 8
+          for (std::size_t r = 0; r < kRows; ++r) {
+            acc[r] = _mm256_fmadd_pd(
+                _mm256_set1_pd(static_cast<double>(col[r])), uc, acc[r]);
+          }
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRows; ++r) {
+          if (r0 + r >= fresh) {
+            double* dst = v + static_cast<std::size_t>(dofs[r0 + r]) * k + jb;
+            const __m256d sum =
+                _mm256_add_pd(load_lanes4(dst, full, mask), acc[r]);
+            if (full) {
+              _mm256_storeu_pd(dst, sum);
+            } else {
+              _mm256_maskstore_pd(dst, mask, sum);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// AVX-512 entry: kRows 8-lane accumulators live across all columns, kept
+/// in registers as in the AVX2 entry.
+template <class Scalar, std::size_t kRows>
+HYMV_TARGET_AVX512 void panel_sweep_avx512(const PanelSweep<Scalar>& a) {
+  const std::size_t n = a.n;
+  const std::size_t ld = a.ld;
+  const std::size_t k = a.k;
+  const double* u = a.u;
+  double* v = a.v;
+  const std::size_t ahead = panel_prefetch_bytes<Scalar>(a, kRows);
+  for (std::int64_t i = a.begin; i < a.end; ++i) {
+    const auto e = static_cast<std::size_t>(a.order[i]);
+    const Scalar* ke = a.store + e * a.stride;
+    const std::int64_t* dofs = a.e2l + e * n;
+    for (std::size_t jb = 0; jb < k; jb += 8) {
+      const std::size_t rem = k - jb;
+      const __mmask8 m =
+          rem >= 8 ? 0xFF : static_cast<__mmask8>((1U << rem) - 1U);
+      for (std::size_t fresh = 0; fresh < n; fresh += kRows) {
+        const std::size_t r0 = group_first_row(fresh, n, kRows);
+        __m512d acc[kRows];
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRows; ++r) {
+          acc[r] = _mm512_setzero_pd();
+        }
+        for (std::size_t c = 0; c < n; ++c) {
+          const __m512d uc = _mm512_maskz_loadu_pd(
+              m, u + static_cast<std::size_t>(dofs[c]) * k + jb);
+          const Scalar* col = ke + c * ld + r0;
+          _mm_prefetch(reinterpret_cast<const char*>(
+                           reinterpret_cast<std::uintptr_t>(col) + ahead),
+                       _MM_HINT_T0);
+#pragma GCC unroll 8
+          for (std::size_t r = 0; r < kRows; ++r) {
+            acc[r] = _mm512_fmadd_pd(
+                _mm512_set1_pd(static_cast<double>(col[r])), uc, acc[r]);
+          }
+        }
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < kRows; ++r) {
+          if (r0 + r >= fresh) {
+            double* dst = v + static_cast<std::size_t>(dofs[r0 + r]) * k + jb;
+            _mm512_mask_storeu_pd(
+                dst, m, _mm512_add_pd(_mm512_maskz_loadu_pd(m, dst), acc[r]));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Per-level rows of entries; entry r - 1 keeps r output rows live.
+template <class Scalar, std::size_t... kR>
+constexpr auto panel_sweep_table(std::index_sequence<kR...> /*rows - 1*/) {
+  using Row = std::array<PanelSweepFn<Scalar>, sizeof...(kR)>;
+  return std::array<Row, hymv::isa::kNumIsaLevels>{
+      Row{&panel_sweep_fma<Scalar, kR + 1>...},
+      Row{&panel_sweep_avx2<Scalar, kR + 1>...},
+      Row{&panel_sweep_avx512<Scalar, kR + 1>...}};
+}
+
+#else  // !HYMV_ISA_X86
+
+template <class Scalar, std::size_t... kR>
+constexpr auto panel_sweep_table(std::index_sequence<kR...> /*rows - 1*/) {
+  using Row = std::array<PanelSweepFn<Scalar>, sizeof...(kR)>;
+  return std::array<Row, hymv::isa::kNumIsaLevels>{
+      Row{&panel_sweep_fma<Scalar, kR + 1>...},
+      Row{&panel_sweep_fma<Scalar, kR + 1>...},
+      Row{&panel_sweep_fma<Scalar, kR + 1>...}};
+}
+
+#endif  // HYMV_ISA_X86
+
+template <class Scalar>
+inline constexpr auto kPanelSweepTable =
+    panel_sweep_table<Scalar>(std::make_index_sequence<kMaxPanelRows>{});
+
+}  // namespace detail
+
+/// The panel sweep body for n-row elements at the active ISA level.
+template <class Scalar>
+inline detail::PanelSweepFn<Scalar> panel_sweep_body(std::size_t n) {
+  return detail::kPanelSweepTable<Scalar>[static_cast<std::size_t>(
+      hymv::isa::active_index())][detail::panel_group_rows(n) - 1];
 }
 
 // ---------------------------------------------------------------------------
@@ -491,279 +737,17 @@ inline void emv_sym(const double* kp, std::size_t n, const double* u,
 }
 
 // ---------------------------------------------------------------------------
-// Multi-RHS panel kernels
+// Staged panel kernels (StoreLayout::kSymPacked and kInterleaved)
 //
-// V = K_e U over a k-lane panel: U and V are n×k lane-interleaved (entry a
-// of lane j at [a*k + j]), the layout the ghost-padded panel DA produces,
-// so one E2L gather feeds all k lanes. The matrix is streamed ONCE per
-// panel — the whole point: arithmetic intensity grows ~k while matrix
-// traffic stays flat.
-//
-// Every layout's panel kernel is a per-ISA table of register-blocked
-// microkernels (k-lane × row-tile accumulators, masked lane tails, software
-// prefetch of the next element column) that keep several output rows live
-// in registers while one column streams through. Each output is one
-// ascending-c fused chain at every level, the dense sweep's chain, so a
-// kPadded, kFp32 or kInterleaved panel lane reproduces the single-vector
-// apply.
+// V = K_e U over a k-lane panel staged through element buffers: U and V are
+// n×k lane-interleaved (entry a of lane j at [a*k + j]), gathered from and
+// scatter-added to the panel DA by the traversal. The matrix is streamed
+// once per panel, so arithmetic intensity grows ~k while matrix traffic
+// stays flat. Each layout's kernel is a per-ISA table of microkernels with
+// masked lane tails. Each kInterleaved output is one ascending-c fused
+// chain at every level, the dense chain, so its panel lanes reproduce the
+// single-vector apply; the dense layouts run the panel sweep above.
 // ---------------------------------------------------------------------------
-
-namespace detail {
-
-using MultiEmvFn = void (*)(const double*, std::size_t, std::size_t,
-                            std::size_t, const double*, double*);
-
-/// Software-prefetch distance (columns ahead) for the panel microkernels:
-/// far enough to cover an L2 miss at typical n (30-90 doubles per column),
-/// near enough not to thrash the L1 at small n.
-inline constexpr std::size_t kPanelPrefetchCols = 4;
-
-/// Portable panel entry: per-(r, j) fused chain over c — exactly one SIMD
-/// lane of the register-blocked variants below.
-inline void emv_multi_fma(const double* ke, std::size_t ld, std::size_t n,
-                          std::size_t k, const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double sum = 0.0;
-      for (std::size_t c = 0; c < n; ++c) {
-        sum = std::fma(ke[c * ld + r], u[c * k + j], sum);
-      }
-      v[r * k + j] = sum;
-    }
-  }
-}
-
-#if HYMV_ISA_X86
-
-/// AVX2 register-blocked panel microkernel: 4 k-lanes × 4 rows of
-/// accumulators live in registers while one column streams through; the
-/// lane tail is masked (maskload/maskstore), the row tail falls back to a
-/// single-accumulator loop. Each (r, j) output is one ascending-c fma
-/// chain — the bitwise canon shared by the whole table.
-HYMV_TARGET_AVX2 inline void emv_multi_avx2(const double* ke, std::size_t ld,
-                                            std::size_t n, std::size_t k,
-                                            const double* u, double* v) {
-  constexpr std::size_t kJ = 4;
-  for (std::size_t jb = 0; jb < k; jb += kJ) {
-    const std::size_t jrem = k - jb;
-    const bool full_j = jrem >= kJ;
-    const __m256i jmask = avx2_tail_mask(jrem);
-    std::size_t r0 = 0;
-    for (; r0 + 4 <= n; r0 += 4) {
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd();
-      __m256d acc3 = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        const double* col = ke + c * ld + r0;
-        if (c + kPanelPrefetchCols < n) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           ke + (c + kPanelPrefetchCols) * ld + r0),
-                       _MM_HINT_T0);
-        }
-        const __m256d uv =
-            full_j ? _mm256_loadu_pd(u + c * k + jb)
-                   : _mm256_maskload_pd(u + c * k + jb, jmask);
-        acc0 = _mm256_fmadd_pd(_mm256_set1_pd(col[0]), uv, acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_set1_pd(col[1]), uv, acc1);
-        acc2 = _mm256_fmadd_pd(_mm256_set1_pd(col[2]), uv, acc2);
-        acc3 = _mm256_fmadd_pd(_mm256_set1_pd(col[3]), uv, acc3);
-      }
-      if (full_j) {
-        _mm256_storeu_pd(v + (r0 + 0) * k + jb, acc0);
-        _mm256_storeu_pd(v + (r0 + 1) * k + jb, acc1);
-        _mm256_storeu_pd(v + (r0 + 2) * k + jb, acc2);
-        _mm256_storeu_pd(v + (r0 + 3) * k + jb, acc3);
-      } else {
-        _mm256_maskstore_pd(v + (r0 + 0) * k + jb, jmask, acc0);
-        _mm256_maskstore_pd(v + (r0 + 1) * k + jb, jmask, acc1);
-        _mm256_maskstore_pd(v + (r0 + 2) * k + jb, jmask, acc2);
-        _mm256_maskstore_pd(v + (r0 + 3) * k + jb, jmask, acc3);
-      }
-    }
-    for (; r0 < n; ++r0) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        const __m256d uv =
-            full_j ? _mm256_loadu_pd(u + c * k + jb)
-                   : _mm256_maskload_pd(u + c * k + jb, jmask);
-        acc = _mm256_fmadd_pd(_mm256_set1_pd(ke[c * ld + r0]), uv, acc);
-      }
-      if (full_j) {
-        _mm256_storeu_pd(v + r0 * k + jb, acc);
-      } else {
-        _mm256_maskstore_pd(v + r0 * k + jb, jmask, acc);
-      }
-    }
-  }
-}
-
-/// AVX-512 register-blocked panel microkernel: 8 k-lanes × 4 rows of
-/// accumulators, masked lane tail, software prefetch of the next element
-/// column. Same ascending-c fma chain per (r, j) output.
-HYMV_TARGET_AVX512 inline void emv_multi_avx512(const double* ke,
-                                                std::size_t ld, std::size_t n,
-                                                std::size_t k, const double* u,
-                                                double* v) {
-  constexpr std::size_t kJ = 8;
-  for (std::size_t jb = 0; jb < k; jb += kJ) {
-    const std::size_t jrem = k - jb;
-    const __mmask8 m =
-        jrem >= kJ ? 0xFF : static_cast<__mmask8>((1u << jrem) - 1u);
-    std::size_t r0 = 0;
-    for (; r0 + 4 <= n; r0 += 4) {
-      __m512d acc0 = _mm512_setzero_pd();
-      __m512d acc1 = _mm512_setzero_pd();
-      __m512d acc2 = _mm512_setzero_pd();
-      __m512d acc3 = _mm512_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        const double* col = ke + c * ld + r0;
-        if (c + kPanelPrefetchCols < n) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           ke + (c + kPanelPrefetchCols) * ld + r0),
-                       _MM_HINT_T0);
-        }
-        const __m512d uv = _mm512_maskz_loadu_pd(m, u + c * k + jb);
-        acc0 = _mm512_fmadd_pd(_mm512_set1_pd(col[0]), uv, acc0);
-        acc1 = _mm512_fmadd_pd(_mm512_set1_pd(col[1]), uv, acc1);
-        acc2 = _mm512_fmadd_pd(_mm512_set1_pd(col[2]), uv, acc2);
-        acc3 = _mm512_fmadd_pd(_mm512_set1_pd(col[3]), uv, acc3);
-      }
-      _mm512_mask_storeu_pd(v + (r0 + 0) * k + jb, m, acc0);
-      _mm512_mask_storeu_pd(v + (r0 + 1) * k + jb, m, acc1);
-      _mm512_mask_storeu_pd(v + (r0 + 2) * k + jb, m, acc2);
-      _mm512_mask_storeu_pd(v + (r0 + 3) * k + jb, m, acc3);
-    }
-    for (; r0 < n; ++r0) {
-      __m512d acc = _mm512_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        const __m512d uv = _mm512_maskz_loadu_pd(m, u + c * k + jb);
-        acc = _mm512_fmadd_pd(_mm512_set1_pd(ke[c * ld + r0]), uv, acc);
-      }
-      _mm512_mask_storeu_pd(v + r0 * k + jb, m, acc);
-    }
-  }
-}
-
-inline constexpr MultiEmvFn kMultiEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_multi_fma, &emv_multi_avx2, &emv_multi_avx512};
-
-#else  // !HYMV_ISA_X86
-
-inline constexpr MultiEmvFn kMultiEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_multi_fma, &emv_multi_fma, &emv_multi_fma};
-
-#endif  // HYMV_ISA_X86
-
-}  // namespace detail
-
-/// Dense panel kernel (kPadded), and the matrix-free operators' panel
-/// kernel with ld = n.
-inline void emv_multi(const double* ke, std::size_t ld, std::size_t n,
-                      std::size_t k, const double* u, double* v) {
-  detail::kMultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
-}
-
-namespace detail {
-
-using F32MultiEmvFn = void (*)(const float*, std::size_t, std::size_t,
-                               std::size_t, const double*, double*);
-
-/// Portable fp32 panel entry (double accumulation, fused chain per output).
-inline void emv_f32_multi_fma(const float* ke, std::size_t ld, std::size_t n,
-                              std::size_t k, const double* u, double* v) {
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t j = 0; j < k; ++j) {
-      double sum = 0.0;
-      for (std::size_t c = 0; c < n; ++c) {
-        sum = std::fma(static_cast<double>(ke[c * ld + r]), u[c * k + j],
-                       sum);
-      }
-      v[r * k + j] = sum;
-    }
-  }
-}
-
-#if HYMV_ISA_X86
-
-/// AVX2 fp32 panel microkernel: the broadcast widens one float to a double
-/// splat; otherwise identical blocking to emv_multi_avx2.
-HYMV_TARGET_AVX2 inline void emv_f32_multi_avx2(const float* ke,
-                                                std::size_t ld, std::size_t n,
-                                                std::size_t k, const double* u,
-                                                double* v) {
-  constexpr std::size_t kJ = 4;
-  for (std::size_t jb = 0; jb < k; jb += kJ) {
-    const std::size_t jrem = k - jb;
-    const bool full_j = jrem >= kJ;
-    const __m256i jmask = avx2_tail_mask(jrem);
-    for (std::size_t r = 0; r < n; ++r) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        if (c + kPanelPrefetchCols < n) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           ke + (c + kPanelPrefetchCols) * ld + r),
-                       _MM_HINT_T0);
-        }
-        const __m256d uv =
-            full_j ? _mm256_loadu_pd(u + c * k + jb)
-                   : _mm256_maskload_pd(u + c * k + jb, jmask);
-        const __m256d a =
-            _mm256_set1_pd(static_cast<double>(ke[c * ld + r]));
-        acc = _mm256_fmadd_pd(a, uv, acc);
-      }
-      if (full_j) {
-        _mm256_storeu_pd(v + r * k + jb, acc);
-      } else {
-        _mm256_maskstore_pd(v + r * k + jb, jmask, acc);
-      }
-    }
-  }
-}
-
-HYMV_TARGET_AVX512 inline void emv_f32_multi_avx512(
-    const float* ke, std::size_t ld, std::size_t n, std::size_t k,
-    const double* u, double* v) {
-  constexpr std::size_t kJ = 8;
-  for (std::size_t jb = 0; jb < k; jb += kJ) {
-    const std::size_t jrem = k - jb;
-    const __mmask8 m =
-        jrem >= kJ ? 0xFF : static_cast<__mmask8>((1u << jrem) - 1u);
-    for (std::size_t r = 0; r < n; ++r) {
-      __m512d acc = _mm512_setzero_pd();
-      for (std::size_t c = 0; c < n; ++c) {
-        if (c + kPanelPrefetchCols < n) {
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           ke + (c + kPanelPrefetchCols) * ld + r),
-                       _MM_HINT_T0);
-        }
-        const __m512d uv = _mm512_maskz_loadu_pd(m, u + c * k + jb);
-        const __m512d a =
-            _mm512_set1_pd(static_cast<double>(ke[c * ld + r]));
-        acc = _mm512_fmadd_pd(a, uv, acc);
-      }
-      _mm512_mask_storeu_pd(v + r * k + jb, m, acc);
-    }
-  }
-}
-
-inline constexpr F32MultiEmvFn kF32MultiEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_f32_multi_fma, &emv_f32_multi_avx2, &emv_f32_multi_avx512};
-
-#else  // !HYMV_ISA_X86
-
-inline constexpr F32MultiEmvFn kF32MultiEmvTable[hymv::isa::kNumIsaLevels] = {
-    &emv_f32_multi_fma, &emv_f32_multi_fma, &emv_f32_multi_fma};
-
-#endif  // HYMV_ISA_X86
-
-}  // namespace detail
-
-/// fp32-storage panel kernel (double accumulation, like the sweep).
-inline void emv_f32_multi(const float* ke, std::size_t ld, std::size_t n,
-                          std::size_t k, const double* u, double* v) {
-  detail::kF32MultiEmvTable[hymv::isa::active_index()](ke, ld, n, k, u, v);
-}
 
 namespace detail {
 

@@ -137,10 +137,12 @@ class ElementMatrixStore {
   void emv_batch(std::int64_t first_elem, const double* uei,
                  double* vei) const;
 
-  /// Panel EMV: V_e = K_e U_e over a k-lane panel, dispatched on layout.
-  /// ue/ve are ndofs × k lane-interleaved (entry a of lane j at [a*k + j]);
-  /// ve is overwritten. The element matrix is streamed once for all k
-  /// lanes — the multi-RHS arithmetic-intensity win.
+  /// Panel EMV: V_e = K_e U_e over a k-lane panel for the staged layouts
+  /// (kInterleaved, kSymPacked; the dense layouts run the panel sweep of
+  /// dense_kernels.hpp straight on the DA). ue/ve are ndofs × k
+  /// lane-interleaved (entry a of lane j at [a*k + j]); ve is overwritten.
+  /// The element matrix is streamed once for all k lanes — the multi-RHS
+  /// arithmetic-intensity win.
   void emv_multi(std::int64_t e, std::size_t k, const double* ue,
                  double* ve) const;
   /// Panel EMV over the full interleaved batch at `first_elem` (which must

@@ -32,6 +32,9 @@ class StoredEmvSweep {
   StoredEmvSweep(const DofMaps& maps, const ElementMatrixStore& store)
       : maps_(&maps), store_(&store) {}
 
+  /// Sweep `store` from now on; it must have the old store's geometry.
+  void rebind(const ElementMatrixStore& store) { store_ = &store; }
+
   /// Per-thread workspace (doubles) one range()/range_multi() call needs:
   /// ndofs × kBatchElems × k, sized for the interleaved batch fast path.
   [[nodiscard]] std::size_t workspace_size(std::size_t k = 1) const {

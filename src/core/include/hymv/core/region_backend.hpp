@@ -158,6 +158,9 @@ class StoredRegionBackend final : public ElementBlockBackend {
   void add_diagonal(std::span<double> v_da) override;
   /// The sweep reads the shared store live — nothing to refresh.
   void update_elements(std::span<const std::int64_t> dirty) override;
+  /// Read `store` from now on (same geometry): the owning operator's
+  /// private copy once a write to a shared store made one.
+  void rebind(const ElementMatrixStore& store);
 
   [[nodiscard]] std::int64_t apply_flops() const override;
   [[nodiscard]] std::int64_t apply_bytes() const override;

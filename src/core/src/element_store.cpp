@@ -389,27 +389,18 @@ void ElementMatrixStore::emv_batch(std::int64_t first_elem, const double* uei,
 void ElementMatrixStore::emv_multi(std::int64_t e, std::size_t k,
                                    const double* ue, double* ve) const {
   const auto n = static_cast<std::size_t>(ndofs_);
-  const auto ld = static_cast<std::size_t>(ld_);
-  switch (layout_) {
-    case StoreLayout::kPadded:
-      core::emv_multi(data_.data() + static_cast<std::size_t>(e * stride_),
-                      ld, n, k, ue, ve);
-      return;
-    case StoreLayout::kFp32:
-      emv_f32_multi(data32_.data() + static_cast<std::size_t>(e * stride_),
-                    ld, n, k, ue, ve);
-      return;
-    case StoreLayout::kInterleaved:
-      emv_interleaved_lane_multi(
-          data_.data() + static_cast<std::size_t>(e / kBatchElems * stride_ *
-                                                  kBatchElems),
-          n, static_cast<std::size_t>(e % kBatchElems), k, ue, ve);
-      return;
-    case StoreLayout::kSymPacked:
-      emv_sym_multi(data_.data() + static_cast<std::size_t>(e * stride_), n,
-                    k, ue, ve);
-      return;
+  if (layout_ == StoreLayout::kInterleaved) {
+    emv_interleaved_lane_multi(
+        data_.data() +
+            static_cast<std::size_t>(e / kBatchElems * stride_ * kBatchElems),
+        n, static_cast<std::size_t>(e % kBatchElems), k, ue, ve);
+    return;
   }
+  HYMV_CHECK_MSG(layout_ == StoreLayout::kSymPacked,
+                 "ElementMatrixStore::emv_multi: the dense layouts run the "
+                 "panel sweep (dense_kernels.hpp)");
+  emv_sym_multi(data_.data() + static_cast<std::size_t>(e * stride_), n, k,
+                ue, ve);
 }
 
 void ElementMatrixStore::emv_batch_multi(std::int64_t first_elem,

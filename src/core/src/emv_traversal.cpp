@@ -81,9 +81,27 @@ void StoredEmvSweep::range_multi(std::span<const std::int64_t> order,
                                  std::size_t k, std::span<const double> u,
                                  std::span<double> v, double* ue,
                                  double* ve) const {
+  const auto n = static_cast<std::size_t>(store_->ndofs());
+  const auto ld = static_cast<std::size_t>(store_->leading_dim());
+  const auto stride = static_cast<std::size_t>(store_->stride());
+  switch (store_->layout()) {
+    case StoreLayout::kPadded:
+      panel_sweep_body<double>(n)({store_->data(0), stride, ld, n, k,
+                                   maps_->e2l_data(), order.data(), begin, end,
+                                   u.data(), v.data()});
+      return;
+    case StoreLayout::kFp32:
+      panel_sweep_body<float>(n)({store_->data32(0), stride, ld, n, k,
+                                  maps_->e2l_data(), order.data(), begin, end,
+                                  u.data(), v.data()});
+      return;
+    case StoreLayout::kInterleaved:
+    case StoreLayout::kSymPacked:
+      break;
+  }
+
   constexpr std::int64_t kB = ElementMatrixStore::kBatchElems;
   const auto kBu = static_cast<std::size_t>(kB);
-  const auto n = static_cast<std::size_t>(store_->ndofs());
 
   std::int64_t i = begin;
   while (i < end) {

@@ -175,6 +175,11 @@ void StoredRegionBackend::update_elements(
   (void)dirty;  // the sweep reads the shared store live
 }
 
+void StoredRegionBackend::rebind(const ElementMatrixStore& store) {
+  sweep_.rebind(store);
+  store_ = &store;
+}
+
 std::int64_t StoredRegionBackend::apply_flops() const {
   const auto n = static_cast<std::int64_t>(store_->ndofs());
   return schedule().num_elements() * 2 * n * n;
@@ -219,11 +224,9 @@ void MatrixFreeRegionBackend::set_element_op(const fem::ElementOperator& op) {
   op_ = &op;
 }
 
-std::size_t MatrixFreeRegionBackend::workspace_size(int lanes) const {
+std::size_t MatrixFreeRegionBackend::workspace_size(int /*lanes*/) const {
   const auto n = static_cast<std::size_t>(op_->num_dofs());
-  const std::size_t panel =
-      hymv::round_up_to(n * static_cast<std::size_t>(std::max(lanes, 1)), 8);
-  return 2 * panel + n * n;
+  return 2 * hymv::round_up_to(n, 8) + n * n;
 }
 
 void MatrixFreeRegionBackend::run_range(std::int64_t begin, std::int64_t end,
@@ -233,37 +236,35 @@ void MatrixFreeRegionBackend::run_range(std::int64_t begin, std::int64_t end,
                                         double* ws) const {
   const auto n = static_cast<std::size_t>(op_->num_dofs());
   const auto nper = static_cast<std::size_t>(op_->num_nodes());
-  // A single vector moves as a one-lane panel; only the kernel differs.
-  const auto k = static_cast<std::size_t>(std::max(lanes, 1));
-  const std::size_t panel = hymv::round_up_to(n * k, 8);
+  const std::size_t padded = hymv::round_up_to(n, 8);
   double* ue = ws;
-  double* ve = ws + panel;
-  const std::span<double> ke(ws + 2 * panel, n * n);
+  double* ve = ws + padded;
+  const std::span<double> ke(ws + 2 * padded, n * n);
   const std::span<const std::int64_t> order = schedule().order();
+  // A panel runs the stored panel sweep over the one fresh K_e (ld = n),
+  // straight on the DA; a single vector stages u_e and v_e.
+  const auto k = static_cast<std::size_t>(lanes);
+  const auto panel = panel_sweep_body<double>(n);
+  const std::int64_t first = 0;
   for (std::int64_t i = begin; i < end; ++i) {
     const std::int64_t e = order[static_cast<std::size_t>(i)];
     const auto e2l = maps_->e2l(e);
-    for (std::size_t a = 0; a < n; ++a) {  // gather the ndofs × k panel
-      const double* src = u_da.data() + static_cast<std::size_t>(e2l[a]) * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        ue[a * k + j] = src[j];
-      }
-    }
     // The defining difference from HYMV: K_e is recomputed here, inside the
     // SPMV (Algorithm 4, line 6), once for all k lanes of a panel.
     op_->element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    if (lanes == 0) {
-      emv_simd(ke.data(), n, n, ue, ve);
-    } else {
-      emv_multi(ke.data(), n, n, k, ue, ve);
+    if (lanes > 0) {
+      panel({ke.data(), 0, n, n, k, e2l.data(), &first, 0, 1, u_da.data(),
+             v_da.data()});
+      continue;
     }
-    for (std::size_t a = 0; a < n; ++a) {  // scatter-add the v_e panel
-      double* dst = v_da.data() + static_cast<std::size_t>(e2l[a]) * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        dst[j] += ve[a * k + j];
-      }
+    for (std::size_t a = 0; a < n; ++a) {  // extract u_e
+      ue[a] = u_da[static_cast<std::size_t>(e2l[a])];
+    }
+    emv_simd(ke.data(), n, n, ue, ve);
+    for (std::size_t a = 0; a < n; ++a) {  // accumulate v_e
+      v_da[static_cast<std::size_t>(e2l[a])] += ve[a];
     }
   }
 }
