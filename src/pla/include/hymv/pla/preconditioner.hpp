@@ -8,9 +8,11 @@
 /// §V-F), which hymv::HymvOperator::owned_block provides.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hymv/pla/csr.hpp"
+#include "hymv/pla/dist_multi_vector.hpp"
 #include "hymv/pla/dist_vector.hpp"
 #include "hymv/pla/operator.hpp"
 
@@ -22,6 +24,15 @@ class Preconditioner {
   virtual ~Preconditioner() = default;
   virtual void apply(simmpi::Comm& comm, const DistVector& r,
                      DistVector& z) = 0;
+  /// Panel twin of apply(): z(·,j) = M⁻¹ r(·,j) for every lane j with
+  /// active[j] != 0; the other lanes of z stay bitwise untouched. The
+  /// default copies each active lane out, runs apply() on it and copies it
+  /// back, so every preconditioner serves panel CG; pointwise ones override
+  /// it with one pass over the lane-interleaved panel. Collective when
+  /// apply() is.
+  virtual void apply_multi(simmpi::Comm& comm, const DistMultiVector& r,
+                           DistMultiVector& z,
+                           std::span<const unsigned char> active);
 };
 
 /// z = r.
@@ -45,6 +56,11 @@ class JacobiPreconditioner final : public Preconditioner {
   JacobiPreconditioner(simmpi::Comm& comm, LinearOperator& a,
                        bool strict = false);
   void apply(simmpi::Comm& comm, const DistVector& r, DistVector& z) override;
+  /// One pass over the panel: z(i,j) = inv_diag[i] · r(i,j) on the active
+  /// lanes, apply()'s product, so each lane has apply()'s bits.
+  void apply_multi(simmpi::Comm& comm, const DistMultiVector& r,
+                   DistMultiVector& z,
+                   std::span<const unsigned char> active) override;
 
  private:
   std::vector<double> inv_diag_;

@@ -127,32 +127,14 @@ void step(simmpi::Comm& comm, std::span<const double> alpha,
   norm2_lanes(comm, r, rnorm);
 }
 
-/// Staging vectors for preconditioning a panel one lane at a time.
-template <class V>
-struct Stage {
-  explicit Stage(const Layout& /*layout*/) {}
-};
-template <>
-struct Stage<DistMultiVector> {
-  explicit Stage(const Layout& layout) : r(layout), z(layout) {}
-  DistVector r, z;
-};
-
 /// z = M r on the active lanes.
 void precondition(simmpi::Comm& comm, Preconditioner& m, const DistVector& r,
-                  DistVector& z, Mask /*active*/, Stage<DistVector>& /*s*/) {
+                  DistVector& z, Mask /*active*/) {
   m.apply(comm, r, z);
 }
 void precondition(simmpi::Comm& comm, Preconditioner& m,
-                  const DistMultiVector& r, DistMultiVector& z, Mask active,
-                  Stage<DistMultiVector>& s) {
-  for (int j = 0; j < r.width(); ++j) {
-    if (active[static_cast<std::size_t>(j)] != 0) {
-      r.get_lane(j, s.r);
-      m.apply(comm, s.r, s.z);
-      z.set_lane(j, s.z);
-    }
-  }
+                  const DistMultiVector& r, DistMultiVector& z, Mask active) {
+  m.apply_multi(comm, r, z, active);
 }
 
 /// p = z on the active lanes (a restarted search direction).
@@ -398,7 +380,6 @@ std::vector<CgResult> standard_cg(simmpi::Comm& comm, LinearOperator& a,
   const Layout& layout = a.layout();
   V r = zeros_like(b, layout), z = zeros_like(b, layout),
     p = zeros_like(b, layout), q = zeros_like(b, layout);
-  Stage<V> stage(layout);
   const std::size_t k = lane_count(b);
   std::vector<double> bnorm(k), rnorm(k), trial(k), pq(k), rz(k), rz_new(k),
       alpha(k), beta(k);
@@ -411,7 +392,7 @@ std::vector<CgResult> standard_cg(simmpi::Comm& comm, LinearOperator& a,
   }
   // z = M r, p = z on the active lanes: a (re)started search direction.
   const auto restart = [&] {
-    precondition(comm, m, r, z, book.active(), stage);
+    precondition(comm, m, r, z, book.active());
     restart_direction(z, p, book.active());
     dots(comm, r, z, rz);
     book.reduced();
@@ -489,7 +470,7 @@ std::vector<CgResult> standard_cg(simmpi::Comm& comm, LinearOperator& a,
       }
       restart();
     } else {
-      precondition(comm, m, r, z, book.active(), stage);
+      precondition(comm, m, r, z, book.active());
       dots(comm, r, z, rz_new);
       book.reduced();
       book.for_active([&](std::size_t j) {

@@ -12,6 +12,20 @@ CsrMatrix LinearOperator::owned_block(simmpi::Comm&) {
   HYMV_THROW("LinearOperator: owned_block not supported by this operator");
 }
 
+void Preconditioner::apply_multi(simmpi::Comm& comm, const DistMultiVector& r,
+                                 DistMultiVector& z,
+                                 std::span<const unsigned char> active) {
+  DistVector rj(r.layout());
+  DistVector zj(r.layout());
+  for (int j = 0; j < r.width(); ++j) {
+    if (active[static_cast<std::size_t>(j)] != 0) {
+      r.get_lane(j, rj);
+      apply(comm, rj, zj);
+      z.set_lane(j, zj);
+    }
+  }
+}
+
 void IdentityPreconditioner::apply(simmpi::Comm&, const DistVector& r,
                                    DistVector& z) {
   copy(r, z);
@@ -46,6 +60,27 @@ void JacobiPreconditioner::apply(simmpi::Comm&, const DistVector& r,
   const auto zs = z.values();
   for (std::size_t i = 0; i < rs.size(); ++i) {
     zs[i] = inv_diag_[i] * rs[i];
+  }
+}
+
+void JacobiPreconditioner::apply_multi(simmpi::Comm&, const DistMultiVector& r,
+                                       DistMultiVector& z,
+                                       std::span<const unsigned char> active) {
+  HYMV_CHECK_MSG(static_cast<std::size_t>(r.owned_size()) == inv_diag_.size() &&
+                     z.owned_size() == r.owned_size() &&
+                     z.width() == r.width() &&
+                     active.size() == static_cast<std::size_t>(r.width()),
+                 "JacobiPreconditioner: panel size mismatch");
+  const std::size_t k = active.size();
+  const auto rs = r.values();
+  const auto zs = z.values();
+  for (std::size_t i = 0; i < inv_diag_.size(); ++i) {
+    const double d = inv_diag_[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      if (active[j] != 0) {
+        zs[i * k + j] = d * rs[i * k + j];
+      }
+    }
   }
 }
 
