@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hymv/obs/metrics.hpp"
@@ -75,6 +76,14 @@ class HymvOperator final : public pla::LinearOperator {
   HymvOperator(simmpi::Comm& comm, const mesh::MeshPartition& part,
                int ndof_per_node, ElementMatrixStore store,
                HymvOptions options = {});
+  /// Restart setup over a store other readers share (the service's warm
+  /// cache): the operator reads it in place and copies it on its first
+  /// write (mutable_store, update_elements, scrub_store,
+  /// enable_store_checksums), so no write reaches the other readers.
+  HymvOperator(simmpi::Comm& comm, const mesh::MeshPartition& part,
+               int ndof_per_node,
+               std::shared_ptr<const ElementMatrixStore> store,
+               HymvOptions options = {});
 
   [[nodiscard]] const pla::Layout& layout() const override {
     return maps_.layout();
@@ -106,18 +115,22 @@ class HymvOperator final : public pla::LinearOperator {
   /// Mutable maps access (the exchange plan holds in-flight request state),
   /// for callers that reuse the operator's maps for RHS assembly etc.
   [[nodiscard]] DofMaps& mutable_maps() { return maps_; }
-  [[nodiscard]] const ElementMatrixStore& store() const { return store_; }
+  [[nodiscard]] const ElementMatrixStore& store() const { return *store_; }
+  /// Hand the store to other readers: from now on it is shared, and this
+  /// operator's next write copies it first.
+  [[nodiscard]] std::shared_ptr<const ElementMatrixStore> shared_store();
   /// Mutable store access — fault-injection tests flip stored bits through
-  /// this; production code should only mutate via update_elements().
-  [[nodiscard]] ElementMatrixStore& mutable_store() { return store_; }
+  /// this; production code should only mutate via update_elements(). A
+  /// shared store is copied first.
+  [[nodiscard]] ElementMatrixStore& mutable_store() { return writable_store(); }
 
   /// Arm per-element store checksums so silent corruption of the stored
   /// matrices becomes detectable (verify_store) and repairable
   /// (scrub_store). Call after construction, before faults can land.
-  void enable_store_checksums() { store_.enable_checksums(); }
+  void enable_store_checksums() { writable_store().enable_checksums(); }
   /// Element ids whose stored matrices fail their checksum.
   [[nodiscard]] std::vector<std::int64_t> verify_store() const {
-    return store_.verify();
+    return store_->verify();
   }
   /// Repair every corrupted stored matrix by re-running the matrix-free
   /// element assembly on the kept element geometry — the graceful
@@ -177,9 +190,20 @@ class HymvOperator final : public pla::LinearOperator {
   friend class AdaptiveOperator;
   friend class HymvGpuOperator;
 
+  /// Restart setup over `writable` (a store only this operator reads) or,
+  /// when it is null, over the shared `store`.
+  HymvOperator(simmpi::Comm& comm, const mesh::MeshPartition& part,
+               int ndof_per_node, std::shared_ptr<ElementMatrixStore> writable,
+               std::shared_ptr<const ElementMatrixStore> store,
+               HymvOptions options);
+
   /// True when update_elements should run an OpenMP team (kColored,
   /// use_openmp, and more than one thread available).
   [[nodiscard]] bool threading_active() const;
+
+  /// The store for a write: a shared store is first copied, and the
+  /// regions rebound to the copy.
+  ElementMatrixStore& writable_store();
 
   /// The owned registry plus cached handles to its setup metrics, so the
   /// timing sites never do a name lookup. Pointers target nodes owned by
@@ -208,7 +232,10 @@ class HymvOperator final : public pla::LinearOperator {
   HymvOptions options_;
   OperatorMetrics metrics_;  ///< declared before maps_ so timing can target it
   DofMaps maps_;
-  ElementMatrixStore store_;
+  /// The store while only this operator reads it, null once shared.
+  /// Declared before store_, which the constructors initialize from it.
+  std::shared_ptr<ElementMatrixStore> writable_;
+  std::shared_ptr<const ElementMatrixStore> store_;  ///< what the apply reads
   std::vector<mesh::Point> elem_coords_;  ///< kept for update_elements
   ApplySkeleton skeleton_;
   std::array<StoredRegionBackend, 2> regions_;  ///< independent, dependent

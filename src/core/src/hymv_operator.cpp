@@ -94,17 +94,19 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
                            HymvOptions options)
     : options_(with_env(options)),
       maps_(build_maps_timed(comm, part, op.ndof_per_node(), metrics_)),
-      store_(part.num_local_elements(), op.num_dofs(),
-             store_layout_from_env(options.layout)),
+      writable_(std::make_shared<ElementMatrixStore>(
+          part.num_local_elements(), op.num_dofs(),
+          store_layout_from_env(options.layout))),
+      store_(writable_),
       elem_coords_(part.elem_coords),
       skeleton_(maps_, options_, metrics_.registry),
-      regions_(stored_regions(maps_, store_, skeleton_, options_,
+      regions_(stored_regions(maps_, *store_, skeleton_, options_,
                               comm.rank())) {
   HYMV_CHECK_MSG(part.nodes_per_elem ==
                      static_cast<int>(op.num_nodes()),
                  "HymvOperator: element type mismatch between mesh and "
                  "operator");
-  options_.layout = store_.layout();  // reflect the env override
+  options_.layout = store_->layout();  // reflect the env override
   // Element-matrix computation + local copy (the HYMV "setup" the paper
   // times against PETSc's global assembly).
   HYMV_TRACE_SCOPE("setup.emat", "setup");
@@ -124,7 +126,7 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
     compute_s += timer.wall.elapsed_s();
     compute_cpu_s += timer.cpu.elapsed_s();
     timer.restart();
-    store_.set(e, ke);
+    writable_->set(e, ke);
     copy_s += timer.wall.elapsed_s();
     copy_cpu_s += timer.cpu.elapsed_s();
   }
@@ -138,18 +140,53 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
                            const mesh::MeshPartition& part,
                            int ndof_per_node, ElementMatrixStore store,
                            HymvOptions options)
+    : HymvOperator(comm, part, ndof_per_node,
+                   std::make_shared<ElementMatrixStore>(std::move(store)),
+                   nullptr, options) {}
+
+HymvOperator::HymvOperator(simmpi::Comm& comm,
+                           const mesh::MeshPartition& part,
+                           int ndof_per_node,
+                           std::shared_ptr<const ElementMatrixStore> store,
+                           HymvOptions options)
+    : HymvOperator(comm, part, ndof_per_node, nullptr, std::move(store),
+                   options) {}
+
+HymvOperator::HymvOperator(simmpi::Comm& comm,
+                           const mesh::MeshPartition& part,
+                           int ndof_per_node,
+                           std::shared_ptr<ElementMatrixStore> writable,
+                           std::shared_ptr<const ElementMatrixStore> store,
+                           HymvOptions options)
     : options_(with_env(options)),
       maps_(build_maps_timed(comm, part, ndof_per_node, metrics_)),
-      store_(std::move(store)),
+      writable_(std::move(writable)),
+      store_(writable_ != nullptr ? writable_ : std::move(store)),
       elem_coords_(part.elem_coords),
       skeleton_(maps_, options_, metrics_.registry),
-      regions_(stored_regions(maps_, store_, skeleton_, options_,
+      regions_(stored_regions(maps_, *store_, skeleton_, options_,
                               comm.rank())) {
-  HYMV_CHECK_MSG(store_.num_elements() == maps_.num_elements(),
+  HYMV_CHECK_MSG(store_->num_elements() == maps_.num_elements(),
                  "HymvOperator: adopted store has wrong element count");
-  HYMV_CHECK_MSG(store_.ndofs() == maps_.ndofs_per_elem(),
+  HYMV_CHECK_MSG(store_->ndofs() == maps_.ndofs_per_elem(),
                  "HymvOperator: adopted store has wrong matrix size");
-  options_.layout = store_.layout();  // the adopted store dictates layout
+  options_.layout = store_->layout();  // the adopted store dictates layout
+}
+
+std::shared_ptr<const ElementMatrixStore> HymvOperator::shared_store() {
+  writable_.reset();
+  return store_;
+}
+
+ElementMatrixStore& HymvOperator::writable_store() {
+  if (writable_ == nullptr) {
+    writable_ = std::make_shared<ElementMatrixStore>(*store_);
+    store_ = writable_;
+    for (StoredRegionBackend& region : regions_) {
+      region.rebind(*store_);
+    }
+  }
+  return *writable_;
 }
 
 bool HymvOperator::threading_active() const {
@@ -187,7 +224,7 @@ pla::CsrMatrix HymvOperator::owned_block(simmpi::Comm& comm) {
   // on different ranks are off-block and dropped. Contributions for a
   // remote rank's block (this rank's elements touching two of its nodes)
   // are shipped to it.
-  const auto n = static_cast<std::size_t>(store_.ndofs());
+  const auto n = static_cast<std::size_t>(store_->ndofs());
   const pla::Layout& layout = maps_.layout();
   const std::vector<std::int64_t> offsets =
       pla::Layout::gather_offsets(comm, layout);
@@ -205,7 +242,7 @@ pla::CsrMatrix HymvOperator::owned_block(simmpi::Comm& comm) {
           continue;  // off-block entry
         }
         const pla::Triplet t{e2g[a], e2g[b],
-                             store_.at(e, static_cast<int>(a),
+                             store_->at(e, static_cast<int>(a),
                                        static_cast<int>(b))};
         if (owner_a == comm.rank()) {
           local.push_back(t);
@@ -230,8 +267,9 @@ pla::CsrMatrix HymvOperator::owned_block(simmpi::Comm& comm) {
 void HymvOperator::update_elements(
     std::span<const std::int64_t> local_elements,
     const fem::ElementOperator& op) {
-  HYMV_CHECK_MSG(op.num_dofs() == store_.ndofs(),
+  HYMV_CHECK_MSG(op.num_dofs() == store_->ndofs(),
                  "update_elements: operator size mismatch");
+  ElementMatrixStore& store = writable_store();
   const auto n = static_cast<std::size_t>(op.num_dofs());
   const auto nper = static_cast<std::size_t>(op.num_nodes());
   // Validate up front: throwing from inside an OpenMP region terminates.
@@ -246,7 +284,7 @@ void HymvOperator::update_elements(
     op.element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
-    return store_.try_set(e, ke);
+    return store.try_set(e, ke);
   };
   bool symmetric = true;
 #ifdef _OPENMP
@@ -280,10 +318,10 @@ void HymvOperator::update_elements(
 }
 
 std::int64_t HymvOperator::scrub_store(const fem::ElementOperator& op) {
-  HYMV_CHECK_MSG(op.num_dofs() == store_.ndofs(),
+  HYMV_CHECK_MSG(op.num_dofs() == store_->ndofs(),
                  "scrub_store: operator size mismatch");
   const auto nper = static_cast<std::size_t>(op.num_nodes());
-  return store_.scrub([&](std::int64_t e, std::span<double> ke) {
+  return writable_store().scrub([&](std::int64_t e, std::span<double> ke) {
     op.element_matrix(
         std::span<const mesh::Point>(elem_coords_.data() + e * nper, nper),
         ke);
@@ -291,7 +329,7 @@ std::int64_t HymvOperator::scrub_store(const fem::ElementOperator& op) {
 }
 
 std::int64_t HymvOperator::apply_flops() const {
-  const auto n = static_cast<std::int64_t>(store_.ndofs());
+  const auto n = static_cast<std::int64_t>(store_->ndofs());
   return maps_.num_elements() * 2 * n * n;
 }
 
@@ -302,9 +340,9 @@ std::int64_t HymvOperator::apply_bytes() const {
   // ElementMatrixStore::emv_traffic_bytes_per_elem), plus the u_e gather
   // and v_e scatter. For kPadded this reproduces the paper's measured
   // AI ≈ 0.08 F/B; the compressed layouts report proportionally less.
-  const auto n = static_cast<std::int64_t>(store_.ndofs());
+  const auto n = static_cast<std::int64_t>(store_->ndofs());
   const std::int64_t per_elem =
-      store_.emv_traffic_bytes_per_elem() + 40 * n;
+      store_->emv_traffic_bytes_per_elem() + 40 * n;
   return maps_.num_elements() * per_elem + maps_.da_size() * 16;
 }
 
@@ -317,9 +355,9 @@ std::int64_t HymvOperator::apply_bytes_multi(int nrhs) const {
   // once per panel — it is what the multi-RHS path amortizes — while the
   // u_e gather / v_e scatter (40 B per DoF per lane) and the DA panel
   // traffic scale with k. Identical to apply_bytes() at nrhs == 1.
-  const auto n = static_cast<std::int64_t>(store_.ndofs());
+  const auto n = static_cast<std::int64_t>(store_->ndofs());
   const std::int64_t per_elem =
-      store_.emv_panel_traffic_bytes_per_elem() + nrhs * 40 * n;
+      store_->emv_panel_traffic_bytes_per_elem() + nrhs * 40 * n;
   return maps_.num_elements() * per_elem + maps_.da_size() * 16 * nrhs;
 }
 

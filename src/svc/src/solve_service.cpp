@@ -182,8 +182,9 @@ struct RankState {
 };
 
 /// A problem's built state for every rank of a job. A batch borrows it
-/// from its cache slot's free list and has it to itself; it holds its own
-/// store copies and keeps the setup its rank contexts point into alive.
+/// from its cache slot's free list and has it to itself; its operators
+/// read the cache entry's stores (a write copies first) and it keeps the
+/// setup its rank contexts point into alive.
 struct SolveState {
   std::shared_ptr<const driver::ProblemSetup> setup;
   std::vector<RankState> ranks;
@@ -341,27 +342,27 @@ struct SolveService::Impl {
   }
 
   /// Insert `entry` unless the cache is off or the key is already cached,
-  /// and return the generation of the entry that now holds the key (0 when
-  /// none does).
-  std::uint64_t cache_insert(std::uint64_t key, CacheEntry entry) {
+  /// and return the entry that now holds the key (empty, generation 0,
+  /// when none does).
+  CacheEntry cache_insert(std::uint64_t key, CacheEntry entry) {
     if (opt.cache_capacity_bytes <= 0) {
-      return 0;
+      return {};
     }
     std::vector<CacheSlot> evicted;  // freed after the lock is released
     std::lock_guard<std::mutex> lock(cache_mu);
     if (auto it = cache.find(key); it != cache.end()) {
-      return it->second.entry.generation;  // another worker won the race
+      return it->second.entry;  // another worker won the race
     }
     entry.generation = next_generation++;
-    const std::uint64_t generation = entry.generation;
     lru.push_front(key);
     CacheSlot& slot = cache[key];
     slot.bytes = entry.bytes;
     slot.entry = std::move(entry);
     slot.lru = lru.begin();
     cache_bytes += slot.bytes;
+    CacheEntry held = slot.entry;  // the newest slot outlives the eviction
     evict_locked(evicted);
-    return generation;
+    return held;
   }
 
   /// Put a borrowed state back on its slot's free list (the slot becomes
@@ -701,13 +702,11 @@ struct SolveService::Impl {
     core::HymvOptions hymv_options;
     hymv_options.layout = proto.layout;
     if (proto.backend == driver::Backend::kHymv && !warm_stores.empty()) {
-      // Warm path: restart from this rank's cached element-matrix store
-      // — no quadrature, no emat compute.
+      // Warm path: restart over this rank's cached element-matrix store
+      // — no quadrature, no emat compute, no copy until a write.
       auto op = std::make_unique<core::HymvOperator>(
           comm, ctx.part(), setup.spec.ndof_per_node(),
-          core::ElementMatrixStore(
-              *warm_stores[static_cast<std::size_t>(comm.rank())]),
-          hymv_options);
+          warm_stores[static_cast<std::size_t>(comm.rank())], hymv_options);
       rs.hymv = op.get();
       rs.a = std::move(op);
     } else {
@@ -741,13 +740,21 @@ struct SolveService::Impl {
 
   /// Footprint of a built state while it is pooled: the coarse mesh
   /// estimate for its contexts' and operators' maps, plus per rank the
-  /// operator (its store, or the bytes one apply streams for the other
+  /// operator (its store unless it reads the entry's `cached` store, which
+  /// the entry counts, or the bytes one apply streams for the other
   /// backends) and three owned vectors (b, exact, a diagonal).
-  [[nodiscard]] static std::int64_t state_bytes(const SolveState& state) {
+  [[nodiscard]] static std::int64_t state_bytes(
+      const SolveState& state,
+      const std::vector<std::shared_ptr<const core::ElementMatrixStore>>&
+          cached) {
     std::int64_t bytes = mesh_bytes(*state.setup);
-    for (const RankState& rs : state.ranks) {
-      bytes += rs.hymv != nullptr ? rs.hymv->store().bytes()
-                                  : rs.a->apply_bytes();
+    for (std::size_t r = 0; r < state.ranks.size(); ++r) {
+      const RankState& rs = state.ranks[r];
+      if (rs.hymv == nullptr) {
+        bytes += rs.a->apply_bytes();
+      } else if (r >= cached.size() || &rs.hymv->store() != cached[r].get()) {
+        bytes += rs.hymv->store().bytes();
+      }
       bytes += 3 * rs.b.owned_size() *
                static_cast<std::int64_t>(sizeof(double));
     }
@@ -933,13 +940,11 @@ struct SolveService::Impl {
 
       if (!cache_hit && rs.hymv != nullptr) {
         stores_to_cache[static_cast<std::size_t>(rank)] =
-            std::make_shared<const core::ElementMatrixStore>(rs.hymv->store());
+            rs.hymv->shared_store();
       }
     }, run_options);
 
-    if (fresh) {
-      state->bytes = state_bytes(*state);
-    }
+    CacheEntry held = entry;  // the entry the state belongs to
     if (entry.empty()) {
       CacheEntry fresh_entry;
       fresh_entry.setup = state->setup;
@@ -958,12 +963,16 @@ struct SolveService::Impl {
       }
       // The state joins the entry that holds the key now: this one, or
       // the one another worker inserted first.
-      state->generation = cache_insert(key, std::move(fresh_entry));
+      held = cache_insert(key, std::move(fresh_entry));
+      state->generation = held.generation;
       if (built_stores) {
         for (int r = 0; r < nranks; ++r) {
           disk_save(key, r, *stores_to_cache[static_cast<std::size_t>(r)]);
         }
       }
+    }
+    if (fresh) {
+      state->bytes = state_bytes(*state, held.stores);
     }
     if (!opt.attempt_hook && !scrubbed.load(std::memory_order_relaxed)) {
       state_return(key, std::move(state));
