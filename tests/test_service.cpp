@@ -276,8 +276,10 @@ SolveRequest slow_endless_request() {
 
 TEST(DeadlineTest, ExpiringMidCgCancelsCooperatively) {
   // The deadline must expire after the build and before CG ends on its
-  // own, however slow the host. So a first request with no deadline warms
-  // the problem key (the hook lets it through), and the timed request
+  // own, however slow the host. So a first request warms the problem key
+  // (the hook lets it through): a tenant of its own, so its miss does not
+  // count against the timed tenant's, and a short deadline, which cuts
+  // its CG off once the build has cached the store. The timed request
   // builds from the cached store. Its deadline leaves a generous allowance
   // for that build, and the attempt hook — called between the build and
   // CG — holds CG back until kMargin before the deadline. CG then starts
@@ -299,7 +301,10 @@ TEST(DeadlineTest, ExpiringMidCgCancelsCooperatively) {
     }
   };
   SolveService service(opt);
-  const SolveResponse warmup = service.submit(slow_endless_request()).get();
+  SolveRequest warm = slow_endless_request();
+  warm.tenant = "warmup";
+  warm.deadline_ms = 50.0;
+  const SolveResponse warmup = service.submit(warm).get();
   ASSERT_NE(warmup.reason, "exception");
   ASSERT_EQ(service.metrics().counter_value("svc.cache.misses"), 1);
 
@@ -595,6 +600,100 @@ TEST(StatePoolTest, ClosedLoopRepliesPassTheBenchmarkGate) {
   EXPECT_EQ(solved, kRequests);
   EXPECT_LE(service.metrics().counter_value("svc.state.builds"), opt.workers);
   EXPECT_GE(service.metrics().counter_value("svc.state.reuses"), 1);
+}
+
+TEST(StatePoolTest, WriteToAStateStoreNeverReachesTheCache) {
+  // States restart over the cached store without copying it. An attempt
+  // hook that corrupts its state's store through mutable_store() must get
+  // a private copy: the cached bytes, and the replies of every later batch
+  // that restarts over them, stay bitwise those of a service with no hook.
+  ServiceOptions opt;
+  opt.workers = 1;
+  opt.batch_window_ms = 0.0;
+  SolveService reference(opt);
+
+  std::atomic<bool> corrupt{false};
+  std::shared_ptr<const core::ElementMatrixStore> cached;
+  std::vector<std::byte> cached_before;
+  opt.attempt_hook = [&](pla::LinearOperator& op, int) {
+    if (!corrupt.load()) {
+      return;
+    }
+    auto* hymv = dynamic_cast<core::HymvOperator*>(&op);
+    ASSERT_NE(hymv, nullptr);
+    cached = hymv->shared_store();  // the cache's store: the state reads it
+    cached_before.assign(cached->raw_bytes().begin(),
+                         cached->raw_bytes().end());
+    auto bytes = hymv->mutable_store().raw_bytes();
+    std::fill(bytes.begin() + 8, bytes.begin() + 16, std::byte{0xFF});
+    EXPECT_NE(&hymv->store(), cached.get());
+  };
+  SolveService hooked(opt);
+
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const double scale = 0.75 + 0.25 * i;
+    corrupt.store(i == 1);
+    const SolveResponse want = reference.submit(tet4_request(scale)).get();
+    const SolveResponse got = hooked.submit(tet4_request(scale)).get();
+    ASSERT_EQ(want.outcome, Outcome::kSolved) << want.reason;
+    if (i == 1) {
+      EXPECT_TRUE(got.cache_hit);
+      ASSERT_NE(cached, nullptr);
+      const auto after = cached->raw_bytes();
+      ASSERT_EQ(after.size(), cached_before.size());
+      EXPECT_TRUE(std::equal(after.begin(), after.end(),
+                             cached_before.begin()));
+      continue;  // the corrupted state's own reply
+    }
+    ASSERT_EQ(got.outcome, Outcome::kSolved) << got.reason;
+    EXPECT_EQ(got.cache_hit, want.cache_hit);
+    EXPECT_EQ(got.cg.iterations, want.cg.iterations);
+    EXPECT_EQ(bits(got.cg.final_residual), bits(want.cg.final_residual));
+    EXPECT_EQ(bits(got.err_inf), bits(want.err_inf));
+  }
+}
+
+TEST(StatePoolTest, WarmTwoWorkerServiceHoldsOneStorePerRank) {
+  // Two batches of one key run at once, so the second builds a state of
+  // its own; both states read the cached store. svc.cache.bytes counts a
+  // store once per reader that holds a copy, so it stays below two stores.
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    ServiceOptions opt;
+    opt.workers = 2;
+    opt.ranks = ranks;
+    opt.max_panel = 1;
+    opt.batch_window_ms = 0.0;
+    SolveService service(opt);
+    SolveRequest slow = slow_endless_request();
+    slow.deadline_ms = 150.0;
+    service.submit(slow).get();  // cold: builds, caches and pools a state
+    auto a = service.submit(slow);
+    auto b = service.submit(slow);
+    a.get();
+    b.get();
+    ASSERT_EQ(service.metrics().counter_value("svc.state.builds"), 2);
+
+    // The stores one cold build holds, one per rank.
+    std::int64_t store_bytes = 0;
+    const auto setup =
+        driver::ProblemSetup::build(slow_endless_request().spec, ranks);
+    std::vector<std::int64_t> per_rank(static_cast<std::size_t>(ranks));
+    simmpi::run(ranks, [&](simmpi::Comm& comm) {
+      driver::RankContext ctx(comm, setup);
+      const driver::BuiltBackend built =
+          driver::build_backend(comm, ctx, driver::Backend::kHymv);
+      per_rank[static_cast<std::size_t>(comm.rank())] =
+          built.hymv_cpu->store().bytes();
+    });
+    for (const std::int64_t bytes : per_rank) {
+      store_bytes += bytes;
+    }
+    const double cache_bytes = service.metrics().gauge_value("svc.cache.bytes");
+    EXPECT_GT(cache_bytes, static_cast<double>(store_bytes));
+    EXPECT_LT(cache_bytes, 2.0 * static_cast<double>(store_bytes));
+  }
 }
 
 // ---------------------------------------------------------------------------
