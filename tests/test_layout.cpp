@@ -1228,13 +1228,21 @@ const PanelWidthGoldenCase kPanelWidthGoldenCases[] = {
      0x02afbeb59b488c55ULL},
 };
 
+std::string case_name(const PanelWidthGoldenCase& c) {
+  return (c.matrix_free ? std::string("matrixfree")
+                        : std::string(to_string(c.layout))) +
+         "_" + shape_name(c.shape) + "_k" + std::to_string(c.lanes);
+}
+
+// Prints the case by name, so no struct bytes reach the ctest name.
+void PrintTo(const PanelWidthGoldenCase& c, std::ostream* os) {
+  *os << case_name(c);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Golden, PanelWidthGoldenTest, ::testing::ValuesIn(kPanelWidthGoldenCases),
     [](const ::testing::TestParamInfo<PanelWidthGoldenCase>& info) {
-      const PanelWidthGoldenCase& c = info.param;
-      return (c.matrix_free ? std::string("matrixfree")
-                            : std::string(to_string(c.layout))) +
-             "_" + shape_name(c.shape) + "_k" + std::to_string(c.lanes);
+      return case_name(info.param);
     });
 
 // ---------------------------------------------------------------------------
