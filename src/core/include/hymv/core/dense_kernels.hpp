@@ -8,26 +8,28 @@
 ///
 /// Each store layout has one single-vector kernel and one panel kernel;
 /// nothing but the active ISA level picks among their variants. The dense
-/// layouts (kPadded, kFp32) run the register-resident sweep, kInterleaved
+/// layouts (kPadded, kFp32) run two register-resident sweeps straight on
+/// the distributed arrays: the single-vector sweep and the panel sweep
+/// (which the matrix-free panel runs too, with ld = n). kInterleaved runs
 /// the batch kernel (with a one-element lane fallback), kSymPacked a
-/// compiler-vectorized column sweep, and every layout's panel runs a
-/// register-blocked microkernel. The row-dot references the tests and
+/// compiler-vectorized column sweep, and both stage their panels through
+/// element buffers into a microkernel. The row-dot references the tests and
 /// benches compare against live in tests/emv_reference.hpp.
 ///
 /// The explicit kernels do not hard-code one ISA at compile time: each
-/// family (the dense sweep, the interleaved batch and the panel kernels)
-/// carries a per-ISA function table {portable-FMA, AVX2, AVX-512} indexed
-/// by isa::active_index() (DESIGN.md §5i). Every entry of a table implements
-/// the IDENTICAL per-output accumulation chain (ascending c, one fused
-/// multiply-add per term), and chains for distinct outputs never mix — so
-/// the result is bitwise invariant under the dispatch level, which the
+/// family (the two dense sweeps, the interleaved batch and the staged panel
+/// kernels) carries a per-ISA function table {portable-FMA, AVX2, AVX-512}
+/// indexed by isa::active_index() (DESIGN.md §5i). Every entry of a table
+/// implements the IDENTICAL per-output accumulation chain (ascending c, one
+/// fused multiply-add per term), and chains for distinct outputs never mix
+/// — so the result is bitwise invariant under the dispatch level, which the
 /// `isa`-labeled test suite pins against golden hashes.
 ///
-/// The dense sweep requires: ld >= n with ld a multiple of 8, ke 64-byte
-/// aligned, columns padded with zeros from n to ld (its SIMD entries read
-/// full tiles across the zero padding and scatter only the first n rows).
-/// The dense and fp32 panel kernels load one matrix entry at a time and
-/// take any ld >= n.
+/// The single-vector sweep requires: ld >= n with ld a multiple of 8, ke
+/// 64-byte aligned, columns padded with zeros from n to ld (its SIMD
+/// entries read full tiles across the zero padding and scatter only the
+/// first n rows). The panel sweep broadcasts one matrix entry at a time and
+/// takes any ld >= n.
 
 #include <algorithm>
 #include <array>
@@ -109,11 +111,12 @@ constexpr std::size_t group_tiles(std::size_t tiles) {
 }
 
 /// Rows of one group start at the first row not yet scattered; the last
-/// group slides back to end at ld, recomputing (never re-scattering) the
-/// rows it overlaps, so every group is a full block of tiles.
-inline std::size_t group_first_row(std::size_t fresh, std::size_t ld,
+/// group slides back to end at `last` (ld for the single-vector sweep, n
+/// for the panel sweep), recomputing (never re-scattering) the rows it
+/// overlaps, so every group is a full block of rows.
+inline std::size_t group_first_row(std::size_t fresh, std::size_t last,
                                    std::size_t rows) {
-  return std::min(fresh, ld - rows);
+  return std::min(fresh, last - rows);
 }
 
 /// Portable entry: kTiles tiles of 8 rows, std::fma per term.
@@ -177,11 +180,6 @@ HYMV_TARGET_AVX512 inline __m512d load_tile8(const float* p) {
 #pragma GCC diagnostic pop
 #endif
 
-/// Software-prefetch distance (columns ahead) for the panel kernels: far
-/// enough to cover an L2 miss at typical n (30-90 doubles per column), near
-/// enough not to thrash the L1 at small n.
-inline constexpr std::size_t kPanelPrefetchCols = 4;
-
 /// Bytes ahead of each cache line of a column that the SIMD entries
 /// prefetch: one 4 KiB page, into the following columns and element
 /// blocks. On a 4-vCPU AVX-512 VM it cut the one-thread sweep over hex8
@@ -189,16 +187,21 @@ inline constexpr std::size_t kPanelPrefetchCols = 4;
 /// read of the same bytes, did not move.
 inline constexpr std::size_t kSweepPrefetchBytes = 4096;
 
-/// Prefetch the line kSweepPrefetchBytes past `p` when tile t of a column
-/// (kTileBytes wide) starts a new 64-byte line. The address is formed as
-/// an integer: it may lie past the end of the store, which a prefetch
+/// Prefetch the line kSweepPrefetchBytes past `p`. The address is formed
+/// as an integer: it may lie past the end of the store, which a prefetch
 /// never faults on but pointer arithmetic may not reach.
+inline void prefetch_ahead(const void* p) {
+  _mm_prefetch(reinterpret_cast<const char*>(
+                   reinterpret_cast<std::uintptr_t>(p) + kSweepPrefetchBytes),
+               _MM_HINT_T0);
+}
+
+/// prefetch_ahead(p) when tile t of a column (kTileBytes wide) starts a
+/// new 64-byte line.
 template <std::size_t kTileBytes>
 inline void prefetch_tile_ahead(const void* p, std::size_t t) {
   if ((t * kTileBytes) % 64 == 0) {
-    _mm_prefetch(reinterpret_cast<const char*>(
-                     reinterpret_cast<std::uintptr_t>(p) + kSweepPrefetchBytes),
-                 _MM_HINT_T0);
+    prefetch_ahead(p);
   }
 }
 
@@ -422,17 +425,6 @@ HYMV_TARGET_AVX2 inline __m256d load_lanes4(const double* p, bool full,
   return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, mask);
 }
 
-/// How far past each column's rows the panel bodies prefetch. An element
-/// of one row group reads its block front to back, so the single-vector
-/// sweep's page ahead applies; with several groups, each group reads one
-/// line per column, so the same rows kPanelPrefetchCols columns ahead.
-template <class Scalar>
-std::size_t panel_prefetch_bytes(const PanelSweep<Scalar>& a,
-                                 std::size_t rows) {
-  return rows >= a.n ? kSweepPrefetchBytes
-                     : kPanelPrefetchCols * a.ld * sizeof(Scalar);
-}
-
 /// AVX2 entry: kRows 4-lane accumulators live across all columns. The
 /// fields are read into locals and the rows scattered by constant index,
 /// so the accumulators never leave registers inside the column loop.
@@ -443,7 +435,6 @@ HYMV_TARGET_AVX2 void panel_sweep_avx2(const PanelSweep<Scalar>& a) {
   const std::size_t k = a.k;
   const double* u = a.u;
   double* v = a.v;
-  const std::size_t ahead = panel_prefetch_bytes<Scalar>(a, kRows);
   for (std::int64_t i = a.begin; i < a.end; ++i) {
     const auto e = static_cast<std::size_t>(a.order[i]);
     const Scalar* ke = a.store + e * a.stride;
@@ -462,9 +453,7 @@ HYMV_TARGET_AVX2 void panel_sweep_avx2(const PanelSweep<Scalar>& a) {
           const __m256d uc = load_lanes4(
               u + static_cast<std::size_t>(dofs[c]) * k + jb, full, mask);
           const Scalar* col = ke + c * ld + r0;
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           reinterpret_cast<std::uintptr_t>(col) + ahead),
-                       _MM_HINT_T0);
+          prefetch_ahead(col);
 #pragma GCC unroll 8
           for (std::size_t r = 0; r < kRows; ++r) {
             acc[r] = _mm256_fmadd_pd(
@@ -498,7 +487,6 @@ HYMV_TARGET_AVX512 void panel_sweep_avx512(const PanelSweep<Scalar>& a) {
   const std::size_t k = a.k;
   const double* u = a.u;
   double* v = a.v;
-  const std::size_t ahead = panel_prefetch_bytes<Scalar>(a, kRows);
   for (std::int64_t i = a.begin; i < a.end; ++i) {
     const auto e = static_cast<std::size_t>(a.order[i]);
     const Scalar* ke = a.store + e * a.stride;
@@ -518,9 +506,7 @@ HYMV_TARGET_AVX512 void panel_sweep_avx512(const PanelSweep<Scalar>& a) {
           const __m512d uc = _mm512_maskz_loadu_pd(
               m, u + static_cast<std::size_t>(dofs[c]) * k + jb);
           const Scalar* col = ke + c * ld + r0;
-          _mm_prefetch(reinterpret_cast<const char*>(
-                           reinterpret_cast<std::uintptr_t>(col) + ahead),
-                       _MM_HINT_T0);
+          prefetch_ahead(col);
 #pragma GCC unroll 8
           for (std::size_t r = 0; r < kRows; ++r) {
             acc[r] = _mm512_fmadd_pd(
@@ -750,6 +736,11 @@ inline void emv_sym(const double* kp, std::size_t n, const double* u,
 // ---------------------------------------------------------------------------
 
 namespace detail {
+
+/// Software-prefetch distance (columns ahead) for the staged panel
+/// microkernels: far enough to cover an L2 miss at typical n (30-90
+/// doubles per column), near enough not to thrash the L1 at small n.
+inline constexpr std::size_t kPanelPrefetchCols = 4;
 
 using SymMultiEmvFn = void (*)(const double*, std::size_t, std::size_t,
                                const double*, double*);
