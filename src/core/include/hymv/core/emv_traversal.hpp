@@ -60,9 +60,16 @@ class StoredEmvSweep {
              std::int64_t end, std::span<const double> u, std::span<double> v,
              double* ue, double* ve) const;
 
-  /// Panel twin of range(): identical traversal and batching decisions,
-  /// panels of k lanes per DoF (u/v are lane-interleaved width-k DAs).
-  /// ue/ve are per-thread workspaces of workspace_size(k) doubles.
+  /// Panel twin of range(): panels of k lanes per DoF (u/v are
+  /// lane-interleaved width-k DAs), the body picked once per call as in
+  /// range(). kPadded and kFp32 run the register-resident panel sweep of
+  /// dense_kernels.hpp: each column's k lanes load straight from u, a group
+  /// of output rows for one lane block stays in registers across all
+  /// columns, and each row is added straight into v; the group size
+  /// follows n. kInterleaved and kSymPacked stage the panel through ue/ve
+  /// with range()'s batching decisions. Each (row, lane) output is one
+  /// ascending-column fma chain either way. ue/ve are per-thread
+  /// workspaces of workspace_size(k) doubles.
   void range_multi(std::span<const std::int64_t> order, std::int64_t begin,
                    std::int64_t end, std::size_t k, std::span<const double> u,
                    std::span<double> v, double* ue, double* ve) const;

@@ -13,8 +13,9 @@
 /// distributed behaviour matches the matrix-free approach while node-local
 /// computation is dense and regular. That distributed apply is
 /// ApplySkeleton's (apply_skeleton.hpp), shared with the matrix-free and
-/// adaptive operators; this class owns the store and runs the skeleton
-/// over two StoredRegionBackends.
+/// adaptive operators; this class holds the store (its own, or one it
+/// shares with other readers and copies on its first write) and runs the
+/// skeleton over two StoredRegionBackends.
 ///
 /// The adaptive property: update_elements() recomputes a subset of stored
 /// matrices in place with zero communication — the XFEM-enrichment / AMR
@@ -92,12 +93,13 @@ class HymvOperator final : public pla::LinearOperator {
   void apply(simmpi::Comm& comm, const pla::DistVector& x,
              pla::DistVector& y) override;
   /// Panel SPMV: Algorithm 2 over a k-lane panel. The element-matrix
-  /// stream — the bandwidth bound of apply() — is traversed ONCE for all k
-  /// lanes: each element gathers an ndofs×k panel through the same E2L
-  /// indices, runs the layout's panel EMV kernel, and scatter-adds under
-  /// the same colored schedule, so serial and threaded execution stay
-  /// bitwise identical for every k. Ghosts move as whole panels: one
-  /// message per neighbor per direction.
+  /// stream — the bandwidth bound of apply() — is traversed once per lane
+  /// block: each element reads its ndofs×k panel through the same E2L
+  /// indices (straight from the DA for the dense layouts, staged for the
+  /// others), runs the layout's panel body, and adds into v under the same
+  /// colored schedule, so serial and threaded execution stay bitwise
+  /// identical for every k. Ghosts move as whole panels: one message per
+  /// neighbor per direction.
   void apply_multi(simmpi::Comm& comm, const pla::DistMultiVector& x,
                    pla::DistMultiVector& y) override;
   std::vector<double> diagonal(simmpi::Comm& comm) override;

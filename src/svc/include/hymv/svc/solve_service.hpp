@@ -16,10 +16,12 @@
 ///     built rank states (rank context, operator, constrained b,
 ///     preconditioner, exact field), with LRU eviction under a byte
 ///     budget that counts pooled states, and an optional disk tier for
-///     the stores via io::save_store. A batch borrows a pooled state and
-///     has it to itself, so a warm batch only scales its lanes, runs CG
-///     and checks the error. The state goes back unless the job threw,
-///     the attempt hook ran on it or a scrub ran on it,
+///     the stores via io::save_store. Every state's operator reads the
+///     entry's store of its rank and copies it only on a write, so a
+///     warm service holds one store per rank. A batch borrows a pooled
+///     state and has it to itself, so a warm batch only scales its lanes,
+///     runs CG and checks the error. The state goes back unless the job
+///     threw, the attempt hook ran on it or a scrub ran on it,
 ///   * enforces per-request deadlines with cooperative cancellation at CG
 ///     iteration granularity (CgOptions::should_stop),
 ///   * degrades gracefully under overload: lowest-priority queued work is
@@ -146,7 +148,9 @@ struct ServiceOptions {
   /// preconditioner and the attempt's CG. A state the hook ran on is never
   /// pooled, so with a hook set every batch builds a fresh state.
   /// Harnesses use it to corrupt the element store on attempt 1 only and
-  /// watch the service's retry + scrub path recover; no environment
+  /// watch the service's retry + scrub path recover (a write through
+  /// HymvOperator::mutable_store() copies a shared store first, so it
+  /// never reaches the cache); no environment
   /// override (it is a function), never set in production.
   std::function<void(pla::LinearOperator&, int)> attempt_hook;
 
