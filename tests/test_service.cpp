@@ -341,15 +341,25 @@ TEST(WatchdogTest, FailsStuckRequestInsteadOfHanging) {
 TEST(ShutdownTest, CancelsInFlightMultiRankSolve) {
   // 2-rank job: the cooperative stop must stay collective (a unilateral
   // break would deadlock the other rank's ghost exchange / allreduce).
+  // Shutdown waits until the attempt hook has run, so the batch is in
+  // flight: a fixed sleep let a loaded host leave the request queued,
+  // where shutdown rejects it instead.
   ServiceOptions opt;
   opt.workers = 1;
   opt.ranks = 2;
   opt.batch_window_ms = 0.0;
   opt.watchdog_ms = 0.0;
+  std::promise<void> started;
+  std::atomic<bool> signaled{false};
+  opt.attempt_hook = [&](pla::LinearOperator&, int) {
+    if (!signaled.exchange(true)) {
+      started.set_value();
+    }
+  };
   SolveService service(opt);
 
   auto future = service.submit(endless_request());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  started.get_future().wait();
   service.shutdown();
 
   const SolveResponse resp = future.get();
