@@ -52,6 +52,7 @@
 #include "emv_reference.hpp"
 #include "hymv/common/isa.hpp"
 #include "hymv/common/numa.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/obs/trace.hpp"
 #include "hymv/pla/cg.hpp"
 #include "hymv/pla/dist_csr.hpp"
@@ -113,6 +114,9 @@ int main(int argc, char** argv) {
 
   const char* json_path = parse_json_arg(argc, argv);
   JsonDoc json("ablation");
+  // The environment's operator knobs, resolved once; an ablation that
+  // sweeps one of them sets its own value on top.
+  const core::HymvOptions env_options = driver::hymv_options_from_env();
 
   driver::ProblemSpec spec;
   spec.pde = driver::Pde::kElasticity;
@@ -156,7 +160,7 @@ int main(int argc, char** argv) {
     };
     simmpi::run(1, [&](simmpi::Comm& comm) {
       driver::RankContext ctx(comm, setup);
-      core::HymvOperator op(comm, ctx.part(), ctx.element_op());
+      core::HymvOperator op(comm, ctx.part(), ctx.element_op(), env_options);
       // The row-dot reference: napplies sweeps of both element schedules
       // (one rank, so no ghosts to exchange) with the apply's thread team,
       // fastest of 3 rounds like the applies.
@@ -219,7 +223,7 @@ int main(int argc, char** argv) {
     const driver::ProblemSetup setup = driver::ProblemSetup::build(spec, 1);
     simmpi::run(1, [&](simmpi::Comm& comm) {
       driver::RankContext ctx(comm, setup);
-      core::HymvOperator op(comm, ctx.part(), ctx.element_op());
+      core::HymvOperator op(comm, ctx.part(), ctx.element_op(), env_options);
       const auto& store = op.store();
       const double padded_mb = static_cast<double>(store.bytes()) / 1e6;
       const double tight_mb =
@@ -241,7 +245,7 @@ int main(int argc, char** argv) {
     const driver::ProblemSetup setup = driver::ProblemSetup::build(spec, 1);
     simmpi::run(1, [&](simmpi::Comm& comm) {
       driver::RankContext ctx(comm, setup);
-      core::HymvOperator op(comm, ctx.part(), ctx.element_op());
+      core::HymvOperator op(comm, ctx.part(), ctx.element_op(), env_options);
       fem::ElasticityOperator softened(spec.element, spec.young,
                                        spec.poisson_ratio);
       softened.set_stiffness_scale(0.5);
@@ -259,7 +263,8 @@ int main(int argc, char** argv) {
         op.update_elements(targets, softened);
         const double update_s = t_update.elapsed_s();
         hymv::Timer t_full;
-        core::HymvOperator rebuilt(comm, ctx.part(), ctx.element_op());
+        core::HymvOperator rebuilt(comm, ctx.part(), ctx.element_op(),
+                                   env_options);
         const double full_s = t_full.elapsed_s();
         std::printf("  %5.0f%%       %-14.5f %-16.5f %-10.1f\n",
                     100.0 * frac, update_s, full_s,
@@ -297,8 +302,9 @@ int main(int argc, char** argv) {
       const auto time_schedule = [&](int nthreads,
                                      core::ThreadSchedule sched) {
         omp_set_num_threads(nthreads);
-        core::HymvOperator op(comm, ctx.part(), ctx.element_op(),
-                              {.schedule = sched});
+        core::HymvOptions options = env_options;
+        options.schedule = sched;
+        core::HymvOperator op(comm, ctx.part(), ctx.element_op(), options);
         pla::DistVector x(op.layout()), y(op.layout());
         for (std::int64_t i = 0; i < x.owned_size(); ++i) {
           x[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
@@ -363,8 +369,9 @@ int main(int argc, char** argv) {
       for (const core::StoreLayout layout :
            {core::StoreLayout::kPadded, core::StoreLayout::kInterleaved,
             core::StoreLayout::kSymPacked, core::StoreLayout::kFp32}) {
-        core::HymvOperator op(comm, ctx.part(), ctx.element_op(),
-                              {.layout = layout});
+        core::HymvOptions options = env_options;
+        options.layout = layout;
+        core::HymvOperator op(comm, ctx.part(), ctx.element_op(), options);
         pla::DistVector x(op.layout()), y(op.layout());
         for (std::int64_t i = 0; i < x.owned_size(); ++i) {
           x[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
@@ -425,7 +432,8 @@ int main(int argc, char** argv) {
       double ai1 = 0.0;
       double ai8 = 0.0;
       for (const int k : {1, 2, 4, 8}) {
-        core::HymvOperator op(comm, ctx.part(), ctx.element_op());
+        core::HymvOperator op(comm, ctx.part(), ctx.element_op(),
+                              env_options);
         pla::DistMultiVector x(op.layout(), k), y(op.layout(), k);
         for (std::int64_t i = 0; i < x.owned_size(); ++i) {
           for (int j = 0; j < k; ++j) {
@@ -660,8 +668,9 @@ int main(int argc, char** argv) {
     simmpi::run(4, [&](simmpi::Comm& comm) {
       driver::RankContext ctx(comm, psetup);
       for (const bool taskgraph : {false, true}) {
-        core::HymvOperator op(comm, ctx.part(), ctx.element_op(),
-                              {.taskgraph = taskgraph});
+        core::HymvOptions options = env_options;
+        options.taskgraph = taskgraph;
+        core::HymvOperator op(comm, ctx.part(), ctx.element_op(), options);
         pla::DistVector x(op.layout()), y(op.layout());
         for (std::int64_t i = 0; i < x.owned_size(); ++i) {
           x[i] = 1.0 + 0.25 * static_cast<double>(i % 7);

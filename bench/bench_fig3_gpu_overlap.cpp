@@ -8,6 +8,8 @@
 
 #include "bench_common.hpp"
 
+#include "hymv/driver/env_options.hpp"
+
 namespace {
 
 using namespace bench;
@@ -35,6 +37,7 @@ int main(int argc, char** argv) {
   spec.box = {.nx = scaled(8), .ny = scaled(8), .nz = scaled(8), .lx = 1.0,
               .ly = 1.0, .lz = 1.0, .origin = {-0.5, -0.5, 0.0}};
   const driver::ProblemSetup setup = driver::ProblemSetup::build(spec, 1);
+  const core::HymvOptions host_options = driver::hymv_options_from_env();
 
   std::printf("=== Fig. 3: HYMV-GPU stream overlap (8 streams, elasticity "
               "hex20) ===\n");
@@ -42,7 +45,7 @@ int main(int argc, char** argv) {
     driver::RankContext ctx(comm, setup);
     gpu::Device device(calibrated_device_spec());
     core::HymvGpuOperator op(comm, ctx.part(), ctx.element_op(), device,
-                             {.num_streams = 8});
+                             {.num_streams = 8, .host = host_options});
     pla::DistVector x(op.layout()), y(op.layout());
     x.set_all(1.0);
     device.clear_timeline();  // drop the setup upload; show one SPMV

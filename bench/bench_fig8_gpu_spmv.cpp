@@ -10,6 +10,8 @@
 
 #include "bench_common.hpp"
 
+#include "hymv/driver/env_options.hpp"
+
 namespace {
 
 using namespace bench;
@@ -30,6 +32,7 @@ int main(int argc, char** argv) {
   const int napplies = 10;
   const char* json_path = parse_json_arg(argc, argv);
   JsonDoc json("fig8_gpu_spmv");
+  const core::HymvOptions host_options = driver::hymv_options_from_env();
 
   std::printf("=== §V-D: stream-count sweep (elasticity hex20, 1 rank, "
               "10x SPMV) ===\n");
@@ -45,7 +48,7 @@ int main(int argc, char** argv) {
         driver::RankContext ctx(comm, setup);
         gpu::Device device(calibrated_device_spec());
         core::HymvGpuOperator op(comm, ctx.part(), ctx.element_op(), device,
-                                 {.num_streams = ns});
+                                 {.num_streams = ns, .host = host_options});
         pla::DistVector x(op.layout()), y(op.layout());
         x.set_all(1.0);
         op.apply(comm, x, y);  // warm-up

@@ -25,6 +25,7 @@
 #include "hymv/core/assembly.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/analytic.hpp"
 #include "hymv/mesh/surface_mesh.hpp"
 #include "hymv/pla/cg.hpp"
@@ -86,13 +87,14 @@ double run_custom(mesh::ElementType element, long n, int nranks,
   const fem::ElasticBar bar{.young = kYoung, .poisson = kPoisson,
                             .density = kDensity, .gravity = kGravity,
                             .lz = 1.0};
+  const core::HymvOptions options = driver::hymv_options_from_env();
   double err = 0.0;
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const fem::ElasticityOperator op(
         element, kYoung, kPoisson,
         [&bar](const mesh::Point& x) { return bar.body_force(x); });
-    core::HymvOperator k(comm, part, op);
+    core::HymvOperator k(comm, part, op, options);
     const pla::DirichletConstraints constraints =
         make_constraints(part, bar);
     pla::ConstrainedOperator kc(k, constraints);
@@ -164,11 +166,12 @@ double run_traction(mesh::ElementType element, long n, int nranks) {
                                  t0 / kYoung * x[2]};
   };
 
+  const core::HymvOptions options = driver::hymv_options_from_env();
   double err = 0.0;
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
     const fem::ElasticityOperator op(element, kYoung, kPoisson);
-    core::HymvOperator k(comm, part, op);
+    core::HymvOperator k(comm, part, op, options);
     const auto constraints = core::make_dirichlet(
         part, 3, [](const mesh::Point& x) { return std::abs(x[2]) < 1e-9; },
         [&exact](const mesh::Point& x) {

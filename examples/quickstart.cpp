@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/simmpi/simmpi.hpp"
 
 int main() {
@@ -29,12 +30,18 @@ int main() {
               static_cast<long long>(setup.total_elements),
               static_cast<long long>(setup.total_nodes), nranks);
 
+  // The operator's knobs (HYMV_STORE_LAYOUT, ...) and the backend of the
+  // solve (HYMV_BACKEND, e.g. "adaptive"), resolved once for every rank.
+  const core::HymvOptions options = driver::hymv_options_from_env();
+  const driver::Backend backend =
+      driver::backend_from_env(driver::Backend::kHymv);
+
   // --- 2-4. per-rank work under the message-passing runtime ----------------
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     driver::RankContext ctx(comm, setup);
 
     // The HYMV operator: setup = compute + store all element matrices.
-    core::HymvOperator k(comm, ctx.part(), ctx.element_op());
+    core::HymvOperator k(comm, ctx.part(), ctx.element_op(), options);
     if (comm.rank() == 0) {
       std::printf("HYMV setup: emat %.4fs, copy %.4fs, maps %.4fs; "
                   "store %.2f MB/rank\n",
@@ -56,9 +63,6 @@ int main() {
     }
 
     // Solve K u = f with CG + Jacobi and verify against the exact solution.
-    // HYMV_BACKEND (e.g. "adaptive") swaps the SPMV backend under the solve.
-    const driver::Backend backend =
-        driver::backend_from_env(driver::Backend::kHymv);
     driver::SolveReport report = driver::solve_problem(
         comm, ctx,
         {.backend = backend,

@@ -15,6 +15,7 @@
 #include <mutex>
 
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/io/store_io.hpp"
 #include "hymv/io/vtk.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -38,12 +39,13 @@ int main(int argc, char** argv) {
   std::vector<double> displacement(
       static_cast<std::size_t>(setup.total_dofs()), 0.0);
   std::mutex mutex;
+  const core::HymvOptions options = driver::hymv_options_from_env();
 
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     driver::RankContext ctx(comm, setup);
 
     // Solve with HYMV + block Jacobi.
-    core::HymvOperator k(comm, ctx.part(), ctx.element_op());
+    core::HymvOperator k(comm, ctx.part(), ctx.element_op(), options);
     pla::ConstrainedOperator ak(k, ctx.constraints());
     pla::DistVector b = ctx.assemble_rhs(comm);
     pla::apply_constraints_to_rhs(comm, k, ctx.constraints(), b);
@@ -55,7 +57,8 @@ int main(int argc, char** argv) {
     const std::string ckpt =
         "store_rank" + std::to_string(comm.rank()) + ".bin";
     io::save_store(ckpt, k.store());
-    core::HymvOperator restarted(comm, ctx.part(), 3, io::load_store(ckpt));
+    core::HymvOperator restarted(comm, ctx.part(), 3, io::load_store(ckpt),
+                                 options);
     pla::DistVector y1(k.layout()), y2(k.layout());
     k.apply(comm, u, y1);
     restarted.apply(comm, u, y2);

@@ -18,6 +18,7 @@
 
 #include "hymv/core/assembly.hpp"
 #include "hymv/core/hymv_operator.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/analytic.hpp"
 #include "hymv/fem/mass.hpp"
 #include "hymv/mesh/partition.hpp"
@@ -44,6 +45,7 @@ int main(int argc, char** argv) {
               (long long)n, (long long)n, (long long)n, dt, steps, nranks);
   std::printf("%-8s %-14s %-14s\n", "step", "||u||_inf", "err vs steady");
 
+  const core::HymvOptions options = driver::hymv_options_from_env();
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     const auto& part = dist.parts[static_cast<std::size_t>(comm.rank())];
 
@@ -52,11 +54,11 @@ int main(int argc, char** argv) {
     const fem::HelmholtzOperator a_op(
         mesh::ElementType::kHex8, 1.0 / dt,
         [](const mesh::Point& x) { return fem::PoissonManufactured::forcing(x); });
-    core::HymvOperator a(comm, part, a_op);
+    core::HymvOperator a(comm, part, a_op, options);
 
     // Mass operator for the history term, also HYMV-backed.
     const fem::MassOperator m_op(mesh::ElementType::kHex8, 1.0, 1);
-    core::HymvOperator mass(comm, part, m_op);
+    core::HymvOperator mass(comm, part, m_op, options);
 
     // Dirichlet u = 0 on the whole boundary.
     const mesh::Point lo{0, 0, 0}, hi{1, 1, 1};

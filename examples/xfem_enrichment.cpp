@@ -17,6 +17,7 @@
 
 #include "hymv/common/timer.hpp"
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/simmpi/simmpi.hpp"
 
 int main(int argc, char** argv) {
@@ -37,9 +38,10 @@ int main(int argc, char** argv) {
   std::printf("%-6s %-10s %-16s %-16s %-12s %-10s\n", "step", "cracked",
               "hymv_update(s)", "full_reassemble(s)", "speedup", "tip_uz");
 
+  const core::HymvOptions options = driver::hymv_options_from_env();
   simmpi::run(nranks, [&](simmpi::Comm& comm) {
     driver::RankContext ctx(comm, setup);
-    core::HymvOperator k(comm, ctx.part(), ctx.element_op());
+    core::HymvOperator k(comm, ctx.part(), ctx.element_op(), options);
 
     // The softened ("cracked") element operator: 1% residual stiffness.
     fem::ElasticityOperator cracked_op(spec.element, spec.young,

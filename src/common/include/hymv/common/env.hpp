@@ -1,10 +1,18 @@
 #pragma once
 
 /// \file env.hpp
-/// Environment-variable helpers used by benchmarks and examples to scale
-/// problem sizes (e.g. HYMV_BENCH_SCALE) without recompiling.
+/// The environment readers. Edge code (mains, the driver's resolvers, the
+/// service's ServiceOptions::from_env) and the process-wide switches call
+/// them; library objects take their options as arguments. Every reader
+/// returns its fallback when the variable is unset, and on a value it
+/// rejects prints one stderr line of the form
+///   hymv: ignoring NAME='value' (expected ...); using fallback
+/// and returns the fallback.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace hymv {
@@ -14,6 +22,12 @@ namespace hymv {
 /// rejected with a one-line stderr warning (trailing whitespace is fine).
 [[nodiscard]] std::int64_t env_int(const std::string& name,
                                    std::int64_t fallback);
+
+/// Read an integer in [lo, hi]: env_int's parse, and a value outside the
+/// range warns and keeps `fallback`.
+[[nodiscard]] std::int64_t env_int_in_range(const std::string& name,
+                                            std::int64_t fallback,
+                                            std::int64_t lo, std::int64_t hi);
 
 /// Read a 0/1 switch. Returns `fallback` when unset, false for 0 and true
 /// for 1 (surrounding whitespace is fine); any other value ("2", "yes",
@@ -43,5 +57,24 @@ namespace hymv {
 /// rejected with a one-line stderr warning. Used by the HYMV_SVC_* knobs.
 [[nodiscard]] std::int64_t env_size_bytes(const std::string& name,
                                           std::int64_t fallback);
+
+/// The index of the variable's value in `names` (exact match), or -1 when
+/// it is unset; any other value warns, listing `names`, and returns -1.
+[[nodiscard]] int env_choice(const std::string& name,
+                             std::span<const char* const> names);
+
+/// Read a value by name: `values[i]` is spelled `name_of(values[i])`.
+/// Returns `fallback` when unset; any other spelling warns and keeps
+/// `fallback`.
+template <typename T, std::size_t N, typename NameOf>
+[[nodiscard]] T env_enum(const std::string& name, T fallback,
+                         const std::array<T, N>& values, NameOf name_of) {
+  std::array<const char*, N> names{};
+  for (std::size_t i = 0; i < N; ++i) {
+    names[i] = name_of(values[i]);
+  }
+  const int index = env_choice(name, names);
+  return index < 0 ? fallback : values[static_cast<std::size_t>(index)];
+}
 
 }  // namespace hymv

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace hymv {
@@ -26,10 +27,23 @@ bool fully_consumed(const char* value, const char* end) {
   return true;
 }
 
-void warn_rejected(const char* name, const char* value, const char* kind) {
+/// The one warning every reader prints for a value it rejects.
+void warn_rejected(const char* name, const char* value, const char* expected) {
   std::fprintf(stderr,
-               "hymv: ignoring %s='%s' (not a valid %s); using fallback\n",
-               name, value, kind);
+               "hymv: ignoring %s='%s' (expected %s); using fallback\n",
+               name, value, expected);
+}
+
+/// True when `value` is a whole std::int64_t, stored in `*out`.
+bool parse_int(const char* value, std::int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value, &end, 10);
+  if (!fully_consumed(value, end) || errno == ERANGE) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(parsed);
+  return true;
 }
 
 }  // namespace
@@ -39,14 +53,28 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   if (value == nullptr) {
     return fallback;
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (!fully_consumed(value, end) || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "integer");
+  std::int64_t parsed = 0;
+  if (!parse_int(value, &parsed)) {
+    warn_rejected(name.c_str(), value, "an integer");
     return fallback;
   }
-  return static_cast<std::int64_t>(parsed);
+  return parsed;
+}
+
+std::int64_t env_int_in_range(const std::string& name, std::int64_t fallback,
+                              std::int64_t lo, std::int64_t hi) {
+  const char* value = std::getenv(name.c_str());
+  if (value == nullptr) {
+    return fallback;
+  }
+  std::int64_t parsed = 0;
+  if (!parse_int(value, &parsed) || parsed < lo || parsed > hi) {
+    const std::string expected = "an integer in [" + std::to_string(lo) +
+                                 ", " + std::to_string(hi) + "]";
+    warn_rejected(name.c_str(), value, expected.c_str());
+    return fallback;
+  }
+  return parsed;
 }
 
 bool env_flag(const std::string& name, bool fallback) {
@@ -54,10 +82,9 @@ bool env_flag(const std::string& name, bool fallback) {
   if (value == nullptr) {
     return fallback;
   }
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (!fully_consumed(value, end) || (parsed != 0 && parsed != 1)) {
-    warn_rejected(name.c_str(), value, "0/1 switch");
+  std::int64_t parsed = 0;
+  if (!parse_int(value, &parsed) || (parsed != 0 && parsed != 1)) {
+    warn_rejected(name.c_str(), value, "0 or 1");
     return fallback;
   }
   return parsed == 1;
@@ -72,7 +99,7 @@ double env_double(const std::string& name, double fallback) {
   errno = 0;
   const double parsed = std::strtod(value, &end);
   if (!fully_consumed(value, end) || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "number");
+    warn_rejected(name.c_str(), value, "a number");
     return fallback;
   }
   return parsed;
@@ -110,8 +137,9 @@ double env_duration_ms(const std::string& name, double fallback_ms) {
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(value, &end);
+  constexpr const char* kDuration = "a duration (e.g. 250, 250ms, 1.5s, 2m)";
   if (end == value || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "duration (e.g. 250, 250ms, 1.5s, 2m)");
+    warn_rejected(name.c_str(), value, kDuration);
     return fallback_ms;
   }
   double scale_ms = 1.0;  // bare numbers are milliseconds
@@ -122,12 +150,12 @@ double env_duration_ms(const std::string& name, double fallback_ms) {
   } else if (suffix_is(end, "m")) {
     scale_ms = 60000.0;
   } else {
-    warn_rejected(name.c_str(), value, "duration (e.g. 250, 250ms, 1.5s, 2m)");
+    warn_rejected(name.c_str(), value, kDuration);
     return fallback_ms;
   }
   const double ms = parsed * scale_ms;
   if (!(ms >= 0.0) || !std::isfinite(ms)) {
-    warn_rejected(name.c_str(), value, "non-negative duration");
+    warn_rejected(name.c_str(), value, "a non-negative duration");
     return fallback_ms;
   }
   return ms;
@@ -142,7 +170,7 @@ std::int64_t env_size_bytes(const std::string& name, std::int64_t fallback) {
   errno = 0;
   const long long parsed = std::strtoll(value, &end, 10);
   if (end == value || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "byte size (e.g. 4096, 256M, 1GiB)");
+    warn_rejected(name.c_str(), value, "a byte size (e.g. 4096, 256M, 1GiB)");
     return fallback;
   }
   std::int64_t scale = 1;
@@ -158,15 +186,32 @@ std::int64_t env_size_bytes(const std::string& name, std::int64_t fallback) {
              suffix_is(end, "gib")) {
     scale = std::int64_t{1} << 30;
   } else {
-    warn_rejected(name.c_str(), value, "byte size (e.g. 4096, 256M, 1GiB)");
+    warn_rejected(name.c_str(), value, "a byte size (e.g. 4096, 256M, 1GiB)");
     return fallback;
   }
   if (parsed < 0 ||
       parsed > std::numeric_limits<std::int64_t>::max() / scale) {
-    warn_rejected(name.c_str(), value, "non-negative byte size");
+    warn_rejected(name.c_str(), value, "a non-negative byte size");
     return fallback;
   }
   return static_cast<std::int64_t>(parsed) * scale;
+}
+
+int env_choice(const std::string& name, std::span<const char* const> names) {
+  const char* value = std::getenv(name.c_str());
+  if (value == nullptr) {
+    return -1;
+  }
+  std::string expected;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (std::strcmp(value, names[i]) == 0) {
+      return static_cast<int>(i);
+    }
+    expected += i == 0 ? "" : "|";
+    expected += *names[i] == '\0' ? "''" : names[i];
+  }
+  warn_rejected(name.c_str(), value, expected.c_str());
+  return -1;
 }
 
 }  // namespace hymv

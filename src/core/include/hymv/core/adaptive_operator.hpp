@@ -13,11 +13,11 @@
 ///
 /// Selection combines the layout-true apply_bytes()/apply_flops() roofline
 /// model (perf::CpuSpec) with short measured probe applies on deterministic
-/// synthetic input; HYMV_ADAPTIVE_FORCE pins every region, and a decision
-/// file (HYMV_ADAPTIVE_REPLAY) records choices for deterministic replay —
-/// probes are timing-dependent, so replay is what makes an adaptive run
-/// reproducible. Decisions are published to the adaptive.* metrics
-/// namespace and traced.
+/// synthetic input; AdaptiveOptions::force pins every region, and a
+/// decision file (AdaptiveOptions::replay_path) records choices for
+/// deterministic replay — probes are timing-dependent, so replay is what
+/// makes an adaptive run reproducible. Decisions are published to the
+/// adaptive.* metrics namespace and traced.
 ///
 /// The distributed structure (DA staging, LNSM/GNGM overlap or the
 /// task-graph dependent phase, reduction) is the embedded HymvOperator's
@@ -48,10 +48,12 @@ namespace hymv::core {
 enum class RegionBackendKind { kStored = 0, kMatrixFree = 1, kSell = 2 };
 [[nodiscard]] const char* to_string(RegionBackendKind kind);
 
-/// Tunables of the adaptive composite.
+/// Tunables of the adaptive composite, which it runs as given. Edge code
+/// resolves the HYMV_SELL_* and HYMV_ADAPTIVE_* knobs onto them with
+/// driver::adaptive_options_from_env, and the stored-path knobs onto
+/// `hymv` with driver::hymv_options_from_env.
 struct AdaptiveOptions {
-  /// Stored-path tunables (layout/schedule/nrhs/taskgraph; the usual env
-  /// overrides resolve inside the embedded HymvOperator).
+  /// Stored-path tunables of the embedded HymvOperator.
   HymvOptions hymv;
   int sell_c = 8;        ///< SELL chunk height C
   int sell_sigma = 128;  ///< SELL sorting window σ
@@ -65,14 +67,6 @@ struct AdaptiveOptions {
   /// (deterministic); when set but missing, tuned decisions are recorded
   /// to it.
   std::string replay_path;
-
-  /// Resolve environment overrides onto `fallback` through the validated
-  /// env paths: HYMV_SELL_C (int in [1, 256]), HYMV_SELL_SIGMA (int in
-  /// [1, 1048576]), HYMV_ADAPTIVE_PROBES (int in [0, 1000]),
-  /// HYMV_ADAPTIVE_FORCE (backend name), HYMV_ADAPTIVE_REPLAY (path).
-  /// Malformed or out-of-range values warn to stderr and keep the
-  /// fallback, the same contract as HYMV_NRHS.
-  [[nodiscard]] static AdaptiveOptions from_env(AdaptiveOptions fallback);
 };
 
 /// One region's autotuning outcome (kept for tests / reports).

@@ -38,35 +38,27 @@
 
 namespace hymv::core {
 
-/// Tunables of the element apply. HymvOperator reads every field;
-/// MatrixFreeOperator reads overlap, use_openmp, schedule and taskgraph.
+/// Tunables of the element apply, which the operators run as given.
+/// HymvOperator reads every field; MatrixFreeOperator reads overlap,
+/// use_openmp, schedule and taskgraph. Edge code resolves the environment
+/// knobs onto them with driver::hymv_options_from_env.
 struct HymvOptions {
   bool overlap = true;   ///< overlap LNSM with independent-element EMV
   bool use_openmp = true;  ///< thread the element loop when OpenMP is active
-  /// Threaded scatter-add strategy. The HYMV_THREAD_SCHEDULE environment
-  /// variable ("serial" | "colored"), when set, overrides this at operator
-  /// construction (the global ablation switch).
+  /// Threaded scatter-add strategy (HYMV_THREAD_SCHEDULE at the edge).
   ThreadSchedule schedule = ThreadSchedule::kColored;
-  /// Element-matrix storage layout (see element_store.hpp). The
-  /// HYMV_STORE_LAYOUT environment variable
-  /// ("padded" | "interleaved" | "sympacked" | "fp32"), when set, overrides
-  /// this at operator construction. The restart constructor adopts the
-  /// loaded store's layout instead (convert via io::load_store).
+  /// Element-matrix storage layout (see element_store.hpp;
+  /// HYMV_STORE_LAYOUT at the edge). The restart constructors adopt the
+  /// given store's layout instead (convert via io::load_store).
   StoreLayout layout = StoreLayout::kPadded;
-  /// Default panel width the driver feeds apply_multi (the benchmark /
-  /// solver knob; apply_multi itself always honors the panel it is given).
-  /// The HYMV_NRHS environment variable, when set, overrides this at
-  /// operator construction (validated: integers in [1, 64]).
-  int nrhs = 1;
   /// Dependency-driven dependent-phase traversal (see taskgraph.hpp):
   /// per-neighbor ghost completion unlocks only the element blocks that
   /// neighbor gates instead of barriering on forward_end. Bitwise identical
   /// to the two-phase apply (the coloring invariant makes within-color
   /// block order immaterial). Requires overlap, the colored schedule, an
   /// unprotected exchange and a dependent region that runs element blocks
-  /// — apply falls back to two-phase whenever any of those is missing. The
-  /// HYMV_APPLY_TASKGRAPH environment variable (0/1), when set, overrides
-  /// this at operator construction.
+  /// — apply falls back to two-phase whenever any of those is missing
+  /// (HYMV_APPLY_TASKGRAPH at the edge).
   bool taskgraph = false;
 };
 

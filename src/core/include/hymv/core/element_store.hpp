@@ -7,8 +7,7 @@
 /// The apply phase is bandwidth-bound on the stored matrices (paper §V
 /// roofline), so how the bytes are laid out and how wide each scalar is
 /// are first-order performance knobs. Four layouts live behind one
-/// `ElementMatrixStore` interface (selected via `HymvOptions.layout` or
-/// the `HYMV_STORE_LAYOUT` environment variable):
+/// `ElementMatrixStore` interface (selected via `HymvOptions.layout`):
 ///
 ///   * `kPadded` — the classic layout: fp64, per-element column-major with
 ///     the leading dimension padded to the SIMD width so every column
@@ -53,11 +52,6 @@ enum class StoreLayout : int {
 /// Human-readable layout name ("padded" / "interleaved" / "sympacked" /
 /// "fp32").
 [[nodiscard]] const char* to_string(StoreLayout layout);
-
-/// Resolve the HYMV_STORE_LAYOUT environment override
-/// ("padded" | "interleaved" | "sympacked" | "fp32"). Returns `fallback`
-/// when unset; warns to stderr and returns `fallback` on an unknown value.
-[[nodiscard]] StoreLayout store_layout_from_env(StoreLayout fallback);
 
 class ElementMatrixStore {
  public:

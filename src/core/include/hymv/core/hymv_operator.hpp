@@ -37,12 +37,6 @@
 
 namespace hymv::core {
 
-/// Resolve the HYMV_NRHS environment override through the validated
-/// env_int path (trailing garbage / out-of-range text already rejected
-/// there), then range-check to [1, 64]: warns to stderr and returns
-/// `fallback` on a value outside the panel widths the kernels support.
-[[nodiscard]] int nrhs_from_env(int fallback);
-
 /// Decomposition of the setup phase, matching the paper's stacked setup
 /// bars (Fig. 5/7): element-matrix computation vs. the local copy into the
 /// store vs. map construction.

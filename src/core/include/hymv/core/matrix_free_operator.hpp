@@ -29,10 +29,8 @@ class MatrixFreeOperator final : public pla::LinearOperator {
  public:
   /// Collective: builds the maps; stores only coordinates (`op` must
   /// outlive the operator — it is invoked on every apply). `options`
-  /// supplies overlap, use_openmp, schedule and taskgraph, with the
-  /// HYMV_THREAD_SCHEDULE and HYMV_APPLY_TASKGRAPH overrides applied as in
-  /// HymvOperator; the element loop threads with the colored
-  /// conflict-free schedule.
+  /// supplies overlap, use_openmp, schedule and taskgraph as given; the
+  /// element loop threads with the colored conflict-free schedule.
   MatrixFreeOperator(simmpi::Comm& comm, const mesh::MeshPartition& part,
                      const fem::ElementOperator& op, HymvOptions options = {});
 
@@ -50,6 +48,7 @@ class MatrixFreeOperator final : public pla::LinearOperator {
   std::vector<double> diagonal(simmpi::Comm& comm) override;
 
   [[nodiscard]] const DofMaps& maps() const { return maps_; }
+  [[nodiscard]] const HymvOptions& options() const { return options_; }
 
   /// Toggle the task-graph dependent phase (see taskgraph.hpp), gated at
   /// apply time exactly as in HymvOperator.

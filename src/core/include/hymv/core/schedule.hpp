@@ -49,11 +49,6 @@ enum class ThreadSchedule : int {
 /// Human-readable strategy name ("serial" / "colored").
 [[nodiscard]] const char* to_string(ThreadSchedule schedule);
 
-/// Resolve the HYMV_THREAD_SCHEDULE environment override
-/// ("serial" | "colored"). Returns `fallback` when the variable is unset;
-/// warns once to stderr and returns `fallback` on an unknown value.
-[[nodiscard]] ThreadSchedule thread_schedule_from_env(ThreadSchedule fallback);
-
 /// A conflict-free execution order for one subset of elements.
 ///
 /// Elements are emitted color-major: order()[color_begin(c)..color_end(c))

@@ -38,11 +38,6 @@
 
 namespace hymv::core {
 
-/// Resolve the HYMV_APPLY_TASKGRAPH environment override (0/1). Returns
-/// `fallback` when unset; warns to stderr and returns `fallback` on any
-/// other value.
-[[nodiscard]] bool apply_taskgraph_from_env(bool fallback);
-
 /// Peer-gating structure of one dependent ElementSchedule, built once at
 /// operator setup and reused every apply.
 class ApplyTaskGraph {

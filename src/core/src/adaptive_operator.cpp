@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -15,7 +14,6 @@
 #include <omp.h>
 #endif
 
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/common/timer.hpp"
 #include "hymv/obs/trace.hpp"
@@ -51,23 +49,6 @@ bool kind_from_name(const char* name, RegionBackendKind* out) {
   return true;
 }
 
-/// Clamped env_int resolution with the HYMV_NRHS warning contract: the
-/// validated env_int path already rejects garbage; values outside
-/// [lo, hi] warn to stderr and keep the fallback.
-int env_int_in_range(const char* name, int fallback, std::int64_t lo,
-                     std::int64_t hi) {
-  const std::int64_t v = env_int(name, fallback);
-  if (v < lo || v > hi) {
-    std::fprintf(stderr,
-                 "hymv: %s must be an integer in [%lld, %lld], got %lld; "
-                 "using %d\n",
-                 name, static_cast<long long>(lo), static_cast<long long>(hi),
-                 static_cast<long long>(v), fallback);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
-
 /// Decision files are shared by every simmpi rank (threads of one
 /// process): the first writer truncates, later ranks append; replay only
 /// triggers for files that existed BEFORE this process started writing
@@ -83,29 +64,6 @@ std::set<std::string>& decision_files_created() {
 
 }  // namespace
 
-AdaptiveOptions AdaptiveOptions::from_env(AdaptiveOptions fallback) {
-  fallback.sell_c = env_int_in_range("HYMV_SELL_C", fallback.sell_c, 1, 256);
-  fallback.sell_sigma =
-      env_int_in_range("HYMV_SELL_SIGMA", fallback.sell_sigma, 1, 1048576);
-  fallback.probes =
-      env_int_in_range("HYMV_ADAPTIVE_PROBES", fallback.probes, 0, 1000);
-  if (const char* force = std::getenv("HYMV_ADAPTIVE_FORCE")) {
-    RegionBackendKind kind;
-    if (force[0] == '\0' || kind_from_name(force, &kind)) {
-      fallback.force = force;
-    } else {
-      std::fprintf(stderr,
-                   "hymv: unknown HYMV_ADAPTIVE_FORCE \"%s\" (expected "
-                   "stored|matrixfree|sell), autotuning\n",
-                   force);
-    }
-  }
-  if (const char* replay = std::getenv("HYMV_ADAPTIVE_REPLAY")) {
-    fallback.replay_path = replay;
-  }
-  return fallback;
-}
-
 AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
                                    const mesh::MeshPartition& part,
                                    const fem::ElementOperator& op,
@@ -117,9 +75,6 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
       op_(&op),
       elem_coords_(part.elem_coords) {
   HYMV_TRACE_SCOPE("setup", "adaptive");
-  // Adopt the env-resolved stored-path options (layout/schedule/nrhs/
-  // taskgraph overrides resolve inside HymvOperator's constructor).
-  options_.hymv = hymv_->options();
 
   const DofMaps& maps = hymv_->maps();
   region_of_.assign(static_cast<std::size_t>(maps.num_elements()), 0);

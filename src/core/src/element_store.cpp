@@ -1,9 +1,6 @@
 #include "hymv/core/element_store.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "hymv/common/error.hpp"
@@ -38,30 +35,6 @@ const char* to_string(StoreLayout layout) {
       return "fp32";
   }
   return "?";
-}
-
-StoreLayout store_layout_from_env(StoreLayout fallback) {
-  const char* value = std::getenv("HYMV_STORE_LAYOUT");
-  if (value == nullptr) {
-    return fallback;
-  }
-  if (std::strcmp(value, "padded") == 0) {
-    return StoreLayout::kPadded;
-  }
-  if (std::strcmp(value, "interleaved") == 0) {
-    return StoreLayout::kInterleaved;
-  }
-  if (std::strcmp(value, "sympacked") == 0) {
-    return StoreLayout::kSymPacked;
-  }
-  if (std::strcmp(value, "fp32") == 0) {
-    return StoreLayout::kFp32;
-  }
-  std::fprintf(stderr,
-               "hymv: ignoring HYMV_STORE_LAYOUT='%s' (expected "
-               "padded|interleaved|sympacked|fp32); using '%s'\n",
-               value, to_string(fallback));
-  return fallback;
 }
 
 ElementMatrixStore::ElementMatrixStore(std::int64_t num_elements, int ndofs,

@@ -1,29 +1,18 @@
 #include "hymv/core/hymv_operator.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
 #include "dual_timer.hpp"
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/trace.hpp"
 
 namespace hymv::core {
 
 namespace {
-
-/// `options` with the schedule, panel-width and task-graph environment
-/// overrides applied (the layout override resolves with the store).
-HymvOptions with_env(HymvOptions options) {
-  options.schedule = thread_schedule_from_env(options.schedule);
-  options.nrhs = nrhs_from_env(options.nrhs);
-  options.taskgraph = apply_taskgraph_from_env(options.taskgraph);
-  return options;
-}
 
 /// The stored backends of the skeleton's independent and dependent regions.
 std::array<StoredRegionBackend, 2> stored_regions(
@@ -63,17 +52,6 @@ ApplyBreakdown HymvOperator::apply_breakdown() const {
 
 void HymvOperator::reset_apply_breakdown() { skeleton_.reset_breakdown(); }
 
-int nrhs_from_env(int fallback) {
-  const std::int64_t value = hymv::env_int("HYMV_NRHS", fallback);
-  if (value < 1 || value > 64) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_NRHS=%lld (expected 1..64); using %d\n",
-                 static_cast<long long>(value), fallback);
-    return fallback;
-  }
-  return static_cast<int>(value);
-}
-
 DofMaps HymvOperator::build_maps_timed(simmpi::Comm& comm,
                                        const mesh::MeshPartition& part,
                                        int ndof_per_node,
@@ -92,11 +70,10 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
                            const mesh::MeshPartition& part,
                            const fem::ElementOperator& op,
                            HymvOptions options)
-    : options_(with_env(options)),
+    : options_(options),
       maps_(build_maps_timed(comm, part, op.ndof_per_node(), metrics_)),
       writable_(std::make_shared<ElementMatrixStore>(
-          part.num_local_elements(), op.num_dofs(),
-          store_layout_from_env(options.layout))),
+          part.num_local_elements(), op.num_dofs(), options.layout)),
       store_(writable_),
       elem_coords_(part.elem_coords),
       skeleton_(maps_, options_, metrics_.registry),
@@ -106,7 +83,6 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
                      static_cast<int>(op.num_nodes()),
                  "HymvOperator: element type mismatch between mesh and "
                  "operator");
-  options_.layout = store_->layout();  // reflect the env override
   // Element-matrix computation + local copy (the HYMV "setup" the paper
   // times against PETSc's global assembly).
   HYMV_TRACE_SCOPE("setup.emat", "setup");
@@ -158,7 +134,7 @@ HymvOperator::HymvOperator(simmpi::Comm& comm,
                            std::shared_ptr<ElementMatrixStore> writable,
                            std::shared_ptr<const ElementMatrixStore> store,
                            HymvOptions options)
-    : options_(with_env(options)),
+    : options_(options),
       maps_(build_maps_timed(comm, part, ndof_per_node, metrics_)),
       writable_(std::move(writable)),
       store_(writable_ != nullptr ? writable_ : std::move(store)),

@@ -7,14 +7,6 @@ namespace hymv::core {
 
 namespace {
 
-/// `options` with the schedule and task-graph environment overrides
-/// applied.
-HymvOptions with_env(HymvOptions options) {
-  options.schedule = thread_schedule_from_env(options.schedule);
-  options.taskgraph = apply_taskgraph_from_env(options.taskgraph);
-  return options;
-}
-
 /// The matrix-free backends of the skeleton's two regions.
 std::array<MatrixFreeRegionBackend, 2> matrix_free_regions(
     const DofMaps& maps, const fem::ElementOperator& op,
@@ -35,7 +27,7 @@ MatrixFreeOperator::MatrixFreeOperator(simmpi::Comm& comm,
                                        const fem::ElementOperator& op,
                                        HymvOptions options)
     : op_(&op),
-      options_(with_env(options)),
+      options_(options),
       maps_(comm, part, op.ndof_per_node()),
       elem_coords_(part.elem_coords),
       skeleton_(maps_, options_, metrics_),

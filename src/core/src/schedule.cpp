@@ -1,9 +1,6 @@
 #include "hymv/core/schedule.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "hymv/common/error.hpp"
 
@@ -17,24 +14,6 @@ const char* to_string(ThreadSchedule schedule) {
       return "colored";
   }
   return "unknown";
-}
-
-ThreadSchedule thread_schedule_from_env(ThreadSchedule fallback) {
-  const char* value = std::getenv("HYMV_THREAD_SCHEDULE");
-  if (value == nullptr) {
-    return fallback;
-  }
-  if (std::strcmp(value, "serial") == 0) {
-    return ThreadSchedule::kSerial;
-  }
-  if (std::strcmp(value, "colored") == 0) {
-    return ThreadSchedule::kColored;
-  }
-  std::fprintf(stderr,
-               "hymv: ignoring HYMV_THREAD_SCHEDULE='%s' (expected "
-               "serial|colored); using '%s'\n",
-               value, to_string(fallback));
-  return fallback;
 }
 
 ElementSchedule::ElementSchedule(const DofMaps& maps,

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <atomic>
 
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/common/timer.hpp"
 #include "hymv/obs/trace.hpp"
 
 namespace hymv::core {
-
-bool apply_taskgraph_from_env(bool fallback) {
-  return hymv::env_flag("HYMV_APPLY_TASKGRAPH", fallback);
-}
 
 ApplyTaskGraph::ApplyTaskGraph(const DofMaps& maps,
                                const ElementSchedule& dep_sched) {

@@ -34,7 +34,9 @@
 #include "hymv/mesh/structured.hpp"
 #include "hymv/mesh/tet.hpp"
 #include "hymv/pla/cg.hpp"
+#include "hymv/pla/chebyshev.hpp"
 #include "hymv/pla/constraints.hpp"
+#include "hymv/pla/multigrid.hpp"
 
 namespace hymv::driver {
 
@@ -65,19 +67,6 @@ enum class Precond : int {
 [[nodiscard]] const char* backend_name(Backend backend);
 
 [[nodiscard]] const char* precond_name(Precond precond);
-
-/// Resolve the HYMV_PRECOND environment override ("none" | "jacobi" |
-/// "block-jacobi" | "node-block-jacobi" | "chebyshev" | "multigrid" — the
-/// precond_name() vocabulary). Unset returns `fallback`; an unknown value
-/// warns to stderr and returns `fallback` (the HYMV_BACKEND contract).
-[[nodiscard]] Precond precond_from_env(Precond fallback);
-
-/// Resolve the HYMV_BACKEND environment override
-/// ("assembled" | "hymv" | "matrix-free" | "hymv-gpu" | "assembled-gpu" |
-/// "adaptive" — the backend_name() vocabulary). Unset returns `fallback`;
-/// an unknown value warns to stderr and returns `fallback`, the same
-/// contract as HYMV_STORE_LAYOUT.
-[[nodiscard]] Backend backend_from_env(Backend fallback);
 
 /// Full description of one experiment's problem.
 struct ProblemSpec {
@@ -161,13 +150,14 @@ class RankContext {
   pla::DirichletConstraints constraints_;
 };
 
-/// Build one of the five SPMV backends over a rank context. GPU backends
-/// require `device`.
+/// Build one of the SPMV backends over a rank context: build_backend's
+/// operator alone. GPU backends require `device`.
 std::unique_ptr<pla::LinearOperator> make_backend(
     simmpi::Comm& comm, const RankContext& ctx, Backend backend,
     gpu::Device* device = nullptr,
     const core::HymvGpuOptions& gpu_options = {},
-    const core::HymvOptions& hymv_options = {});
+    const core::HymvOptions& hymv_options = {},
+    const core::AdaptiveOptions& adaptive_options = {});
 
 // ---------------------------------------------------------------------------
 // SPMV measurement (Fig. 4-10, Table I)
@@ -204,13 +194,16 @@ struct BuiltBackend {
 };
 
 /// Build `backend` over a rank context with the paper's setup-phase
-/// breakdown. GPU backends require `device`; kAdaptive resolves its
-/// AdaptiveOptions (SELL C/σ, probes, force, replay) from the environment
-/// on top of `hymv_options`. Collective.
+/// breakdown, running exactly the options it is given (it reads no
+/// environment; edge code resolves them with env_options.hpp). kHymv and
+/// kMatrixFree run `hymv_options`, kHymvGpu runs `gpu_options` (its host
+/// operator `gpu_options.host`) and requires `device`, and kAdaptive runs
+/// `adaptive_options` over `hymv_options` (its `hymv` field is replaced).
+/// Collective.
 ///
 /// Thread-safety: safe to call concurrently from distinct simmpi jobs that
 /// share one immutable ProblemSetup (each job holds its own RankContext) —
-/// construction only reads the setup and the environment, runtime ISA
+/// construction only reads the setup and its arguments, runtime ISA
 /// dispatch resolves through thread-safe function-local statics, and all
 /// mutable state is confined to the calling job's simmpi context and the
 /// returned BuiltBackend. svc::SolveService workers rely on this for
@@ -218,18 +211,22 @@ struct BuiltBackend {
 BuiltBackend build_backend(simmpi::Comm& comm, const RankContext& ctx,
                            Backend backend, gpu::Device* device = nullptr,
                            const core::HymvGpuOptions& gpu_options = {},
-                           const core::HymvOptions& hymv_options = {});
+                           const core::HymvOptions& hymv_options = {},
+                           const core::AdaptiveOptions& adaptive_options = {});
 
 /// Build the preconditioner `precond` over the (constrained) operator `a`.
-/// The single construction path solve_problem and svc::SolveService share:
-/// resolves the HYMV_CHEB_* / HYMV_MG_* knobs from the environment, and for
-/// kMultigrid assembles the structured-lattice hierarchy from the rank
-/// context's ProblemSetup (unstructured meshes warn to stderr and fall back
-/// to Jacobi). `fp32` selects fp32 preconditioner state with fp64
-/// accumulation (Chebyshev scaling, multigrid level matrices). Collective.
+/// The single construction path solve_problem and svc::SolveService share;
+/// it reads no environment. kChebyshev runs `chebyshev` and kMultigrid
+/// `multigrid`, each with its fp32 field set to `fp32` (fp32
+/// preconditioner state with fp64 accumulation: Chebyshev scaling,
+/// multigrid level matrices). kMultigrid assembles the structured-lattice
+/// hierarchy from the rank context's ProblemSetup (unstructured meshes warn
+/// to stderr and fall back to Jacobi). Collective.
 std::unique_ptr<pla::Preconditioner> make_preconditioner(
     simmpi::Comm& comm, const RankContext& ctx, pla::LinearOperator& a,
-    Precond precond, bool fp32 = false);
+    Precond precond, bool fp32 = false,
+    const pla::ChebyshevOptions& chebyshev = {},
+    const pla::MultigridOptions& multigrid = {});
 
 /// Per-rank SPMV measurement over `napplies` products.
 struct SpmvReport {
@@ -257,9 +254,14 @@ struct SpmvReport {
   std::int64_t bytes = 0;       ///< analytic bytes over all applies
 };
 
+/// What measure_spmv runs. It resolves the per-object knobs (HYMV_NRHS,
+/// HYMV_STORE_LAYOUT, ...) onto these once, for every operator it builds.
 struct MeasureOptions {
   core::HymvOptions hymv{};
   core::HymvGpuOptions gpu{};
+  /// Panel width of the applies: 1 measures apply, k > 1 apply_multi on a
+  /// k-lane panel (HYMV_NRHS, validated to [1, 64]).
+  int nrhs = 1;
   gpu::Device* device = nullptr;
   /// Timed rounds; the report keeps the fastest round (noise floor on a
   /// shared machine).
@@ -324,7 +326,10 @@ struct SolveReport {
 };
 
 /// Assemble, constrain, precondition, and CG-solve the problem. Collective.
-/// HYMV_CG_PIPELINED=1 selects pipelined CG (CgOptions::pipelined).
+/// The solve's edge: it resolves the operator and preconditioner knobs
+/// (env_options.hpp) once, on top of the defaults and `options.gpu.host`,
+/// and its own solve knobs. HYMV_CG_PIPELINED=1 selects pipelined CG
+/// (CgOptions::pipelined).
 SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
                           const SolveOptions& options = {});
 

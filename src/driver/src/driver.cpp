@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
-#include "hymv/pla/chebyshev.hpp"
-#include "hymv/pla/multigrid.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/common/isa.hpp"
 #include "hymv/common/numa.hpp"
 #include "hymv/common/timer.hpp"
@@ -37,26 +34,6 @@ const char* backend_name(Backend backend) {
   return "unknown";
 }
 
-Backend backend_from_env(Backend fallback) {
-  const char* value = std::getenv("HYMV_BACKEND");
-  if (value == nullptr) {
-    return fallback;
-  }
-  constexpr Backend kAll[] = {Backend::kAssembled,   Backend::kHymv,
-                              Backend::kMatrixFree,  Backend::kHymvGpu,
-                              Backend::kAssembledGpu, Backend::kAdaptive};
-  for (const Backend b : kAll) {
-    if (std::strcmp(value, backend_name(b)) == 0) {
-      return b;
-    }
-  }
-  std::fprintf(stderr,
-               "hymv: ignoring HYMV_BACKEND='%s' (expected assembled|hymv|"
-               "matrix-free|hymv-gpu|assembled-gpu|adaptive); using '%s'\n",
-               value, backend_name(fallback));
-  return fallback;
-}
-
 const char* precond_name(Precond precond) {
   switch (precond) {
     case Precond::kNone:
@@ -73,28 +50,6 @@ const char* precond_name(Precond precond) {
       return "multigrid";
   }
   return "unknown";
-}
-
-Precond precond_from_env(Precond fallback) {
-  const char* value = std::getenv("HYMV_PRECOND");
-  if (value == nullptr) {
-    return fallback;
-  }
-  constexpr Precond kAll[] = {Precond::kNone,          Precond::kJacobi,
-                              Precond::kBlockJacobi,
-                              Precond::kNodeBlockJacobi, Precond::kChebyshev,
-                              Precond::kMultigrid};
-  for (const Precond p : kAll) {
-    if (std::strcmp(value, precond_name(p)) == 0) {
-      return p;
-    }
-  }
-  std::fprintf(stderr,
-               "hymv: ignoring HYMV_PRECOND='%s' (expected none|jacobi|"
-               "block-jacobi|node-block-jacobi|chebyshev|multigrid); "
-               "using '%s'\n",
-               value, precond_name(fallback));
-  return fallback;
 }
 
 ProblemSetup ProblemSetup::build(const ProblemSpec& spec, int nranks) {
@@ -124,18 +79,6 @@ ProblemSetup ProblemSetup::build(const ProblemSpec& spec, int nranks) {
 }
 
 namespace {
-
-/// Non-negative integer env knob with validation: warns to stderr and
-/// keeps `fallback` on a negative value (env_int already rejects garbage).
-std::int64_t env_count(const char* name, std::int64_t fallback) {
-  const std::int64_t v = hymv::env_int(name, fallback);
-  if (v < 0) {
-    std::fprintf(stderr, "hymv: ignoring %s=%lld (expected >= 0)\n", name,
-                 static_cast<long long>(v));
-    return fallback;
-  }
-  return v;
-}
 
 /// Publish the hardware-adaptation state — active/detected dispatch level,
 /// NUMA placement, measured bandwidth — as idempotent gauges (set, not add:
@@ -247,7 +190,8 @@ double RankContext::error_inf(simmpi::Comm& comm, const pla::DistVector& u,
 BuiltBackend build_backend(simmpi::Comm& comm, const RankContext& ctx,
                            Backend backend, gpu::Device* device,
                            const core::HymvGpuOptions& gpu_options,
-                           const core::HymvOptions& hymv_options) {
+                           const core::HymvOptions& hymv_options,
+                           const core::AdaptiveOptions& adaptive_options) {
   const mesh::MeshPartition& part = ctx.part();
   const fem::ElementOperator& op = ctx.element_op();
   BuiltBackend built;
@@ -270,7 +214,8 @@ BuiltBackend build_backend(simmpi::Comm& comm, const RankContext& ctx,
       return built;
     }
     case Backend::kMatrixFree:
-      built.op = std::make_unique<core::MatrixFreeOperator>(comm, part, op);
+      built.op = std::make_unique<core::MatrixFreeOperator>(comm, part, op,
+                                                            hymv_options);
       return built;
     case Backend::kHymvGpu: {
       HYMV_CHECK_MSG(device != nullptr, "build_backend: GPU device required");
@@ -324,10 +269,10 @@ BuiltBackend build_backend(simmpi::Comm& comm, const RankContext& ctx,
       return built;
     }
     case Backend::kAdaptive: {
-      core::AdaptiveOptions aopts;
+      core::AdaptiveOptions aopts = adaptive_options;
       aopts.hymv = hymv_options;
-      auto adaptive = std::make_unique<core::AdaptiveOperator>(
-          comm, part, op, core::AdaptiveOptions::from_env(aopts));
+      auto adaptive =
+          std::make_unique<core::AdaptiveOperator>(comm, part, op, aopts);
       const core::HymvOperator& stored = adaptive->stored_operator();
       built.setup.emat_compute_s = stored.setup_breakdown().emat_compute_s;
       built.setup.local_copy_s = stored.setup_breakdown().local_copy_s;
@@ -346,14 +291,17 @@ BuiltBackend build_backend(simmpi::Comm& comm, const RankContext& ctx,
 std::unique_ptr<pla::LinearOperator> make_backend(
     simmpi::Comm& comm, const RankContext& ctx, Backend backend,
     gpu::Device* device, const core::HymvGpuOptions& gpu_options,
-    const core::HymvOptions& hymv_options) {
-  return build_backend(comm, ctx, backend, device, gpu_options, hymv_options)
+    const core::HymvOptions& hymv_options,
+    const core::AdaptiveOptions& adaptive_options) {
+  return build_backend(comm, ctx, backend, device, gpu_options, hymv_options,
+                       adaptive_options)
       .op;
 }
 
 std::unique_ptr<pla::Preconditioner> make_preconditioner(
     simmpi::Comm& comm, const RankContext& ctx, pla::LinearOperator& a,
-    Precond precond, bool fp32) {
+    Precond precond, bool fp32, const pla::ChebyshevOptions& chebyshev,
+    const pla::MultigridOptions& multigrid) {
   switch (precond) {
     case Precond::kNone:
       return std::make_unique<pla::IdentityPreconditioner>();
@@ -365,10 +313,9 @@ std::unique_ptr<pla::Preconditioner> make_preconditioner(
       return std::make_unique<pla::NodeBlockJacobiPreconditioner>(
           comm, a, ctx.setup().spec.ndof_per_node());
     case Precond::kChebyshev: {
-      pla::ChebyshevOptions copt;
+      pla::ChebyshevOptions copt = chebyshev;
       copt.fp32 = fp32;
-      return std::make_unique<pla::ChebyshevPreconditioner>(
-          comm, a, pla::ChebyshevOptions::from_env(copt));
+      return std::make_unique<pla::ChebyshevPreconditioner>(comm, a, copt);
     }
     case Precond::kMultigrid: {
       const ProblemSetup& setup = ctx.setup();
@@ -424,11 +371,10 @@ std::unique_ptr<pla::Preconditioner> make_preconditioner(
 
       pla::CsrMatrix a_fine = core::assemble_global_serial(
           setup.dist.parts, ctx.element_op(), total_dofs, constrained);
-      pla::MultigridOptions mopt;
+      pla::MultigridOptions mopt = multigrid;
       mopt.fp32 = fp32;
       return std::make_unique<pla::GeometricMultigridPreconditioner>(
-          comm, std::move(a_fine), grid, constrained, a.layout(),
-          pla::MultigridOptions::from_env(mopt));
+          comm, std::move(a_fine), grid, constrained, a.layout(), mopt);
     }
   }
   HYMV_THROW("make_preconditioner: unknown preconditioner");
@@ -444,10 +390,17 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
   // first-touch fills fault pages from their final cores (numa.hpp).
   numa::pin_threads_from_env();
 
+  // The measurement's knobs, resolved once for every operator it builds.
+  core::HymvGpuOptions gpu = options.gpu;
+  gpu.host = hymv_options_from_env(gpu.host);
+  const int nrhs = nrhs_from_env(options.nrhs);
+  report.nrhs = nrhs;
+
   const auto counters_setup0 = comm.counters();
   // One construction path for all backends (setup breakdown + typed views).
-  BuiltBackend built = build_backend(comm, ctx, backend, options.device,
-                                     options.gpu, options.hymv);
+  BuiltBackend built = build_backend(
+      comm, ctx, backend, options.device, gpu,
+      hymv_options_from_env(options.hymv), adaptive_options_from_env());
   report.setup = built.setup;
   std::unique_ptr<pla::LinearOperator>& op = built.op;
   core::HymvOperator* const hymv_cpu = built.hymv_cpu;
@@ -467,12 +420,6 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
   if (store_checksums && hymv_cpu != nullptr) {
     hymv_cpu->enable_store_checksums();
   }
-
-  // Panel width: options.hymv.nrhs (already HYMV_NRHS-resolved inside the
-  // HYMV operators' constructors, but resolve here too so every backend —
-  // including the lane-loop defaults — honors the env knob uniformly).
-  const int nrhs = core::nrhs_from_env(options.hymv.nrhs);
-  report.nrhs = nrhs;
 
   // Deterministic input. The k=1 path is byte-identical to the historic
   // single-vector measurement; panels extend the same sin pattern with a
@@ -600,9 +547,14 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
   // first-touch fills fault pages from their final cores (numa.hpp).
   numa::pin_threads_from_env();
 
+  // The operator and preconditioner knobs, resolved once for the solve.
+  core::HymvGpuOptions gpu = options.gpu;
+  gpu.host = hymv_options_from_env(gpu.host);
+
   hymv::Timer setup_timer;
   std::unique_ptr<pla::LinearOperator> a =
-      make_backend(comm, ctx, options.backend, options.device, options.gpu);
+      make_backend(comm, ctx, options.backend, options.device, gpu,
+                   hymv_options_from_env(), adaptive_options_from_env());
   report.setup_s = setup_timer.elapsed_s();
 
   pla::ConstrainedOperator ac(*a, ctx.constraints());
@@ -615,23 +567,28 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
   const bool precond_fp32 =
       hymv::env_flag("HYMV_PRECOND_FP32", options.precond_fp32);
   hymv::Timer precond_timer;
-  std::unique_ptr<pla::Preconditioner> m =
-      make_preconditioner(comm, ctx, ac, precond, precond_fp32);
+  std::unique_ptr<pla::Preconditioner> m = make_preconditioner(
+      comm, ctx, ac, precond, precond_fp32, chebyshev_options_from_env(),
+      multigrid_options_from_env());
   comm.metrics().gauge("precond.setup_s").add(precond_timer.elapsed_s());
 
   // Resilience policy: env overrides on top of the programmatic options.
-  std::int64_t true_residual_every =
-      env_count("HYMV_CG_TRUE_RESIDUAL_EVERY", options.true_residual_every);
+  constexpr std::int64_t kCountMax = std::numeric_limits<std::int64_t>::max();
+  std::int64_t true_residual_every = hymv::env_int_in_range(
+      "HYMV_CG_TRUE_RESIDUAL_EVERY", options.true_residual_every, 0,
+      kCountMax);
   if (precond_fp32 && true_residual_every == 0) {
     // Mixed precision: the fp32 preconditioner perturbs the fp64 recurrence
     // every iteration; periodic true-residual replacement keeps the
     // reported convergence honest (iterative refinement of the outer CG).
     true_residual_every = 50;
   }
-  const std::int64_t checkpoint_every =
-      env_count("HYMV_CG_CHECKPOINT_EVERY", options.checkpoint_every);
+  const std::int64_t checkpoint_every = hymv::env_int_in_range(
+      "HYMV_CG_CHECKPOINT_EVERY", options.checkpoint_every, 0, kCountMax);
   const int max_attempts = static_cast<int>(std::max<std::int64_t>(
-      1, env_count("HYMV_SOLVE_ATTEMPTS", options.max_solve_attempts)));
+      1, hymv::env_int_in_range("HYMV_SOLVE_ATTEMPTS",
+                                options.max_solve_attempts, 1,
+                                std::numeric_limits<int>::max())));
   const bool store_checksums =
       hymv::env_flag("HYMV_STORE_CHECKSUM", options.store_checksums);
 

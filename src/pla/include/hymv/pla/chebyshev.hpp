@@ -42,17 +42,12 @@ struct ChebyshevOptions {
   double boost = 1.1;
   /// fp32 preconditioner state: the Jacobi scaling D⁻¹ is stored in fp32
   /// and applied with fp64 accumulation (the kFp32 widening-accumulate
-  /// discipline). Combine with HYMV_STORE_LAYOUT=fp32 to also run the
+  /// discipline). Combine with the kFp32 store layout to also run the
   /// operator applies from fp32 element storage.
   bool fp32 = false;
   /// Zero-diagonal policy (see JacobiPreconditioner): false = identity
   /// fallback + `precond.singular_rows` count, true = throw.
   bool strict = false;
-
-  /// Resolve HYMV_CHEB_DEGREE / HYMV_CHEB_EIG_ITERS / HYMV_CHEB_EIG_RATIO
-  /// on top of `fallback`; invalid values warn to stderr and keep the
-  /// fallback (the env_int contract).
-  static ChebyshevOptions from_env(ChebyshevOptions fallback);
 };
 
 /// z = p(D⁻¹A) D⁻¹ r — see file doc.

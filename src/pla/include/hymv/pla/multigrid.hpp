@@ -76,12 +76,6 @@ struct MultigridOptions {
   /// Singular coarse diagonals: false = identity row fallback counted in
   /// `precond.singular_rows`, true = throw.
   bool strict = false;
-
-  /// Resolve HYMV_MG_LEVELS / HYMV_MG_SWEEPS / HYMV_MG_SMOOTHER
-  /// ("chebyshev" | "jacobi") / HYMV_MG_CHEB_DEGREE / HYMV_MG_COARSE
-  /// ("direct" | "ilu0") on top of `fallback`; invalid values warn to
-  /// stderr and keep the fallback.
-  static MultigridOptions from_env(MultigridOptions fallback);
 };
 
 /// See the file doc. Construction is collective only in the trivial sense

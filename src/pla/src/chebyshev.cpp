@@ -1,45 +1,12 @@
 #include "hymv/pla/chebyshev.hpp"
 
 #include <cmath>
-#include <cstdio>
 
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/metrics.hpp"
 #include "hymv/obs/trace.hpp"
 
 namespace hymv::pla {
-
-namespace {
-
-/// Bounded integer knob: warns and keeps `fallback` out of [lo, hi].
-int env_bounded_int(const char* name, int fallback, int lo, int hi) {
-  const std::int64_t v = hymv::env_int(name, fallback);
-  if (v < lo || v > hi) {
-    std::fprintf(stderr, "hymv: ignoring %s=%lld (expected %d..%d)\n", name,
-                 static_cast<long long>(v), lo, hi);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
-
-}  // namespace
-
-ChebyshevOptions ChebyshevOptions::from_env(ChebyshevOptions fallback) {
-  ChebyshevOptions o = fallback;
-  o.degree = env_bounded_int("HYMV_CHEB_DEGREE", fallback.degree, 1, 64);
-  o.eig_iters =
-      env_bounded_int("HYMV_CHEB_EIG_ITERS", fallback.eig_iters, 1, 1000);
-  const double ratio = hymv::env_double("HYMV_CHEB_EIG_RATIO",
-                                        fallback.eig_ratio);
-  if (ratio > 1.0) {
-    o.eig_ratio = ratio;
-  } else if (ratio != fallback.eig_ratio) {
-    std::fprintf(stderr, "hymv: ignoring HYMV_CHEB_EIG_RATIO=%g (expected > 1)\n",
-                 ratio);
-  }
-  return o;
-}
 
 ChebyshevPreconditioner::ChebyshevPreconditioner(
     simmpi::Comm& comm, LinearOperator& a, const ChebyshevOptions& options)

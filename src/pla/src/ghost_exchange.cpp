@@ -57,16 +57,8 @@ void append_trailer(std::vector<std::byte>& wire, std::uint64_t epoch) {
 ExchangeProtection ExchangeProtection::from_env() {
   ExchangeProtection prot;
   prot.checksum = hymv::env_flag("HYMV_FAULT_CHECKSUM", prot.checksum);
-  const std::int64_t retries =
-      hymv::env_int("HYMV_FAULT_MAX_RETRIES", prot.max_retries);
-  if (retries < 0 || retries > 1000) {
-    std::fprintf(
-        stderr,
-        "hymv: ignoring HYMV_FAULT_MAX_RETRIES=%lld (expected 0..1000)\n",
-        static_cast<long long>(retries));
-  } else {
-    prot.max_retries = static_cast<int>(retries);
-  }
+  prot.max_retries = static_cast<int>(hymv::env_int_in_range(
+      "HYMV_FAULT_MAX_RETRIES", prot.max_retries, 0, 1000));
   const double timeout_ms =
       hymv::env_double("HYMV_FAULT_TIMEOUT_MS", prot.recv_timeout_s * 1000.0);
   if (!(timeout_ms > 0.0)) {

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <cstdlib>
 
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
 #include "hymv/obs/metrics.hpp"
 #include "hymv/obs/trace.hpp"
@@ -16,17 +12,6 @@ namespace hymv::pla {
 namespace {
 
 constexpr std::int64_t kOmpMinRows = 512;  ///< matches CsrMatrix::spmv
-
-/// Bounded integer knob (same contract as the driver's env_count).
-int env_bounded_int(const char* name, int fallback, int lo, int hi) {
-  const std::int64_t v = hymv::env_int(name, fallback);
-  if (v < lo || v > hi) {
-    std::fprintf(stderr, "hymv: ignoring %s=%lld (expected %d..%d)\n", name,
-                 static_cast<long long>(v), lo, hi);
-    return fallback;
-  }
-  return static_cast<int>(v);
-}
 
 /// y = A x with fp32 values and fp64 accumulation. Row-parallel with one
 /// writer per row — bitwise identical for every thread count, like
@@ -180,39 +165,6 @@ void lu_solve(std::int64_t n, const std::vector<double>& a,
 }
 
 }  // namespace
-
-MultigridOptions MultigridOptions::from_env(MultigridOptions fallback) {
-  MultigridOptions o = fallback;
-  o.max_levels = env_bounded_int("HYMV_MG_LEVELS", fallback.max_levels, 2, 10);
-  o.sweeps = env_bounded_int("HYMV_MG_SWEEPS", fallback.sweeps, 1, 8);
-  o.cheb_degree =
-      env_bounded_int("HYMV_MG_CHEB_DEGREE", fallback.cheb_degree, 1, 8);
-  if (const char* value = std::getenv("HYMV_MG_SMOOTHER")) {
-    if (std::strcmp(value, "chebyshev") == 0) {
-      o.smoother = Smoother::kChebyshev;
-    } else if (std::strcmp(value, "jacobi") == 0) {
-      o.smoother = Smoother::kJacobi;
-    } else {
-      std::fprintf(stderr,
-                   "hymv: ignoring HYMV_MG_SMOOTHER='%s' (expected "
-                   "chebyshev|jacobi)\n",
-                   value);
-    }
-  }
-  if (const char* value = std::getenv("HYMV_MG_COARSE")) {
-    if (std::strcmp(value, "direct") == 0) {
-      o.coarse = CoarseSolve::kDirect;
-    } else if (std::strcmp(value, "ilu0") == 0) {
-      o.coarse = CoarseSolve::kIlu0;
-    } else {
-      std::fprintf(stderr,
-                   "hymv: ignoring HYMV_MG_COARSE='%s' (expected "
-                   "direct|ilu0)\n",
-                   value);
-    }
-  }
-  return o;
-}
 
 /// One level of the hierarchy. Level 0 is the fine problem; every coarser
 /// level lives on the full vertex sub-lattice of stride `stride` on the

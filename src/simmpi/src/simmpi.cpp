@@ -817,10 +817,19 @@ void run(int nranks, const std::function<void(Comm&)>& fn,
       ctx.abort();
     }
   };
+  // Every rank starts at the calling thread's OpenMP thread count: a new
+  // thread would otherwise start at the process default (OMP_NUM_THREADS
+  // or the core count), whatever the caller set.
+#ifdef _OPENMP
+  const int caller_threads = omp_get_max_threads();
+#endif
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks - 1));
   for (int r = 1; r < nranks; ++r) {
     threads.emplace_back([&, r] {
+#ifdef _OPENMP
+      omp_set_num_threads(caller_threads);
+#endif
       rank_main(r);
       hymv::obs::set_current_rank(-1);
     });
@@ -832,9 +841,6 @@ void run(int nranks, const std::function<void(Comm&)>& fn,
   // and threads the caller spawns later would inherit that one CPU.
   {
     const int caller_rank = hymv::obs::current_rank();
-#ifdef _OPENMP
-    const int caller_threads = omp_get_max_threads();
-#endif
 #if defined(__linux__)
     cpu_set_t caller_cpus;
     const bool have_cpus =

@@ -38,12 +38,16 @@
 /// bitwise identical to one built before this file existed.
 ///
 /// Execution model: each worker thread runs each solve batch as its own
-/// single-rank simmpi::run job (per-job Context makes concurrent jobs
-/// safe), with RunOptions resolved from the environment so HYMV_FAULT_*
-/// campaigns flow through, and write_metrics_json disabled so concurrent
-/// jobs never race on HYMV_METRICS_JSON. The environment knobs library
-/// constructors read (HYMV_THREAD_SCHEDULE, HYMV_FAULT_CHECKSUM, ...) are
-/// read when a rank state is built, not on every batch.
+/// simmpi::run job of ServiceOptions::ranks ranks (per-job Context makes
+/// concurrent jobs safe), with RunOptions resolved from the environment so
+/// HYMV_FAULT_* campaigns flow through, and write_metrics_json disabled so
+/// concurrent jobs never race on HYMV_METRICS_JSON. Every worker, and so
+/// every rank of every job, runs at the OpenMP thread count of the thread
+/// that constructed the service. A job runs its SolveRequest and the
+/// ServiceOptions: building a rank state reads no configuration knob (the
+/// fault drill's process-wide switches aside), so a request gets the store
+/// layout, schedule and preconditioner it names whatever the environment
+/// holds.
 
 #include <cstdint>
 #include <functional>
@@ -116,12 +120,13 @@ struct SolveResponse {
   double total_ms = 0.0;  ///< admission → completion
 };
 
-/// Service policy. Every field has an HYMV_SVC_* environment override
-/// resolved by from_env() (validated parsers; invalid values warn and keep
-/// the default).
+/// Service policy. from_env() is the service's edge resolver: every field
+/// has an HYMV_SVC_* environment override there (validated; a value
+/// outside the README range warns and keeps the default).
 struct ServiceOptions {
-  int workers = 2;             ///< HYMV_SVC_WORKERS
-  /// simmpi ranks per solve job (HYMV_SVC_RANKS, clamped to [1, 8]).
+  /// HYMV_SVC_WORKERS (>= 0; 0 admits but never executes, for tests).
+  int workers = 2;
+  /// simmpi ranks per solve job (HYMV_SVC_RANKS, in [1, 8]).
   /// 1 is cheapest; >1 exercises real ghost exchanges and allreduces, so
   /// message-level fault campaigns (HYMV_FAULT_SPEC flips/drops/delays)
   /// reach the service's solves. The deadline/cancel stop decision is made
@@ -129,8 +134,9 @@ struct ServiceOptions {
   /// never disagree about stopping.
   int ranks = 1;
   int queue_capacity = 64;     ///< HYMV_SVC_QUEUE_CAPACITY (0 rejects all)
-  int tenant_inflight = 16;    ///< HYMV_SVC_TENANT_INFLIGHT (queued+running)
-  int max_panel = 8;           ///< HYMV_SVC_MAX_PANEL, clamped to [1, 64]
+  /// HYMV_SVC_TENANT_INFLIGHT (>= 1): queued + running requests per tenant.
+  int tenant_inflight = 16;
+  int max_panel = 8;           ///< HYMV_SVC_MAX_PANEL, in [1, 64]
   double batch_window_ms = 2.0;       ///< HYMV_SVC_BATCH_WINDOW_MS
   std::int64_t cache_capacity_bytes =  ///< HYMV_SVC_CACHE_BYTES
       std::int64_t{256} << 20;

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <list>
 #include <map>
 #include <memory>
@@ -16,6 +17,10 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
@@ -73,18 +78,17 @@ const char* outcome_name(Outcome outcome) {
 }
 
 ServiceOptions ServiceOptions::from_env() {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   ServiceOptions o;
   o.workers = static_cast<int>(
-      std::max<std::int64_t>(1, env_int("HYMV_SVC_WORKERS", o.workers)));
-  o.ranks = static_cast<int>(std::min<std::int64_t>(
-      8, std::max<std::int64_t>(1, env_int("HYMV_SVC_RANKS", o.ranks))));
-  o.queue_capacity = static_cast<int>(std::max<std::int64_t>(
-      0, env_int("HYMV_SVC_QUEUE_CAPACITY", o.queue_capacity)));
-  o.tenant_inflight = static_cast<int>(std::max<std::int64_t>(
-      0, env_int("HYMV_SVC_TENANT_INFLIGHT", o.tenant_inflight)));
-  o.max_panel = static_cast<int>(std::min<std::int64_t>(
-      64, std::max<std::int64_t>(1, env_int("HYMV_SVC_MAX_PANEL",
-                                            o.max_panel))));
+      env_int_in_range("HYMV_SVC_WORKERS", o.workers, 0, kIntMax));
+  o.ranks = static_cast<int>(env_int_in_range("HYMV_SVC_RANKS", o.ranks, 1, 8));
+  o.queue_capacity = static_cast<int>(env_int_in_range(
+      "HYMV_SVC_QUEUE_CAPACITY", o.queue_capacity, 0, kIntMax));
+  o.tenant_inflight = static_cast<int>(env_int_in_range(
+      "HYMV_SVC_TENANT_INFLIGHT", o.tenant_inflight, 1, kIntMax));
+  o.max_panel = static_cast<int>(
+      env_int_in_range("HYMV_SVC_MAX_PANEL", o.max_panel, 1, 64));
   o.batch_window_ms =
       env_duration_ms("HYMV_SVC_BATCH_WINDOW_MS", o.batch_window_ms);
   o.cache_capacity_bytes =
@@ -218,10 +222,17 @@ struct LaneResult {
 
 struct SolveService::Impl {
   explicit Impl(ServiceOptions o, obs::MetricsRegistry* m)
-      : opt(std::move(o)), mets(m) {}
+      : opt(std::move(o)), mets(m) {
+#ifdef _OPENMP
+    omp_threads = omp_get_max_threads();
+#endif
+  }
 
   ServiceOptions opt;
   obs::MetricsRegistry* mets;
+  /// The constructing thread's OpenMP thread count, which every worker,
+  /// and so every rank of every job, runs at.
+  int omp_threads = 1;
 
   // --- queue + admission (guarded by mu) ---------------------------------
   mutable std::mutex mu;
@@ -491,6 +502,9 @@ struct SolveService::Impl {
   // --- execution ---------------------------------------------------------
 
   void worker_loop() {
+#ifdef _OPENMP
+    omp_set_num_threads(omp_threads);
+#endif
     for (;;) {
       std::vector<std::unique_ptr<Pending>> batch;
       {
@@ -730,8 +744,8 @@ struct SolveService::Impl {
     pla::apply_constraints_to_rhs(comm, *rs.a, ctx.constraints(), rs.b);
 
     // The shared driver construction path: every Precond the driver knows
-    // (including chebyshev/multigrid) is servable, and the env knobs
-    // resolve identically to a standalone solve_problem run. problem_key
+    // (including chebyshev/multigrid) is servable, with its default
+    // options — a state runs its request, not the environment. problem_key
     // hashes the precond int, so requests for different preconditioners
     // never coalesce.
     rs.m = driver::make_preconditioner(comm, ctx, *rs.ac, proto.precond);

@@ -28,6 +28,7 @@
 #include "hymv/core/region_backend.hpp"
 #include "hymv/core/sell_backend.hpp"
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -566,7 +567,7 @@ TEST(AdaptiveEnvTest, SellAndProbeKnobsRejectGarbageAndOutOfRange) {
                            "HYMV_ADAPTIVE_REPLAY"}) {
     ASSERT_EQ(unsetenv(name), 0);
   }
-  const AdaptiveOptions defaults = AdaptiveOptions::from_env({});
+  const AdaptiveOptions defaults = driver::adaptive_options_from_env({});
   EXPECT_EQ(defaults.sell_c, 8);
   EXPECT_EQ(defaults.sell_sigma, 128);
   EXPECT_EQ(defaults.probes, 3);
@@ -578,7 +579,7 @@ TEST(AdaptiveEnvTest, SellAndProbeKnobsRejectGarbageAndOutOfRange) {
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_PROBES", "0", 1), 0);
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_FORCE", "sell", 1), 0);
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_REPLAY", "/tmp/d.txt", 1), 0);
-  const AdaptiveOptions valid = AdaptiveOptions::from_env({});
+  const AdaptiveOptions valid = driver::adaptive_options_from_env({});
   EXPECT_EQ(valid.sell_c, 16);
   EXPECT_EQ(valid.sell_sigma, 1024);
   EXPECT_EQ(valid.probes, 0);
@@ -590,20 +591,20 @@ TEST(AdaptiveEnvTest, SellAndProbeKnobsRejectGarbageAndOutOfRange) {
   ASSERT_EQ(setenv("HYMV_SELL_SIGMA", "-5", 1), 0);
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_PROBES", "1001", 1), 0);
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_FORCE", "bogus", 1), 0);
-  AdaptiveOptions out_of_range = AdaptiveOptions::from_env({});
+  AdaptiveOptions out_of_range = driver::adaptive_options_from_env({});
   EXPECT_EQ(out_of_range.sell_c, 8);
   EXPECT_EQ(out_of_range.sell_sigma, 128);
   EXPECT_EQ(out_of_range.probes, 3);
   EXPECT_TRUE(out_of_range.force.empty());
 
   ASSERT_EQ(setenv("HYMV_SELL_C", "257", 1), 0);
-  EXPECT_EQ(AdaptiveOptions::from_env({}).sell_c, 8);
+  EXPECT_EQ(driver::adaptive_options_from_env({}).sell_c, 8);
 
-  // Trailing garbage is rejected inside env_int → fallback.
+  // Trailing garbage is rejected like an out-of-range value → fallback.
   ASSERT_EQ(setenv("HYMV_SELL_C", "8abc", 1), 0);
   ASSERT_EQ(setenv("HYMV_SELL_SIGMA", "twelve", 1), 0);
   ASSERT_EQ(setenv("HYMV_ADAPTIVE_PROBES", "3.5", 1), 0);
-  const AdaptiveOptions garbage = AdaptiveOptions::from_env({});
+  const AdaptiveOptions garbage = driver::adaptive_options_from_env({});
   EXPECT_EQ(garbage.sell_c, 8);
   EXPECT_EQ(garbage.sell_sigma, 128);
   EXPECT_EQ(garbage.probes, 3);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -297,6 +299,69 @@ TEST(Env, FlagReadsZeroAndOneAndKeepsFallbackOtherwise) {
   EXPECT_EQ(read(true), std::make_pair(true, 1));
   EXPECT_EQ(read(false), std::make_pair(false, 1));
   ::unsetenv("HYMV_TEST_FLAG");
+}
+
+/// The value `read` returns and the stderr lines it printed.
+template <typename Read>
+auto read_and_capture(Read read) {
+  ::testing::internal::CaptureStderr();
+  const auto value = read();
+  return std::make_pair(value, ::testing::internal::GetCapturedStderr());
+}
+
+TEST(Env, IntInRangeKeepsFallbackOutsideTheRange) {
+  const auto read = [](std::int64_t fallback) {
+    return read_and_capture([&] {
+      return hymv::env_int_in_range("HYMV_TEST_BOUNDED", fallback, 1, 64);
+    });
+  };
+  ::unsetenv("HYMV_TEST_BOUNDED");
+  EXPECT_EQ(read(3), std::make_pair(std::int64_t{3}, std::string()));
+  EXPECT_EQ(read(0).first, 0);  // an unset variable never checks the fallback
+  for (const char* ok : {"1", "64", " 8 "}) {
+    ::setenv("HYMV_TEST_BOUNDED", ok, 1);
+    EXPECT_EQ(read(3), std::make_pair(std::int64_t{std::atoi(ok)},
+                                      std::string()))
+        << ok;
+  }
+  for (const char* bad : {"0", "65", "-2", "8abc", "", "2147483648",
+                          "99999999999999999999"}) {
+    ::setenv("HYMV_TEST_BOUNDED", bad, 1);
+    const auto [value, err] = read(3);
+    EXPECT_EQ(value, 3) << bad;
+    EXPECT_EQ(err, "hymv: ignoring HYMV_TEST_BOUNDED='" + std::string(bad) +
+                       "' (expected an integer in [1, 64]); using fallback\n");
+  }
+  ::unsetenv("HYMV_TEST_BOUNDED");
+}
+
+TEST(Env, EnumReadsNamesAndKeepsFallbackOtherwise) {
+  enum class Fruit { kApple, kPear, kNone };
+  const auto name_of = [](Fruit f) {
+    return f == Fruit::kApple ? "apple" : f == Fruit::kPear ? "pear" : "";
+  };
+  const auto read = [&](Fruit fallback) {
+    return read_and_capture([&] {
+      return hymv::env_enum("HYMV_TEST_ENUM", fallback,
+                            std::array{Fruit::kApple, Fruit::kPear,
+                                       Fruit::kNone},
+                            name_of);
+    });
+  };
+  ::unsetenv("HYMV_TEST_ENUM");
+  EXPECT_EQ(read(Fruit::kPear), std::make_pair(Fruit::kPear, std::string()));
+  ::setenv("HYMV_TEST_ENUM", "apple", 1);
+  EXPECT_EQ(read(Fruit::kPear), std::make_pair(Fruit::kApple, std::string()));
+  ::setenv("HYMV_TEST_ENUM", "", 1);  // a listed empty name is a value
+  EXPECT_EQ(read(Fruit::kPear), std::make_pair(Fruit::kNone, std::string()));
+  for (const char* bad : {"Apple", "pear ", "banana"}) {
+    ::setenv("HYMV_TEST_ENUM", bad, 1);
+    const auto [value, err] = read(Fruit::kPear);
+    EXPECT_EQ(value, Fruit::kPear) << bad;
+    EXPECT_EQ(err, "hymv: ignoring HYMV_TEST_ENUM='" + std::string(bad) +
+                       "' (expected apple|pear|''); using fallback\n");
+  }
+  ::unsetenv("HYMV_TEST_ENUM");
 }
 
 TEST(Env, RejectsEmptyValue) {

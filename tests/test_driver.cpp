@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "hymv/driver/driver.hpp"
 
@@ -125,6 +127,67 @@ TEST(BackendFactoryTest, AllBackendsProduceSameApply) {
       }
     }
   });
+}
+
+TEST(BackendFactoryTest, BuildersRunTheirArgumentsNotTheEnvironment) {
+  // Every operator and preconditioner knob set to a non-default value:
+  // the builders must still run exactly what they are given.
+  const std::pair<const char*, const char*> knobs[] = {
+      {"HYMV_STORE_LAYOUT", "fp32"},   {"HYMV_THREAD_SCHEDULE", "serial"},
+      {"HYMV_APPLY_TASKGRAPH", "1"},   {"HYMV_SELL_C", "16"},
+      {"HYMV_ADAPTIVE_PROBES", "0"},   {"HYMV_CHEB_EIG_ITERS", "1"}};
+  for (const auto& [name, value] : knobs) {
+    ASSERT_EQ(::setenv(name, value, 1), 0);
+  }
+  const auto setup = driver::ProblemSetup::build(small_poisson(), 2);
+  simmpi::run(2, [&](Comm& comm) {
+    driver::RankContext ctx(comm, setup);
+    const core::HymvOptions given{.overlap = false,
+                                  .schedule = core::ThreadSchedule::kColored,
+                                  .layout = core::StoreLayout::kSymPacked};
+    const driver::BuiltBackend hymv =
+        driver::build_backend(comm, ctx, driver::Backend::kHymv, nullptr, {},
+                              given);
+    EXPECT_EQ(hymv.hymv_cpu->store().layout(), core::StoreLayout::kSymPacked);
+    EXPECT_EQ(hymv.hymv_cpu->options().schedule,
+              core::ThreadSchedule::kColored);
+    EXPECT_FALSE(hymv.hymv_cpu->options().taskgraph);
+
+    // The matrix-free backend gets the same options.
+    const driver::BuiltBackend mf = driver::build_backend(
+        comm, ctx, driver::Backend::kMatrixFree, nullptr, {}, given);
+    const auto& mf_options =
+        dynamic_cast<const core::MatrixFreeOperator&>(*mf.op).options();
+    EXPECT_FALSE(mf_options.overlap);
+    EXPECT_EQ(mf_options.schedule, core::ThreadSchedule::kColored);
+    EXPECT_FALSE(mf_options.taskgraph);
+
+    // kAdaptive runs its AdaptiveOptions over the HymvOptions.
+    const driver::BuiltBackend adaptive = driver::build_backend(
+        comm, ctx, driver::Backend::kAdaptive, nullptr, {}, given,
+        {.force = "stored"});
+    EXPECT_EQ(adaptive.adaptive->options().sell_c, 8);
+    EXPECT_EQ(adaptive.adaptive->options().probes, 3);
+    EXPECT_EQ(adaptive.adaptive->options().hymv.layout,
+              core::StoreLayout::kSymPacked);
+    EXPECT_EQ(adaptive.adaptive->stored_operator().store().layout(),
+              core::StoreLayout::kSymPacked);
+
+    // make_preconditioner's λ_max estimate follows its options' eig_iters.
+    pla::ConstrainedOperator ac(*hymv.op, ctx.constraints());
+    const auto lambda_max = [&](const pla::ChebyshevOptions& options) {
+      const auto m = driver::make_preconditioner(
+          comm, ctx, ac, driver::Precond::kChebyshev, false, options);
+      return dynamic_cast<const pla::ChebyshevPreconditioner&>(*m)
+          .lambda_max();
+    };
+    const pla::ChebyshevPreconditioner direct(comm, ac, {});
+    EXPECT_EQ(lambda_max({}), direct.lambda_max());
+    EXPECT_NE(lambda_max({.eig_iters = 1}), direct.lambda_max());
+  });
+  for (const auto& [name, value] : knobs) {
+    ASSERT_EQ(::unsetenv(name), 0);
+  }
 }
 
 TEST(MeasureSpmvTest, ReportsPopulated) {

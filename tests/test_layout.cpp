@@ -35,6 +35,7 @@
 #include "hymv/core/gpu_operator.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/mass.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/fem/quadrature.hpp"
@@ -216,20 +217,22 @@ TEST(StoreLayoutTest, TrafficModelIsLayoutTrue) {
 }
 
 TEST(StoreLayoutTest, EnvOverrideSelectsLayout) {
+  const auto layout_from_env = [](StoreLayout fallback) {
+    return driver::hymv_options_from_env({.layout = fallback}).layout;
+  };
   ASSERT_EQ(setenv("HYMV_STORE_LAYOUT", "sympacked", 1), 0);
-  EXPECT_EQ(core::store_layout_from_env(StoreLayout::kPadded),
-            StoreLayout::kSymPacked);
+  EXPECT_EQ(layout_from_env(StoreLayout::kPadded), StoreLayout::kSymPacked);
   ASSERT_EQ(setenv("HYMV_STORE_LAYOUT", "fp32", 1), 0);
-  EXPECT_EQ(core::store_layout_from_env(StoreLayout::kPadded),
-            StoreLayout::kFp32);
+  EXPECT_EQ(layout_from_env(StoreLayout::kPadded), StoreLayout::kFp32);
   ASSERT_EQ(setenv("HYMV_STORE_LAYOUT", "not-a-layout", 1), 0);
-  EXPECT_EQ(core::store_layout_from_env(StoreLayout::kInterleaved),
+  EXPECT_EQ(layout_from_env(StoreLayout::kInterleaved),
             StoreLayout::kInterleaved);  // warns, keeps fallback
   ASSERT_EQ(unsetenv("HYMV_STORE_LAYOUT"), 0);
-  EXPECT_EQ(core::store_layout_from_env(StoreLayout::kInterleaved),
+  EXPECT_EQ(layout_from_env(StoreLayout::kInterleaved),
             StoreLayout::kInterleaved);
 
-  // The override reaches operator construction.
+  // The operator builds the layout it is given: the variable stops at the
+  // edge resolver.
   ASSERT_EQ(setenv("HYMV_STORE_LAYOUT", "interleaved", 1), 0);
   const mesh::Mesh m = mesh::build_structured_hex({.nx = 2, .ny = 2, .nz = 2},
                                                   mesh::ElementType::kHex8);
@@ -238,8 +241,11 @@ TEST(StoreLayoutTest, EnvOverrideSelectsLayout) {
   simmpi::run(1, [&](Comm& comm) {
     const fem::PoissonOperator op(mesh::ElementType::kHex8);
     HymvOperator hop(comm, dist.parts[0], op);
-    EXPECT_EQ(hop.store().layout(), StoreLayout::kInterleaved);
-    EXPECT_EQ(hop.options().layout, StoreLayout::kInterleaved);
+    EXPECT_EQ(hop.store().layout(), StoreLayout::kPadded);
+    EXPECT_EQ(hop.options().layout, StoreLayout::kPadded);
+    HymvOperator fp32(comm, dist.parts[0], op, {.layout = StoreLayout::kFp32});
+    EXPECT_EQ(fp32.store().layout(), StoreLayout::kFp32);
+    EXPECT_EQ(fp32.options().layout, StoreLayout::kFp32);
   });
   ASSERT_EQ(unsetenv("HYMV_STORE_LAYOUT"), 0);
 }

@@ -25,6 +25,7 @@
 #include "hymv/core/gpu_operator.hpp"
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -245,6 +246,7 @@ TEST(FusedOpsTest, XpayMatchesCopyPlusAxpy) {
 // ---------------------------------------------------------------------------
 
 TEST(NrhsEnvTest, ValidatesRangeAndGarbage) {
+  using driver::nrhs_from_env;
   ASSERT_EQ(unsetenv("HYMV_NRHS"), 0);
   EXPECT_EQ(nrhs_from_env(1), 1);
   EXPECT_EQ(nrhs_from_env(4), 4);
@@ -269,15 +271,22 @@ TEST(NrhsEnvTest, ValidatesRangeAndGarbage) {
 }
 
 TEST(NrhsEnvTest, OverridesHymvOptionsAtConstruction) {
-  const mesh::Mesh m = mesh::build_structured_hex(
-      {.nx = 2, .ny = 2, .nz = 2}, mesh::ElementType::kHex8);
-  const auto ids = mesh::partition_elements(m, 1, mesh::Partitioner::kSlab);
-  const auto dist = mesh::distribute_mesh(m, ids, 1);
+  // HYMV_NRHS is measure_spmv's panel width: the edge honors it, and an
+  // operator built under it reports the options it was given.
+  driver::ProblemSpec spec;
+  spec.box = {.nx = 2, .ny = 2, .nz = 2};
+  const auto setup = driver::ProblemSetup::build(spec, 1);
   ASSERT_EQ(setenv("HYMV_NRHS", "6", 1), 0);
   simmpi::run(1, [&](Comm& comm) {
-    const fem::PoissonOperator op(mesh::ElementType::kHex8);
-    const HymvOperator hop(comm, dist.parts[0], op, {.nrhs = 2});
-    EXPECT_EQ(hop.options().nrhs, 6);
+    driver::RankContext ctx(comm, setup);
+    const HymvOptions given{.schedule = ThreadSchedule::kSerial,
+                            .taskgraph = true};
+    const HymvOperator hop(comm, ctx.part(), ctx.element_op(), given);
+    EXPECT_EQ(hop.options().schedule, ThreadSchedule::kSerial);
+    EXPECT_TRUE(hop.options().taskgraph);
+    const driver::SpmvReport report = driver::measure_spmv(
+        comm, ctx, driver::Backend::kHymv, 1, {.nrhs = 2, .repeats = 1});
+    EXPECT_EQ(report.nrhs, 6);
   });
   ASSERT_EQ(unsetenv("HYMV_NRHS"), 0);
 }

@@ -34,6 +34,7 @@
 #include "hymv/core/hymv_operator.hpp"
 #include "hymv/core/matrix_free_operator.hpp"
 #include "hymv/core/schedule.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -249,24 +250,27 @@ TEST(PhaseTimersTest, ConcurrentPhaseCreationIsRaceFree) {
 
 TEST(ThreadScheduleTest, EnvOverrideParses) {
   using core::ThreadSchedule;
+  const auto schedule_from_env = [](ThreadSchedule fallback) {
+    return driver::hymv_options_from_env({.schedule = fallback}).schedule;
+  };
   // The buffer-reduce strategy is gone: its name warns like any unknown
   // value and keeps the fallback.
   ::setenv("HYMV_THREAD_SCHEDULE", "buffer", 1);
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kColored),
             ThreadSchedule::kColored);
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kSerial),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kSerial),
             ThreadSchedule::kSerial);
   ::setenv("HYMV_THREAD_SCHEDULE", "serial", 1);
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kColored),
             ThreadSchedule::kSerial);
   ::setenv("HYMV_THREAD_SCHEDULE", "colored", 1);
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kSerial),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kSerial),
             ThreadSchedule::kColored);
   ::setenv("HYMV_THREAD_SCHEDULE", "bogus", 1);  // warns, keeps fallback
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kColored),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kColored),
             ThreadSchedule::kColored);
   ::unsetenv("HYMV_THREAD_SCHEDULE");
-  EXPECT_EQ(core::thread_schedule_from_env(ThreadSchedule::kSerial),
+  EXPECT_EQ(schedule_from_env(ThreadSchedule::kSerial),
             ThreadSchedule::kSerial);
 }
 

@@ -17,6 +17,7 @@
 #endif
 
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/pla/bicgstab.hpp"
 #include "hymv/pla/cg.hpp"
 #include "hymv/pla/chebyshev.hpp"
@@ -434,15 +435,30 @@ TEST(PrecondEnvTest, NamesRoundTrip) {
 }
 
 TEST(PrecondEnvTest, ChebyshevOptionsValidateRanges) {
-  // from_env keeps the fallback when the variable is unset.
+  // The edge resolver keeps the fallback when the variable is unset.
   pla::ChebyshevOptions fallback;
   fallback.degree = 5;
-  const pla::ChebyshevOptions opt = pla::ChebyshevOptions::from_env(fallback);
-  EXPECT_EQ(opt.degree, 5);
+  EXPECT_EQ(driver::chebyshev_options_from_env(fallback).degree, 5);
   pla::MultigridOptions mfall;
   mfall.sweeps = 2;
-  const pla::MultigridOptions mopt = pla::MultigridOptions::from_env(mfall);
+  const pla::MultigridOptions mopt = driver::multigrid_options_from_env(mfall);
   EXPECT_EQ(mopt.sweeps, 2);
+
+  // In range it applies the value; out of range it warns and keeps the
+  // fallback.
+  ASSERT_EQ(setenv("HYMV_CHEB_DEGREE", "64", 1), 0);
+  ASSERT_EQ(setenv("HYMV_MG_SWEEPS", "9", 1), 0);
+  ASSERT_EQ(setenv("HYMV_MG_SMOOTHER", "jacobi", 1), 0);
+  EXPECT_EQ(driver::chebyshev_options_from_env(fallback).degree, 64);
+  const pla::MultigridOptions mset = driver::multigrid_options_from_env(mfall);
+  EXPECT_EQ(mset.sweeps, 2);
+  EXPECT_EQ(mset.smoother, pla::MultigridOptions::Smoother::kJacobi);
+  ASSERT_EQ(setenv("HYMV_CHEB_DEGREE", "65", 1), 0);
+  EXPECT_EQ(driver::chebyshev_options_from_env(fallback).degree, 5);
+  for (const char* name :
+       {"HYMV_CHEB_DEGREE", "HYMV_MG_SWEEPS", "HYMV_MG_SMOOTHER"}) {
+    ASSERT_EQ(unsetenv(name), 0);
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -47,6 +48,14 @@ void set_threads(int n) {
   omp_set_num_threads(n);
 #else
   (void)n;
+#endif
+}
+
+int omp_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
 #endif
 }
 
@@ -291,6 +300,10 @@ TEST(DeadlineTest, ExpiringMidCgCancelsCooperatively) {
   std::chrono::steady_clock::time_point cg_start;
   std::atomic<bool> hold{false};
 
+  // One OpenMP thread per job: under a parallel ctest run, full-width
+  // teams oversubscribe the host and a single apply can outlast kMargin.
+  const int threads0 = omp_threads();
+  set_threads(1);
   ServiceOptions opt;
   opt.workers = 1;
   opt.batch_window_ms = 0.0;
@@ -320,6 +333,7 @@ TEST(DeadlineTest, ExpiringMidCgCancelsCooperatively) {
   EXPECT_GE(resp.cg.iterations, 1);  // it really was mid-CG, not pre-solve
   EXPECT_EQ(service.metrics().counter_value("svc.default.deadline_missed"),
             1);
+  set_threads(threads0);
 }
 
 TEST(WatchdogTest, FailsStuckRequestInsteadOfHanging) {
@@ -706,6 +720,158 @@ TEST(StatePoolTest, WarmTwoWorkerServiceHoldsOneStorePerRank) {
     const double cache_bytes = service.metrics().gauge_value("svc.cache.bytes");
     EXPECT_GT(cache_bytes, static_cast<double>(store_bytes));
     EXPECT_LT(cache_bytes, 2.0 * static_cast<double>(store_bytes));
+  }
+}
+
+TEST(StatePoolTest, StatesRunTheirRequestNotTheEnvironment) {
+  // A kPadded request under operator knobs that name something else: every
+  // state (the cold build and the warm restart) holds a kPadded store and
+  // the default schedule, and the replies are bitwise those of a service
+  // run without the variables.
+  const auto run = [](int ranks, std::vector<core::HymvOptions>* seen) {
+    std::mutex mu;
+    ServiceOptions opt;
+    opt.workers = 1;
+    opt.ranks = ranks;
+    opt.batch_window_ms = 0.0;
+    opt.attempt_hook = [&](pla::LinearOperator& op, int) {
+      auto* hymv = dynamic_cast<core::HymvOperator*>(&op);
+      ASSERT_NE(hymv, nullptr);
+      core::HymvOptions state = hymv->options();
+      state.layout = hymv->store().layout();
+      std::lock_guard<std::mutex> lock(mu);
+      seen->push_back(state);
+    };
+    SolveService service(opt);
+    std::vector<SolveResponse> replies;
+    for (const double scale : {1.0, 0.5}) {
+      replies.push_back(service.submit(tet4_request(scale)).get());
+    }
+    return replies;
+  };
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    std::vector<core::HymvOptions> plain_states, env_states;
+    const std::vector<SolveResponse> plain = run(ranks, &plain_states);
+    std::vector<SolveResponse> under_env;
+    {
+      EnvGuard layout("HYMV_STORE_LAYOUT", "fp32");
+      EnvGuard schedule("HYMV_THREAD_SCHEDULE", "serial");
+      EnvGuard taskgraph("HYMV_APPLY_TASKGRAPH", "1");
+      under_env = run(ranks, &env_states);
+    }
+    ASSERT_EQ(env_states.size(), static_cast<std::size_t>(2 * ranks));
+    for (const core::HymvOptions& state : env_states) {
+      EXPECT_EQ(state.layout, core::StoreLayout::kPadded);
+      EXPECT_EQ(state.schedule, core::ThreadSchedule::kColored);
+      EXPECT_FALSE(state.taskgraph);
+    }
+    ASSERT_EQ(plain.size(), under_env.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      ASSERT_EQ(plain[i].outcome, Outcome::kSolved) << plain[i].reason;
+      ASSERT_EQ(under_env[i].outcome, Outcome::kSolved)
+          << under_env[i].reason;
+      EXPECT_EQ(under_env[i].cache_hit, i > 0);
+      EXPECT_EQ(under_env[i].cg.iterations, plain[i].cg.iterations);
+      EXPECT_EQ(bits(under_env[i].cg.final_residual),
+                bits(plain[i].cg.final_residual));
+      EXPECT_EQ(bits(under_env[i].err_inf), bits(plain[i].err_inf));
+    }
+  }
+}
+
+TEST(ThreadBudgetTest, EveryRankRunsAtTheConstructorsOmpThreads) {
+  // Workers start at the constructing thread's count, whatever a thread
+  // would start at otherwise (the process default) or the submitting
+  // thread holds later.
+  const int threads0 = omp_threads();
+  int fresh = 0;
+  std::thread([&] { fresh = omp_threads(); }).join();
+  set_threads(fresh == 2 ? 3 : 2);
+  const int constructor_threads = omp_threads();
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    std::mutex mu;
+    std::vector<int> seen;
+    ServiceOptions opt;
+    opt.workers = 1;
+    opt.ranks = ranks;
+    opt.batch_window_ms = 0.0;
+    opt.attempt_hook = [&](pla::LinearOperator&, int) {
+      const int threads = omp_threads();
+      std::lock_guard<std::mutex> lock(mu);
+      seen.push_back(threads);
+    };
+    SolveService service(opt);
+    set_threads(1);
+    const SolveResponse r = service.submit(poisson_request(4)).get();
+    set_threads(constructor_threads);
+    ASSERT_EQ(r.outcome, Outcome::kSolved) << r.reason;
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(ranks));
+    for (const int threads : seen) {
+      EXPECT_EQ(threads, constructor_threads);
+    }
+  }
+  set_threads(threads0);
+}
+
+TEST(ServiceOptionsTest, FromEnvRejectsOutOfRangeAndPastIntMax) {
+  const ServiceOptions defaults;
+  const auto read = [] {
+    ::testing::internal::CaptureStderr();
+    const ServiceOptions o = ServiceOptions::from_env();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    int warnings = 0;
+    for (std::size_t at = err.find("hymv: ignoring"); at != std::string::npos;
+         at = err.find("hymv: ignoring", at + 1)) {
+      ++warnings;
+    }
+    return std::make_pair(o, warnings);
+  };
+  {
+    EnvGuard ranks("HYMV_SVC_RANKS", "9");
+    EnvGuard workers("HYMV_SVC_WORKERS", "-1");
+    EnvGuard panel("HYMV_SVC_MAX_PANEL", "0");
+    EnvGuard inflight("HYMV_SVC_TENANT_INFLIGHT", "0");
+    EnvGuard capacity("HYMV_SVC_QUEUE_CAPACITY", "2147483648");
+    const auto [o, warnings] = read();
+    EXPECT_EQ(warnings, 5);
+    EXPECT_EQ(o.ranks, defaults.ranks);
+    EXPECT_EQ(o.workers, defaults.workers);
+    EXPECT_EQ(o.max_panel, defaults.max_panel);
+    EXPECT_EQ(o.tenant_inflight, defaults.tenant_inflight);
+    EXPECT_EQ(o.queue_capacity, defaults.queue_capacity);
+  }
+  {
+    // Past INT_MAX for every int field: never wrapped through a cast.
+    EnvGuard ranks("HYMV_SVC_RANKS", "4294967297");
+    EnvGuard workers("HYMV_SVC_WORKERS", "2147483648");
+    EnvGuard panel("HYMV_SVC_MAX_PANEL", "4294967304");
+    EnvGuard inflight("HYMV_SVC_TENANT_INFLIGHT", "9223372036854775807");
+    EnvGuard capacity("HYMV_SVC_QUEUE_CAPACITY", "99999999999999999999");
+    const auto [o, warnings] = read();
+    EXPECT_EQ(warnings, 5);
+    EXPECT_EQ(o.ranks, defaults.ranks);
+    EXPECT_EQ(o.workers, defaults.workers);
+    EXPECT_EQ(o.max_panel, defaults.max_panel);
+    EXPECT_EQ(o.tenant_inflight, defaults.tenant_inflight);
+    EXPECT_EQ(o.queue_capacity, defaults.queue_capacity);
+  }
+  {
+    // The README's range ends are accepted without a warning.
+    EnvGuard ranks("HYMV_SVC_RANKS", "8");
+    EnvGuard workers("HYMV_SVC_WORKERS", "0");
+    EnvGuard panel("HYMV_SVC_MAX_PANEL", "64");
+    EnvGuard inflight("HYMV_SVC_TENANT_INFLIGHT", "1");
+    EnvGuard capacity("HYMV_SVC_QUEUE_CAPACITY", "2147483647");
+    const auto [o, warnings] = read();
+    EXPECT_EQ(warnings, 0);
+    EXPECT_EQ(o.ranks, 8);
+    EXPECT_EQ(o.workers, 0);
+    EXPECT_EQ(o.max_panel, 64);
+    EXPECT_EQ(o.tenant_inflight, 1);
+    EXPECT_EQ(o.queue_capacity, 2147483647);
   }
 }
 

@@ -285,6 +285,27 @@ TEST(SimMpi, CallerRankTagAndOmpThreadsSurviveTheJob) {
   set_threads(threads0);
 }
 
+TEST(SimMpi, EveryRankStartsAtTheCallersOmpThreads) {
+  // A thread the job spawns would start at the process default (the core
+  // count or OMP_NUM_THREADS); pick a count that differs from it.
+  const int threads0 = omp_threads();
+  int fresh = 0;
+  std::thread([&] { fresh = omp_threads(); }).join();
+  set_threads(fresh == 2 ? 3 : 2);
+  const int caller_threads = omp_threads();
+  for (const int p : {1, 2, 4}) {
+    std::vector<int> seen(static_cast<std::size_t>(p), 0);
+    simmpi::run(p, [&](Comm& comm) {
+      seen[static_cast<std::size_t>(comm.rank())] = omp_threads();
+    });
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(r)], caller_threads)
+          << "p=" << p << " rank " << r;
+    }
+  }
+  set_threads(threads0);
+}
+
 #if defined(__linux__)
 TEST(SimMpi, CallerCpuAffinitySurvivesTheJob) {
   // Opt-in thread pinning may pin rank 0's thread; threads the caller

@@ -32,6 +32,7 @@
 #include "hymv/core/matrix_free_operator.hpp"
 #include "hymv/core/taskgraph.hpp"
 #include "hymv/driver/driver.hpp"
+#include "hymv/driver/env_options.hpp"
 #include "hymv/fem/operators.hpp"
 #include "hymv/mesh/partition.hpp"
 #include "hymv/mesh/structured.hpp"
@@ -326,15 +327,18 @@ TEST(TaskGraphAdversarialTest, DelayedGhostKeepsApplyBitwise) {
 // ---------------------------------------------------------------------------
 
 TEST(TaskGraphEnvTest, OverrideParsesAndKeepsFallbackOnGarbage) {
+  const auto taskgraph_from_env = [](bool fallback) {
+    return driver::hymv_options_from_env({.taskgraph = fallback}).taskgraph;
+  };
   ::setenv("HYMV_APPLY_TASKGRAPH", "1", 1);
-  EXPECT_TRUE(core::apply_taskgraph_from_env(false));
+  EXPECT_TRUE(taskgraph_from_env(false));
   ::setenv("HYMV_APPLY_TASKGRAPH", "0", 1);
-  EXPECT_FALSE(core::apply_taskgraph_from_env(true));
+  EXPECT_FALSE(taskgraph_from_env(true));
   ::setenv("HYMV_APPLY_TASKGRAPH", "2", 1);  // warns, keeps fallback
-  EXPECT_TRUE(core::apply_taskgraph_from_env(true));
-  EXPECT_FALSE(core::apply_taskgraph_from_env(false));
+  EXPECT_TRUE(taskgraph_from_env(true));
+  EXPECT_FALSE(taskgraph_from_env(false));
   ::unsetenv("HYMV_APPLY_TASKGRAPH");
-  EXPECT_TRUE(core::apply_taskgraph_from_env(true));
+  EXPECT_TRUE(taskgraph_from_env(true));
 }
 
 TEST(CommTagsTest, RegistryIsConsistent) {
