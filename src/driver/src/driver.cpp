@@ -392,7 +392,9 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
 
   // The measurement's knobs, resolved once for every operator it builds.
   core::HymvGpuOptions gpu = options.gpu;
-  gpu.host = hymv_options_from_env(gpu.host);
+  if (backend == Backend::kHymvGpu) {
+    gpu.host = hymv_options_from_env(gpu.host);
+  }
   const int nrhs = nrhs_from_env(options.nrhs);
   report.nrhs = nrhs;
 
@@ -549,7 +551,9 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
 
   // The operator and preconditioner knobs, resolved once for the solve.
   core::HymvGpuOptions gpu = options.gpu;
-  gpu.host = hymv_options_from_env(gpu.host);
+  if (options.backend == Backend::kHymvGpu) {
+    gpu.host = hymv_options_from_env(gpu.host);
+  }
 
   hymv::Timer setup_timer;
   std::unique_ptr<pla::LinearOperator> a =
