@@ -4,18 +4,14 @@
 /// The one place the per-object `HYMV_*` knobs are read. Library objects
 /// (operators, backends, preconditioners, the solve service's states) run
 /// the options they are given; edge code — solve_problem, measure_spmv and
-/// the example, bench and tool mains that build operators themselves —
+/// the example and bench mains that build operators themselves —
 /// resolves the environment onto a fallback here, once, and passes the
 /// result down. Each resolver returns `fallback` with every set variable
 /// applied; a value the reader rejects warns once to stderr and keeps the
 /// fallback's field (common/env.hpp). Accepted values and ranges are the
 /// README table's.
 
-#include "hymv/core/adaptive_operator.hpp"
-#include "hymv/core/apply_skeleton.hpp"
 #include "hymv/driver/driver.hpp"
-#include "hymv/pla/chebyshev.hpp"
-#include "hymv/pla/multigrid.hpp"
 
 namespace hymv::driver {
 
