@@ -131,7 +131,8 @@ TEST(BackendFactoryTest, AllBackendsProduceSameApply) {
 
 TEST(BackendFactoryTest, BuildersRunTheirArgumentsNotTheEnvironment) {
   // Every operator and preconditioner knob set to a non-default value:
-  // the builders must still run exactly what they are given.
+  // build_backend and make_preconditioner must still run exactly what they
+  // are given.
   const std::pair<const char*, const char*> knobs[] = {
       {"HYMV_STORE_LAYOUT", "fp32"},   {"HYMV_THREAD_SCHEDULE", "serial"},
       {"HYMV_APPLY_TASKGRAPH", "1"},   {"HYMV_SELL_C", "16"},
