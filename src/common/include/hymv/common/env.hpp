@@ -39,6 +39,11 @@ namespace hymv {
 /// with a one-line stderr warning.
 [[nodiscard]] double env_double(const std::string& name, double fallback);
 
+/// Read a number greater than `lo`: env_double's parse, and a value at or
+/// below `lo` warns and keeps `fallback`.
+[[nodiscard]] double env_double_above(const std::string& name, double fallback,
+                                      double lo);
+
 /// Read a duration environment variable, returned in milliseconds. The
 /// value is a non-negative number with an optional unit suffix: "ms"
 /// (default when no suffix), "s", or "m" (minutes) — e.g. "250", "250ms",
@@ -62,6 +67,12 @@ namespace hymv {
 /// it is unset; any other value warns, listing `names`, and returns -1.
 [[nodiscard]] int env_choice(const std::string& name,
                              std::span<const char* const> names);
+
+/// Print the rejection line above for `name`'s `value`, for a reader whose
+/// accepted spellings the readers here do not express (HYMV_ISA's names are
+/// case-insensitive).
+void warn_env_rejected(const std::string& name, const char* value,
+                       const char* expected);
 
 /// Read a value by name: `values[i]` is spelled `name_of(values[i])`.
 /// Returns `fallback` when unset; any other spelling warns and keeps

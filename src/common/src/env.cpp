@@ -27,13 +27,6 @@ bool fully_consumed(const char* value, const char* end) {
   return true;
 }
 
-/// The one warning every reader prints for a value it rejects.
-void warn_rejected(const char* name, const char* value, const char* expected) {
-  std::fprintf(stderr,
-               "hymv: ignoring %s='%s' (expected %s); using fallback\n",
-               name, value, expected);
-}
-
 /// True when `value` is a whole std::int64_t, stored in `*out`.
 bool parse_int(const char* value, std::int64_t* out) {
   char* end = nullptr;
@@ -46,7 +39,27 @@ bool parse_int(const char* value, std::int64_t* out) {
   return true;
 }
 
+/// True when `value` is a whole double that did not overflow, stored in
+/// `*out`.
+bool parse_double(const char* value, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value, &end);
+  if (!fully_consumed(value, end) || errno == ERANGE) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 }  // namespace
+
+void warn_env_rejected(const std::string& name, const char* value,
+                       const char* expected) {
+  std::fprintf(stderr,
+               "hymv: ignoring %s='%s' (expected %s); using fallback\n",
+               name.c_str(), value, expected);
+}
 
 std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   const char* value = std::getenv(name.c_str());
@@ -55,7 +68,7 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   }
   std::int64_t parsed = 0;
   if (!parse_int(value, &parsed)) {
-    warn_rejected(name.c_str(), value, "an integer");
+    warn_env_rejected(name, value, "an integer");
     return fallback;
   }
   return parsed;
@@ -71,7 +84,7 @@ std::int64_t env_int_in_range(const std::string& name, std::int64_t fallback,
   if (!parse_int(value, &parsed) || parsed < lo || parsed > hi) {
     const std::string expected = "an integer in [" + std::to_string(lo) +
                                  ", " + std::to_string(hi) + "]";
-    warn_rejected(name.c_str(), value, expected.c_str());
+    warn_env_rejected(name, value, expected.c_str());
     return fallback;
   }
   return parsed;
@@ -84,7 +97,7 @@ bool env_flag(const std::string& name, bool fallback) {
   }
   std::int64_t parsed = 0;
   if (!parse_int(value, &parsed) || (parsed != 0 && parsed != 1)) {
-    warn_rejected(name.c_str(), value, "0 or 1");
+    warn_env_rejected(name, value, "0 or 1");
     return fallback;
   }
   return parsed == 1;
@@ -95,11 +108,25 @@ double env_double(const std::string& name, double fallback) {
   if (value == nullptr) {
     return fallback;
   }
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value, &end);
-  if (!fully_consumed(value, end) || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "a number");
+  double parsed = 0.0;
+  if (!parse_double(value, &parsed)) {
+    warn_env_rejected(name, value, "a number");
+    return fallback;
+  }
+  return parsed;
+}
+
+double env_double_above(const std::string& name, double fallback,
+                        double lo) {
+  const char* value = std::getenv(name.c_str());
+  if (value == nullptr) {
+    return fallback;
+  }
+  double parsed = 0.0;
+  if (!parse_double(value, &parsed) || !(parsed > lo)) {
+    char expected[48];
+    std::snprintf(expected, sizeof(expected), "a number > %g", lo);
+    warn_env_rejected(name, value, expected);
     return fallback;
   }
   return parsed;
@@ -139,7 +166,7 @@ double env_duration_ms(const std::string& name, double fallback_ms) {
   const double parsed = std::strtod(value, &end);
   constexpr const char* kDuration = "a duration (e.g. 250, 250ms, 1.5s, 2m)";
   if (end == value || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, kDuration);
+    warn_env_rejected(name, value, kDuration);
     return fallback_ms;
   }
   double scale_ms = 1.0;  // bare numbers are milliseconds
@@ -150,12 +177,12 @@ double env_duration_ms(const std::string& name, double fallback_ms) {
   } else if (suffix_is(end, "m")) {
     scale_ms = 60000.0;
   } else {
-    warn_rejected(name.c_str(), value, kDuration);
+    warn_env_rejected(name, value, kDuration);
     return fallback_ms;
   }
   const double ms = parsed * scale_ms;
   if (!(ms >= 0.0) || !std::isfinite(ms)) {
-    warn_rejected(name.c_str(), value, "a non-negative duration");
+    warn_env_rejected(name, value, "a non-negative duration");
     return fallback_ms;
   }
   return ms;
@@ -170,7 +197,7 @@ std::int64_t env_size_bytes(const std::string& name, std::int64_t fallback) {
   errno = 0;
   const long long parsed = std::strtoll(value, &end, 10);
   if (end == value || errno == ERANGE) {
-    warn_rejected(name.c_str(), value, "a byte size (e.g. 4096, 256M, 1GiB)");
+    warn_env_rejected(name, value, "a byte size (e.g. 4096, 256M, 1GiB)");
     return fallback;
   }
   std::int64_t scale = 1;
@@ -186,12 +213,12 @@ std::int64_t env_size_bytes(const std::string& name, std::int64_t fallback) {
              suffix_is(end, "gib")) {
     scale = std::int64_t{1} << 30;
   } else {
-    warn_rejected(name.c_str(), value, "a byte size (e.g. 4096, 256M, 1GiB)");
+    warn_env_rejected(name, value, "a byte size (e.g. 4096, 256M, 1GiB)");
     return fallback;
   }
   if (parsed < 0 ||
       parsed > std::numeric_limits<std::int64_t>::max() / scale) {
-    warn_rejected(name.c_str(), value, "a non-negative byte size");
+    warn_env_rejected(name, value, "a non-negative byte size");
     return fallback;
   }
   return static_cast<std::int64_t>(parsed) * scale;
@@ -210,7 +237,7 @@ int env_choice(const std::string& name, std::span<const char* const> names) {
     expected += i == 0 ? "" : "|";
     expected += *names[i] == '\0' ? "''" : names[i];
   }
-  warn_rejected(name.c_str(), value, expected.c_str());
+  warn_env_rejected(name, value, expected.c_str());
   return -1;
 }
 

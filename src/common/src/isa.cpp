@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "hymv/common/env.hpp"
+
 namespace hymv::isa {
 
 namespace {
@@ -49,10 +51,7 @@ int resolve_active() {
   if (const char* env = std::getenv("HYMV_ISA")) {
     const int wanted = parse_isa_name(env);
     if (wanted < 0) {
-      std::fprintf(stderr,
-                   "hymv: ignoring HYMV_ISA=%s (expected scalar|avx2|avx512);"
-                   " using %s\n",
-                   env, std::string(to_string(cpu)).c_str());
+      hymv::warn_env_rejected("HYMV_ISA", env, "scalar|avx2|avx512");
     } else if (wanted > level) {
       std::fprintf(stderr,
                    "hymv: HYMV_ISA=%s exceeds CPU support; clamping to %s\n",

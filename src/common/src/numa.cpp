@@ -33,12 +33,16 @@ std::atomic<int> g_pinned_threads{0};
 std::atomic<double> g_triad{-1.0};  // <0 unmeasured, else bytes/s (0 = off)
 
 bool resolve_first_touch() {
-  int cached = g_first_touch.load(std::memory_order_relaxed);
-  if (cached < 0) {
-    cached = hymv::env_int("HYMV_FIRST_TOUCH", 1) != 0 ? 1 : 0;
-    g_first_touch.store(cached, std::memory_order_relaxed);
-  }
-  return cached != 0;
+  // Once per process: the rank threads of a simmpi run fill concurrently,
+  // and a rejected value must warn once, not once per racing thread.
+  static std::once_flag once;
+  std::call_once(once, [] {
+    if (g_first_touch.load(std::memory_order_relaxed) < 0) {
+      g_first_touch.store(hymv::env_flag("HYMV_FIRST_TOUCH", true) ? 1 : 0,
+                          std::memory_order_relaxed);
+    }
+  });
+  return g_first_touch.load(std::memory_order_relaxed) != 0;
 }
 
 template <typename T>
@@ -85,7 +89,7 @@ int pin_threads_from_env() {
 #if defined(__linux__) && defined(_OPENMP)
   static std::once_flag once;
   std::call_once(once, [] {
-    if (hymv::env_int("HYMV_PIN_THREADS", 0) == 0) {
+    if (!hymv::env_flag("HYMV_PIN_THREADS", false)) {
       return;
     }
     // User-level affinity always wins: OMP_PLACES / OMP_PROC_BIND direct
@@ -123,7 +127,7 @@ bool threads_pinned() { return g_pinned.load(std::memory_order_relaxed); }
 double measured_triad_bytes_per_s() {
   static std::once_flag once;
   std::call_once(once, [] {
-    if (hymv::env_int("HYMV_TRIAD_PROBE", 1) == 0) {
+    if (!hymv::env_flag("HYMV_TRIAD_PROBE", true)) {
       g_triad.store(0.0, std::memory_order_relaxed);
       return;
     }

@@ -17,10 +17,10 @@
 /// element products batched onto a device).
 ///
 /// The skeleton also owns the two region schedules and the task graph of the
-/// dependent one. `apply` and `apply_multi` keep their own exchange calls
-/// and kernels: a one-lane panel is not the single-vector apply, because its
-/// message tags differ and kSymPacked's single-vector kernel associates
-/// differently from its panel kernel.
+/// dependent one. `apply` and `apply_multi` run the same exchange calls (a
+/// single vector moves as a width-1 panel) but keep their own kernels: a
+/// one-lane panel is not the single-vector apply, because kSymPacked's
+/// single-vector kernel associates differently from its panel kernel.
 
 #include <cstdint>
 #include <functional>
@@ -102,11 +102,11 @@ class ApplySkeleton {
     return schedules_[static_cast<std::size_t>(region)];
   }
 
-  /// y = Σ over both regions, through the single-vector exchange.
+  /// y = Σ over both regions, through the single-vector kernels.
   void apply(simmpi::Comm& comm, const pla::DistVector& x, pla::DistVector& y,
              RegionBackend& independent, RegionBackend& dependent);
   /// The panel twin: ghosts move as whole panels, one message per neighbor
-  /// per direction.
+  /// per direction, as a single vector's do.
   void apply_multi(simmpi::Comm& comm, const pla::DistMultiVector& x,
                    pla::DistMultiVector& y, RegionBackend& independent,
                    RegionBackend& dependent);
@@ -166,8 +166,9 @@ class ApplySkeleton {
 };
 
 /// Reduce a contribution-holding distributed array (owned + ghost slots) to
-/// its owners: owned_out = v.owned + incoming ghost contributions. Shared
-/// by the skeleton's diagonal and the RHS assembler.
+/// its owners: owned_out = v.owned + incoming ghost contributions, v.width()
+/// values per DoF (`ghost_scratch` holds as many per ghost). The GNGM step
+/// of the skeleton's apply and diagonal, and of the RHS assembler.
 void reduce_da_to_owned(simmpi::Comm& comm, DofMaps& maps,
                         const DistributedArray& v,
                         std::span<double> ghost_scratch,

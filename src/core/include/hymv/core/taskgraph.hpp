@@ -56,8 +56,8 @@ class ApplyTaskGraph {
   ApplyTaskGraph(const DofMaps& maps, const ElementSchedule& dep_sched);
 
   /// Traverse the dependent schedule against the forward exchange the
-  /// caller started (forward_begin or forward_begin_multi; the caller still
-  /// calls forward_end afterwards to retire the sends).
+  /// caller started with forward_begin (the caller still calls forward_end
+  /// afterwards to retire the sends).
   ///
   /// `run_blocks(color, ready)` executes the given blocks of `color`
   /// (indices into dep_sched.blocks(color)); within one call the blocks are

@@ -23,46 +23,6 @@ ElementSchedule schedule_for(const DofMaps& maps,
                              : ElementSchedule::kDefaultBlockElems);
 }
 
-/// The exchange calls of one apply: the single-vector ones (lanes == 0) or
-/// the panel ones.
-struct LaneExchange {
-  pla::GhostExchange& ex;
-  int lanes;
-
-  void forward_begin(simmpi::Comm& comm, std::span<const double> owned) const {
-    if (lanes == 0) {
-      ex.forward_begin(comm, owned);
-    } else {
-      ex.forward_begin_multi(comm, owned, lanes);
-    }
-  }
-  void forward_end(simmpi::Comm& comm) const {
-    if (lanes == 0) {
-      ex.forward_end(comm);
-    } else {
-      ex.forward_end_multi(comm);
-    }
-  }
-  [[nodiscard]] std::span<const double> ghosts() const {
-    return lanes == 0 ? ex.ghost_values() : ex.ghost_panel();
-  }
-  void reverse_begin(simmpi::Comm& comm,
-                     std::span<const double> contrib) const {
-    if (lanes == 0) {
-      ex.reverse_begin(comm, contrib);
-    } else {
-      ex.reverse_begin_multi(comm, contrib, lanes);
-    }
-  }
-  void reverse_end(simmpi::Comm& comm, std::span<double> owned) const {
-    if (lanes == 0) {
-      ex.reverse_end(comm, owned);
-    } else {
-      ex.reverse_end_multi(comm, owned);
-    }
-  }
-};
-
 }  // namespace
 
 ApplySkeleton::Gauges::Gauges(hymv::obs::MetricsRegistry& registry)
@@ -141,7 +101,8 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
   Staging& s = staging(lanes);
   std::copy(x.begin(), x.end(), s.u.owned().begin());
   s.v.fill(0.0);
-  const LaneExchange ex{maps_->exchange(), lanes};
+  pla::GhostExchange& ex = maps_->exchange();
+  const int width = s.u.width();
 
   DualTimer timer;
   const auto lnsm = [&](const auto& step) {
@@ -155,13 +116,13 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
     region.apply(s.u.all(), s.v.all(), lanes);
     emv_timer.add_to(gauges_.emv_s, gauges_.emv_cpu_s);
   };
-  const auto load_ghosts = [&] { s.u.load_ghosts(ex.ghosts()); };
+  const auto load_ghosts = [&] { s.u.load_ghosts(ex.ghost_values()); };
 
   ElementBlockBackend* dep_blocks = dependent.element_blocks();
   if (options_->overlap && options_->taskgraph &&
       options_->schedule == ThreadSchedule::kColored && dep_blocks &&
-      maps_->exchange().supports_taskgraph()) {
-    lnsm([&] { ex.forward_begin(comm, x); });
+      ex.supports_taskgraph()) {
+    lnsm([&] { ex.forward_begin(comm, x, width); });
     emv(independent);  // overlaps the exchange
     // Each per-neighbor completion loads that peer's ghost slice and
     // unlocks only the blocks it gates — no all-neighbors barrier.
@@ -169,7 +130,7 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
     // Retire the sends; the traversal already consumed the receives.
     lnsm([&] { ex.forward_end(comm); });
   } else if (options_->overlap) {
-    lnsm([&] { ex.forward_begin(comm, x); });
+    lnsm([&] { ex.forward_begin(comm, x, width); });
     emv(independent);  // overlaps the exchange
     lnsm([&] {
       ex.forward_end(comm);
@@ -178,7 +139,7 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
     emv(dependent);
   } else {
     lnsm([&] {
-      ex.forward_begin(comm, x);
+      ex.forward_begin(comm, x, width);
       ex.forward_end(comm);
       load_ghosts();
     });
@@ -197,10 +158,7 @@ void ApplySkeleton::run(simmpi::Comm& comm, std::span<const double> x,
   timer.restart();
   {
     HYMV_TRACE_SCOPE("reduce", "apply");
-    s.v.store_ghosts(s.ghosts);
-    ex.reverse_begin(comm, s.ghosts);
-    std::copy(s.v.owned().begin(), s.v.owned().end(), y.begin());
-    ex.reverse_end(comm, y);
+    reduce_da_to_owned(comm, *maps_, s.v, s.ghosts, y);
   }
   timer.add_to(gauges_.gngm_s, gauges_.gngm_cpu_s);
   gauges_.applies->inc();
@@ -213,10 +171,9 @@ void ApplySkeleton::run_taskgraph(simmpi::Comm& comm,
                  "apply: the dependent backend must run the dependent "
                  "schedule");
   pla::GhostExchange& ex = maps_->exchange();
-  const LaneExchange lane_ex{ex, lanes};
   const auto load_peer = [&](int peer) {
     const std::int64_t off = ex.recv_peer_ghost_offset(peer);
-    s.u.load_ghost_range(lane_ex.ghosts(), off,
+    s.u.load_ghost_range(ex.ghost_values(), off,
                          off + ex.recv_peer_count(peer));
   };
   const auto run_blocks = [&](int color, std::span<const std::int32_t> ready) {
@@ -270,7 +227,7 @@ void reduce_da_to_owned(simmpi::Comm& comm, DofMaps& maps,
                         std::span<double> ghost_scratch,
                         std::span<double> owned_out) {
   v.store_ghosts(ghost_scratch);
-  maps.exchange().reverse_begin(comm, ghost_scratch);
+  maps.exchange().reverse_begin(comm, ghost_scratch, v.width());
   std::copy(v.owned().begin(), v.owned().end(), owned_out.begin());
   maps.exchange().reverse_end(comm, owned_out);
 }

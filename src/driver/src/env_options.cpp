@@ -1,7 +1,6 @@
 #include "hymv/driver/env_options.hpp"
 
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -54,15 +53,8 @@ pla::ChebyshevOptions chebyshev_options_from_env(
       env_int_in_range("HYMV_CHEB_DEGREE", fallback.degree, 1, 64));
   fallback.eig_iters = static_cast<int>(
       env_int_in_range("HYMV_CHEB_EIG_ITERS", fallback.eig_iters, 1, 1000));
-  const double ratio = env_double("HYMV_CHEB_EIG_RATIO", fallback.eig_ratio);
-  if (ratio > 1.0) {
-    fallback.eig_ratio = ratio;
-  } else if (ratio != fallback.eig_ratio) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_CHEB_EIG_RATIO='%g' (expected a number "
-                 "> 1); using fallback\n",
-                 ratio);
-  }
+  fallback.eig_ratio =
+      env_double_above("HYMV_CHEB_EIG_RATIO", fallback.eig_ratio, 1.0);
   return fallback;
 }
 

@@ -88,15 +88,10 @@ double measure_host_emv_gflops(int n, int batches) {
 
 CpuSpec CpuSpec::from_env() {
   CpuSpec spec;
-  const double peak =
-      env_double("HYMV_CPU_PEAK_GFLOPS", spec.peak_flops_per_s / 1e9);
-  if (peak > 0.0) {
-    spec.peak_flops_per_s = peak * 1e9;
-  } else {
-    std::fprintf(stderr,
-                 "hymv: HYMV_CPU_PEAK_GFLOPS must be > 0, keeping %.1f\n",
-                 spec.peak_flops_per_s / 1e9);
-  }
+  spec.peak_flops_per_s =
+      env_double_above("HYMV_CPU_PEAK_GFLOPS", spec.peak_flops_per_s / 1e9,
+                       0.0) *
+      1e9;
   // Memory ceiling precedence: explicit HYMV_CPU_MEM_GBPS > measured STREAM
   // triad (numa.hpp; one cached ~10 ms probe, HYMV_TRIAD_PROBE=0 disables)
   // > the compiled-in default. The probe only steers adaptive *decisions* —
@@ -108,11 +103,8 @@ CpuSpec CpuSpec::from_env() {
   // Unset, the override returns its fallback; scaling that back to B/s
   // would round the measured triad in its last bits.
   const double gbps = spec.mem_bytes_per_s / 1e9;
-  const double bw = env_double("HYMV_CPU_MEM_GBPS", gbps);
-  if (bw <= 0.0) {
-    std::fprintf(stderr, "hymv: HYMV_CPU_MEM_GBPS must be > 0, keeping %.1f\n",
-                 gbps);
-  } else if (bw != gbps) {
+  const double bw = env_double_above("HYMV_CPU_MEM_GBPS", gbps, 0.0);
+  if (bw != gbps) {
     spec.mem_bytes_per_s = bw * 1e9;
   }
   return spec;

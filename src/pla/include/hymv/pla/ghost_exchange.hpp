@@ -11,9 +11,10 @@
 ///     *summed* into the owners' entries — the Ghost Node Gather Map
 ///     direction used after element-vector accumulation.
 ///
-/// Both directions are split into begin/end pairs so callers can overlap
+/// Each direction is one begin/end pair, so callers can overlap
 /// communication with computation (independent-element EMV, diag-block
-/// SpMV), exactly as Algorithm 2 of the paper prescribes.
+/// SpMV), exactly as Algorithm 2 of the paper prescribes. Both pairs take a
+/// lane width; a single vector is the width-1 panel.
 
 #include <array>
 #include <cstdint>
@@ -66,54 +67,33 @@ class GhostExchange {
   }
 
   // --- forward: owned → ghosts (LNSM direction) ---------------------------
+  //
+  // Both directions move lane-interleaved panels: a span holds `width`
+  // values per DoF (lane j of DoF i at [i·width + j]), and a single vector
+  // is the width-1 panel. Each neighbor gets exactly ONE message per
+  // direction whatever the width, so the latency (message-count) cost of a
+  // k-lane apply equals the single-vector cost and only the bandwidth term
+  // scales with k.
 
-  /// Start sending owned values neighbors need. `owned` indexes this rank's
-  /// owned block (layout-local).
-  void forward_begin(simmpi::Comm& comm, std::span<const double> owned);
-  /// Finish: afterwards ghost_values() holds the received values, aligned
-  /// with ghost_ids().
+  /// Start sending owned values neighbors need. `owned` holds this rank's
+  /// owned block (layout-local), owned()·width values.
+  void forward_begin(simmpi::Comm& comm, std::span<const double> owned,
+                     int width = 1);
+  /// Finish: afterwards ghost_values() holds num_ghosts()·width values,
+  /// aligned with ghost_ids().
   void forward_end(simmpi::Comm& comm);
   [[nodiscard]] std::span<const double> ghost_values() const {
     return ghost_vals_;
   }
-  /// Writable view, for callers that stage ghost contributions in place.
-  [[nodiscard]] std::span<double> ghost_values_mutable() {
-    return ghost_vals_;
-  }
-
-  // --- panel (multi-RHS) variants ----------------------------------------
-  //
-  // Width-parameterized forward/reverse exchange for lane-interleaved
-  // panels: `owned`/`ghost` spans hold `width` values per DoF (lane j of
-  // DoF i at [i·width + j]). Each neighbor still gets exactly ONE message
-  // per direction — it simply carries width values per DoF — so the
-  // latency (message-count) cost of a k-lane apply equals the 1-lane cost
-  // and only the bandwidth term scales with k.
-
-  /// Start the forward panel exchange. `owned` holds owned()·width values.
-  void forward_begin_multi(simmpi::Comm& comm, std::span<const double> owned,
-                           int width);
-  /// Finish: afterwards ghost_panel() holds num_ghosts()·width values,
-  /// lane-interleaved, aligned with ghost_ids().
-  void forward_end_multi(simmpi::Comm& comm);
-  [[nodiscard]] std::span<const double> ghost_panel() const {
-    return ghost_panel_;
-  }
-
-  /// Start sending `ghost_contrib` (num_ghosts()·width, lane-interleaved)
-  /// back to the owners.
-  void reverse_begin_multi(simmpi::Comm& comm,
-                           std::span<const double> ghost_contrib, int width);
-  /// Finish: incoming contributions are *added* into `owned`
-  /// (owned()·width, lane-interleaved).
-  void reverse_end_multi(simmpi::Comm& comm, std::span<double> owned);
 
   // --- reverse: ghosts → owned, summed (GNGM direction) -------------------
 
-  /// Start sending `ghost_contrib` (aligned with ghost_ids()) back to the
-  /// owners.
-  void reverse_begin(simmpi::Comm& comm, std::span<const double> ghost_contrib);
-  /// Finish: incoming contributions are *added* into `owned`.
+  /// Start sending `ghost_contrib` (num_ghosts()·width, aligned with
+  /// ghost_ids()) back to the owners.
+  void reverse_begin(simmpi::Comm& comm, std::span<const double> ghost_contrib,
+                     int width = 1);
+  /// Finish: incoming contributions are *added* into `owned`
+  /// (owned()·width values).
   void reverse_end(simmpi::Comm& comm, std::span<double> owned);
 
   /// Number of neighbor ranks this rank exchanges with.
@@ -123,19 +103,18 @@ class GhostExchange {
 
   // --- per-neighbor completion (task-graph apply) -------------------------
   //
-  // Between forward_begin(_multi) and forward_end(_multi), the task-graph
-  // apply retires receives one neighbor at a time instead of barriering on
-  // the whole exchange: each completed receive fills exactly the
-  // [ghost_offset, ghost_offset + count) slice of the ghost array (or
-  // count*width of the panel), so the element blocks gated only by that
-  // peer can run immediately.
+  // Between forward_begin and forward_end, the task-graph apply retires
+  // receives one neighbor at a time instead of barriering on the whole
+  // exchange: each completed receive fills exactly the [ghost_offset,
+  // ghost_offset + count) slice of the ghost array (times the width), so
+  // the element blocks gated only by that peer can run immediately.
 
   /// Number of neighbor ranks this rank RECEIVES ghost values from.
   [[nodiscard]] int num_recv_peers() const {
     return static_cast<int>(recv_peers_.size());
   }
-  /// First ghost-array index served by recv peer `i` (DoF units; the panel
-  /// variants scale by width).
+  /// First ghost-array index served by recv peer `i` (DoF units; a panel
+  /// scales it by the width).
   [[nodiscard]] std::int64_t recv_peer_ghost_offset(int i) const {
     return recv_peers_[static_cast<std::size_t>(i)].ghost_offset;
   }
@@ -150,8 +129,7 @@ class GhostExchange {
   [[nodiscard]] bool supports_taskgraph() const { return !prot_.checksum; }
   /// Block until one more forward receive lands; returns its recv-peer
   /// index, or -1 when every forward receive has already been retired.
-  /// Ghost data for that peer's slice is in place on return. Serves the
-  /// scalar and the panel forward alike.
+  /// Ghost data for that peer's slice is in place on return.
   int forward_complete_any(simmpi::Comm& comm);
   /// Nonblocking twin: recv-peer index of one newly completed forward
   /// receive, or -1 when none is ready right now.
@@ -180,21 +158,19 @@ class GhostExchange {
 
  private:
   /// One neighbor's share of the plan. For send_peers_, `owned_locals` are
-  /// the owned-block indices packed for that peer (the LNSM rows); for
+  /// the owned-block indices packed for that peer (the LNSM rows) and `buf`
+  /// stages them, or receives that peer's reverse contributions; for
   /// recv_peers_, [ghost_offset, ghost_offset + count) is the slice of the
   /// sorted ghost array owned by that peer.
   struct SendPeer {
     int rank = -1;
     std::vector<std::int64_t> owned_locals;
     std::vector<double> buf;
-    std::vector<double> panel_buf;  ///< staging for the width-k variants
   };
   struct RecvPeer {
     int rank = -1;
     std::int64_t ghost_offset = 0;
     std::int64_t count = 0;
-    std::vector<double> buf;        ///< staging for reverse receives
-    std::vector<double> panel_buf;  ///< staging for the width-k variants
   };
 
   /// One protected incoming message: wire buffer (payload + trailer), the
@@ -203,7 +179,7 @@ class GhostExchange {
     int peer = -1;
     std::vector<std::byte> wire;
     double* dst = nullptr;
-    std::size_t count = 0;  ///< payload doubles
+    std::size_t count = 0;  ///< payload DoFs (times width_ doubles)
     simmpi::Request req;
   };
   /// One protected outgoing message, kept for retransmission.
@@ -219,13 +195,15 @@ class GhostExchange {
   void protected_begin(simmpi::Comm& comm, int data_tag);
   /// Protected end: verify/ACK/NACK protocol with bounded retries; on
   /// return every ProtRecv's payload has been copied (verified) into dst.
-  void protected_end(simmpi::Comm& comm, int data_tag, int ctrl_tag);
+  void protected_end(simmpi::Comm& comm, int data_tag);
+  /// Check and record the width of an exchange about to start.
+  void begin_exchange(const char* what, std::int64_t values,
+                      std::int64_t per_lane, int width);
 
   Layout layout_;
   std::vector<std::int64_t> ghosts_;
-  std::vector<double> ghost_vals_;
-  std::vector<double> ghost_panel_;  ///< width-k ghost values
-  int panel_width_ = 0;              ///< width of the in-flight panel op
+  std::vector<double> ghost_vals_;  ///< num_ghosts()·width, last forward
+  int width_ = 1;                   ///< width of the in-flight exchange
   std::vector<SendPeer> send_peers_;
   std::vector<RecvPeer> recv_peers_;
   /// Forward receives, parallel to recv_peers_ (entry i completes peer i's
@@ -236,10 +214,15 @@ class GhostExchange {
   ExchangeProtection prot_{};
   /// Per-data-stream protected-phase counters (stale-dup filter), indexed
   /// by tags::data_stream_index. One shared counter was an epoch-aliasing
-  /// hazard: a stream's epoch sequence depended on how the OTHER streams
-  /// interleaved, so a stale retransmission on stream A could carry the
-  /// epoch value stream B happened to be on.
+  /// hazard: a stream's epoch sequence depended on how the other stream
+  /// interleaved, so a stale retransmission on one stream could carry the
+  /// epoch the other happened to be on.
   std::array<std::uint64_t, tags::kNumDataStreams> epochs_{};
+  /// Widest width each data stream has carried protected, indexed like
+  /// epochs_. Protected receives are sized for it, so a stale
+  /// retransmission of a wider message than the current one is received
+  /// and discarded instead of overflowing the posted buffer.
+  std::array<int, tags::kNumDataStreams> widest_{};
   std::int64_t resends_ = 0;
   std::int64_t checksum_failures_ = 0;
   std::int64_t timeouts_recovered_ = 0;

@@ -112,10 +112,10 @@ void DistCsrMatrix::apply_multi(simmpi::Comm& comm, const DistMultiVector& x,
   const int k = x.width();
   // Same overlap as apply(): the k-lane ghost scatter (one message per
   // neighbor) hides behind the diagonal-block panel SpMV.
-  exchange_.forward_begin_multi(comm, x.values(), k);
+  exchange_.forward_begin(comm, x.values(), k);
   diag_.spmv_multi(x.values(), y.values(), k);
-  exchange_.forward_end_multi(comm);
-  offdiag_.spmv_add_multi(exchange_.ghost_panel(), y.values(), k);
+  exchange_.forward_end(comm);
+  offdiag_.spmv_add_multi(exchange_.ghost_values(), y.values(), k);
 }
 
 std::vector<double> DistCsrMatrix::diagonal(simmpi::Comm&) {

@@ -1,8 +1,8 @@
 #include "hymv/pla/ghost_exchange.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
@@ -12,16 +12,6 @@
 namespace hymv::pla {
 
 namespace {
-// Tags live in the central registry (comm_tags.hpp), aliased here so the
-// message code reads the same as before.
-constexpr int kForwardTag = tags::kForward;
-constexpr int kReverseTag = tags::kReverse;
-constexpr int kForwardPanelTag = tags::kForwardPanel;
-constexpr int kReversePanelTag = tags::kReversePanel;
-constexpr int kForwardCtrlTag = tags::kForwardCtrl;
-constexpr int kReverseCtrlTag = tags::kReverseCtrl;
-constexpr int kForwardPanelCtrlTag = tags::kForwardPanelCtrl;
-constexpr int kReversePanelCtrlTag = tags::kReversePanelCtrl;
 
 /// Wire trailer of a protected data message: {epoch, checksum}, appended
 /// after the payload so a bit-flip anywhere in the message is detected.
@@ -59,15 +49,10 @@ ExchangeProtection ExchangeProtection::from_env() {
   prot.checksum = hymv::env_flag("HYMV_FAULT_CHECKSUM", prot.checksum);
   prot.max_retries = static_cast<int>(hymv::env_int_in_range(
       "HYMV_FAULT_MAX_RETRIES", prot.max_retries, 0, 1000));
-  const double timeout_ms =
-      hymv::env_double("HYMV_FAULT_TIMEOUT_MS", prot.recv_timeout_s * 1000.0);
-  if (!(timeout_ms > 0.0)) {
-    std::fprintf(stderr,
-                 "hymv: ignoring HYMV_FAULT_TIMEOUT_MS=%g (expected > 0)\n",
-                 timeout_ms);
-  } else {
-    prot.recv_timeout_s = timeout_ms / 1000.0;
-  }
+  prot.recv_timeout_s =
+      hymv::env_double_above("HYMV_FAULT_TIMEOUT_MS",
+                             prot.recv_timeout_s * 1000.0, 0.0) /
+      1000.0;
   return prot;
 }
 
@@ -103,8 +88,7 @@ GhostExchange::GhostExchange(simmpi::Comm& comm, const Layout& layout,
       peer.rank = owner;
       peer.ghost_offset = static_cast<std::int64_t>(i);
       peer.count = static_cast<std::int64_t>(j - i);
-      peer.buf.resize(static_cast<std::size_t>(peer.count));
-      recv_peers_.push_back(std::move(peer));
+      recv_peers_.push_back(peer);
       i = j;
     }
   }
@@ -131,7 +115,6 @@ GhostExchange::GhostExchange(simmpi::Comm& comm, const Layout& layout,
                      "GhostExchange: peer requested an id we do not own");
       peer.owned_locals.push_back(g - layout_.begin);
     }
-    peer.buf.resize(ids.size());
     send_peers_.push_back(std::move(peer));
   }
 
@@ -144,11 +127,15 @@ GhostExchange::GhostExchange(simmpi::Comm& comm, const Layout& layout,
 void GhostExchange::protected_begin(simmpi::Comm& comm, int data_tag) {
   // Each data stream advances its OWN epoch: with one shared counter a
   // stream's epoch sequence depended on the interleaving of the other
-  // streams, so a stale retransmission could alias a live epoch.
-  const std::uint64_t epoch =
-      ++epochs_[static_cast<std::size_t>(tags::data_stream_index(data_tag))];
+  // stream, so a stale retransmission could alias a live epoch.
+  const auto stream =
+      static_cast<std::size_t>(tags::data_stream_index(data_tag));
+  const std::uint64_t epoch = ++epochs_[stream];
+  widest_[stream] = std::max(widest_[stream], width_);
   for (ProtRecv& r : prot_recvs_) {
-    r.wire.resize(r.count * sizeof(double) + kTrailerBytes);
+    r.wire.resize(r.count * static_cast<std::size_t>(widest_[stream]) *
+                      sizeof(double) +
+                  kTrailerBytes);
     r.req = comm.irecv_bytes(r.peer, data_tag, r.wire.data(), r.wire.size());
   }
   for (ProtSend& s : prot_sends_) {
@@ -157,10 +144,10 @@ void GhostExchange::protected_begin(simmpi::Comm& comm, int data_tag) {
   }
 }
 
-void GhostExchange::protected_end(simmpi::Comm& comm, int data_tag,
-                                  int ctrl_tag) {
+void GhostExchange::protected_end(simmpi::Comm& comm, int data_tag) {
   constexpr std::byte kAck{0};
   constexpr std::byte kNack{1};
+  const int ctrl_tag = tags::ctrl_tag_of(data_tag);
   const std::uint64_t cur_epoch =
       epochs_[static_cast<std::size_t>(tags::data_stream_index(data_tag))];
   // Event loop over all pending receives and unacknowledged sends. The
@@ -250,10 +237,11 @@ void GhostExchange::protected_end(simmpi::Comm& comm, int data_tag,
         }
         continue;
       }
-      const std::size_t payload = r.count * sizeof(double);
-      if (status.bytes != r.wire.size()) {
+      const std::size_t payload =
+          r.count * static_cast<std::size_t>(width_) * sizeof(double);
+      if (status.bytes != payload + kTrailerBytes) {
         // Wrong size: a stale duplicate from an earlier phase of a
-        // different panel width. Discard and repost — no attempt charged.
+        // different width. Discard and repost — no attempt charged.
         r.req =
             comm.irecv_bytes(r.peer, data_tag, r.wire.data(), r.wire.size());
         continue;
@@ -316,56 +304,74 @@ void GhostExchange::protected_end(simmpi::Comm& comm, int data_tag,
   prot_sends_.clear();
 }
 
-void GhostExchange::forward_begin(simmpi::Comm& comm,
-                                  std::span<const double> owned) {
-  HYMV_TRACE_SCOPE("exchange.forward_begin", "exchange");
-  HYMV_CHECK_MSG(static_cast<std::int64_t>(owned.size()) == layout_.owned(),
-                 "forward_begin: owned span size mismatch");
+void GhostExchange::begin_exchange(const char* what, std::int64_t values,
+                                   std::int64_t per_lane, int width) {
+  HYMV_CHECK_MSG(width >= 1, std::string(what) + ": width must be positive");
+  HYMV_CHECK_MSG(values == per_lane * width,
+                 std::string(what) + ": span size mismatch");
   HYMV_CHECK_MSG(pending_.empty() && recv_reqs_.empty(),
-                 "forward_begin: previous exchange still in flight");
+                 std::string(what) + ": previous exchange still in flight");
+  width_ = width;
+}
+
+void GhostExchange::forward_begin(simmpi::Comm& comm,
+                                  std::span<const double> owned, int width) {
+  HYMV_TRACE_SCOPE("exchange.forward_begin", "exchange");
+  begin_exchange("forward_begin", static_cast<std::int64_t>(owned.size()),
+                 layout_.owned(), width);
+  const auto w = static_cast<std::size_t>(width);
+  ghost_vals_.resize(ghosts_.size() * w);
+  const auto ghost_slice = [&](const RecvPeer& peer) {
+    return std::span<double>(ghost_vals_).subspan(
+        static_cast<std::size_t>(peer.ghost_offset) * w,
+        static_cast<std::size_t>(peer.count) * w);
+  };
+  // Pack one peer's rows into `out`, width values per DoF: one message per
+  // neighbor.
+  const auto pack = [&](const SendPeer& peer, double* out) {
+    for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
+      const auto src = static_cast<std::size_t>(peer.owned_locals[i]) * w;
+      for (std::size_t j = 0; j < w; ++j) {
+        out[i * w + j] = owned[src + j];
+      }
+    }
+  };
   if (prot_.checksum) {
-    for (RecvPeer& peer : recv_peers_) {
+    for (const RecvPeer& peer : recv_peers_) {
       ProtRecv r;
       r.peer = peer.rank;
-      r.dst = ghost_vals_.data() + peer.ghost_offset;
+      r.dst = ghost_slice(peer).data();
       r.count = static_cast<std::size_t>(peer.count);
       prot_recvs_.push_back(std::move(r));
     }
-    for (SendPeer& peer : send_peers_) {
+    for (const SendPeer& peer : send_peers_) {
       ProtSend s;
       s.peer = peer.rank;
-      s.wire.resize(peer.owned_locals.size() * sizeof(double));
-      auto* w = reinterpret_cast<double*>(s.wire.data());
-      for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-        w[i] = owned[static_cast<std::size_t>(peer.owned_locals[i])];
-      }
+      s.wire.resize(peer.owned_locals.size() * w * sizeof(double));
+      pack(peer, reinterpret_cast<double*>(s.wire.data()));
       prot_sends_.push_back(std::move(s));
     }
-    protected_begin(comm, kForwardTag);
+    protected_begin(comm, tags::kForward);
     return;
   }
-  // Post receives into slices of the ghost value array, tracked per peer so
-  // the task-graph apply can retire them one neighbor at a time.
-  for (RecvPeer& peer : recv_peers_) {
-    recv_reqs_.push_back(comm.irecv(
-        peer.rank, kForwardTag,
-        std::span<double>(ghost_vals_.data() + peer.ghost_offset,
-                          static_cast<std::size_t>(peer.count))));
+  // Post receives into slices of the ghost array, tracked per peer so the
+  // task-graph apply can retire them one neighbor at a time.
+  for (const RecvPeer& peer : recv_peers_) {
+    recv_reqs_.push_back(
+        comm.irecv(peer.rank, tags::kForward, ghost_slice(peer)));
   }
-  // Pack and send owned values.
   for (SendPeer& peer : send_peers_) {
-    for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-      peer.buf[i] = owned[static_cast<std::size_t>(peer.owned_locals[i])];
-    }
-    pending_.push_back(
-        comm.isend(peer.rank, kForwardTag, std::span<const double>(peer.buf)));
+    peer.buf.resize(peer.owned_locals.size() * w);
+    pack(peer, peer.buf.data());
+    pending_.push_back(comm.isend(peer.rank, tags::kForward,
+                                  std::span<const double>(peer.buf)));
   }
 }
 
 void GhostExchange::forward_end(simmpi::Comm& comm) {
   HYMV_TRACE_SCOPE("exchange.forward_end", "exchange");
   if (prot_.checksum) {
-    protected_end(comm, kForwardTag, kForwardCtrlTag);
+    protected_end(comm, tags::kForward);
     return;
   }
   // Receives already retired by forward_complete_any are null; wait() on a
@@ -384,211 +390,70 @@ int GhostExchange::forward_test_any(simmpi::Comm& comm) {
   return comm.testany(recv_reqs_);
 }
 
-void GhostExchange::forward_begin_multi(simmpi::Comm& comm,
-                                        std::span<const double> owned,
-                                        int width) {
-  HYMV_TRACE_SCOPE("exchange.forward_begin", "exchange");
-  HYMV_CHECK_MSG(width >= 1, "forward_begin_multi: width must be positive");
-  HYMV_CHECK_MSG(static_cast<std::int64_t>(owned.size()) ==
-                     layout_.owned() * width,
-                 "forward_begin_multi: owned panel size mismatch");
-  HYMV_CHECK_MSG(pending_.empty() && recv_reqs_.empty(),
-                 "forward_begin_multi: previous exchange still in flight");
-  panel_width_ = width;
-  ghost_panel_.resize(ghosts_.size() * static_cast<std::size_t>(width));
-  const auto w = static_cast<std::size_t>(width);
-  if (prot_.checksum) {
-    for (RecvPeer& peer : recv_peers_) {
-      ProtRecv r;
-      r.peer = peer.rank;
-      r.dst = ghost_panel_.data() +
-              static_cast<std::size_t>(peer.ghost_offset) * w;
-      r.count = static_cast<std::size_t>(peer.count) * w;
-      prot_recvs_.push_back(std::move(r));
-    }
-    for (SendPeer& peer : send_peers_) {
-      ProtSend s;
-      s.peer = peer.rank;
-      s.wire.resize(peer.owned_locals.size() * w * sizeof(double));
-      auto* wp = reinterpret_cast<double*>(s.wire.data());
-      for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-        const auto src = static_cast<std::size_t>(peer.owned_locals[i]) * w;
-        for (std::size_t j = 0; j < w; ++j) {
-          wp[i * w + j] = owned[src + j];
-        }
-      }
-      prot_sends_.push_back(std::move(s));
-    }
-    protected_begin(comm, kForwardPanelTag);
-    return;
-  }
-  // One receive per neighbor, width values per ghost DoF, landing directly
-  // in the matching slice of the lane-interleaved ghost panel.
-  for (RecvPeer& peer : recv_peers_) {
-    recv_reqs_.push_back(comm.irecv(
-        peer.rank, kForwardPanelTag,
-        std::span<double>(
-            ghost_panel_.data() +
-                static_cast<std::size_t>(peer.ghost_offset) * w,
-            static_cast<std::size_t>(peer.count) * w)));
-  }
-  // Pack and send whole panels: one message per neighbor.
-  for (SendPeer& peer : send_peers_) {
-    peer.panel_buf.resize(peer.owned_locals.size() * w);
-    for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-      const auto src =
-          static_cast<std::size_t>(peer.owned_locals[i]) * w;
-      for (std::size_t j = 0; j < w; ++j) {
-        peer.panel_buf[i * w + j] = owned[src + j];
-      }
-    }
-    pending_.push_back(comm.isend(peer.rank, kForwardPanelTag,
-                                  std::span<const double>(peer.panel_buf)));
-  }
-}
-
-void GhostExchange::forward_end_multi(simmpi::Comm& comm) {
-  HYMV_TRACE_SCOPE("exchange.forward_end", "exchange");
-  if (prot_.checksum) {
-    protected_end(comm, kForwardPanelTag, kForwardPanelCtrlTag);
-    return;
-  }
-  comm.waitall(recv_reqs_);
-  recv_reqs_.clear();
-  comm.waitall(pending_);
-  pending_.clear();
-}
-
-void GhostExchange::reverse_begin_multi(simmpi::Comm& comm,
-                                        std::span<const double> ghost_contrib,
-                                        int width) {
-  HYMV_TRACE_SCOPE("exchange.reverse_begin", "exchange");
-  HYMV_CHECK_MSG(width >= 1, "reverse_begin_multi: width must be positive");
-  HYMV_CHECK_MSG(ghost_contrib.size() ==
-                     ghosts_.size() * static_cast<std::size_t>(width),
-                 "reverse_begin_multi: ghost panel size mismatch");
-  HYMV_CHECK_MSG(pending_.empty() && recv_reqs_.empty(),
-                 "reverse_begin_multi: previous exchange still in flight");
-  panel_width_ = width;
-  const auto w = static_cast<std::size_t>(width);
-  if (prot_.checksum) {
-    for (SendPeer& peer : send_peers_) {
-      peer.panel_buf.resize(peer.owned_locals.size() * w);
-      ProtRecv r;
-      r.peer = peer.rank;
-      r.dst = peer.panel_buf.data();
-      r.count = peer.owned_locals.size() * w;
-      prot_recvs_.push_back(std::move(r));
-    }
-    for (const RecvPeer& peer : recv_peers_) {
-      ProtSend s;
-      s.peer = peer.rank;
-      const auto bytes = static_cast<std::size_t>(peer.count) * w;
-      s.wire.resize(bytes * sizeof(double));
-      std::memcpy(s.wire.data(),
-                  ghost_contrib.data() +
-                      static_cast<std::size_t>(peer.ghost_offset) * w,
-                  bytes * sizeof(double));
-      prot_sends_.push_back(std::move(s));
-    }
-    protected_begin(comm, kReversePanelTag);
-    return;
-  }
-  for (SendPeer& peer : send_peers_) {
-    peer.panel_buf.resize(peer.owned_locals.size() * w);
-    pending_.push_back(comm.irecv(peer.rank, kReversePanelTag,
-                                  std::span<double>(peer.panel_buf)));
-  }
-  for (const RecvPeer& peer : recv_peers_) {
-    pending_.push_back(comm.isend(
-        peer.rank, kReversePanelTag,
-        std::span<const double>(
-            ghost_contrib.data() +
-                static_cast<std::size_t>(peer.ghost_offset) * w,
-            static_cast<std::size_t>(peer.count) * w)));
-  }
-}
-
-void GhostExchange::reverse_end_multi(simmpi::Comm& comm,
-                                      std::span<double> owned) {
-  HYMV_TRACE_SCOPE("exchange.reverse_end", "exchange");
-  const auto w = static_cast<std::size_t>(panel_width_);
-  HYMV_CHECK_MSG(w >= 1, "reverse_end_multi: no panel exchange in flight");
-  HYMV_CHECK_MSG(static_cast<std::int64_t>(owned.size()) ==
-                     layout_.owned() * panel_width_,
-                 "reverse_end_multi: owned panel size mismatch");
-  if (prot_.checksum) {
-    protected_end(comm, kReversePanelTag, kReversePanelCtrlTag);
-  } else {
-    comm.waitall(pending_);
-    pending_.clear();
-  }
-  for (const SendPeer& peer : send_peers_) {
-    for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-      const auto dst =
-          static_cast<std::size_t>(peer.owned_locals[i]) * w;
-      for (std::size_t j = 0; j < w; ++j) {
-        owned[dst + j] += peer.panel_buf[i * w + j];
-      }
-    }
-  }
-}
-
 void GhostExchange::reverse_begin(simmpi::Comm& comm,
-                                  std::span<const double> ghost_contrib) {
+                                  std::span<const double> ghost_contrib,
+                                  int width) {
   HYMV_TRACE_SCOPE("exchange.reverse_begin", "exchange");
-  HYMV_CHECK_MSG(ghost_contrib.size() == ghosts_.size(),
-                 "reverse_begin: ghost contribution size mismatch");
-  HYMV_CHECK_MSG(pending_.empty() && recv_reqs_.empty(),
-                 "reverse_begin: previous exchange still in flight");
+  begin_exchange("reverse_begin",
+                 static_cast<std::int64_t>(ghost_contrib.size()),
+                 num_ghosts(), width);
+  const auto w = static_cast<std::size_t>(width);
+  // Receives land in the send peers' buffers (roles are mirrored); the
+  // contributions are scatter-added in reverse_end.
+  for (SendPeer& peer : send_peers_) {
+    peer.buf.resize(peer.owned_locals.size() * w);
+  }
+  const auto contrib_of = [&](const RecvPeer& peer) {
+    return ghost_contrib.subspan(
+        static_cast<std::size_t>(peer.ghost_offset) * w,
+        static_cast<std::size_t>(peer.count) * w);
+  };
   if (prot_.checksum) {
-    // Receives land in the send peers' buffers (roles are mirrored); the
-    // verified payloads are scatter-added in reverse_end.
     for (SendPeer& peer : send_peers_) {
       ProtRecv r;
       r.peer = peer.rank;
       r.dst = peer.buf.data();
-      r.count = peer.buf.size();
+      r.count = peer.owned_locals.size();
       prot_recvs_.push_back(std::move(r));
     }
     for (const RecvPeer& peer : recv_peers_) {
+      const std::span<const double> contrib = contrib_of(peer);
       ProtSend s;
       s.peer = peer.rank;
-      const auto n = static_cast<std::size_t>(peer.count);
-      s.wire.resize(n * sizeof(double));
-      std::memcpy(s.wire.data(), ghost_contrib.data() + peer.ghost_offset,
-                  n * sizeof(double));
+      s.wire.resize(contrib.size_bytes());
+      std::memcpy(s.wire.data(), contrib.data(), contrib.size_bytes());
       prot_sends_.push_back(std::move(s));
     }
-    protected_begin(comm, kReverseTag);
+    protected_begin(comm, tags::kReverse);
     return;
   }
-  // Receives land in the send peers' buffers (roles are mirrored).
   for (SendPeer& peer : send_peers_) {
     pending_.push_back(
-        comm.irecv(peer.rank, kReverseTag, std::span<double>(peer.buf)));
+        comm.irecv(peer.rank, tags::kReverse, std::span<double>(peer.buf)));
   }
   for (const RecvPeer& peer : recv_peers_) {
-    pending_.push_back(comm.isend(
-        peer.rank, kReverseTag,
-        std::span<const double>(ghost_contrib.data() + peer.ghost_offset,
-                                static_cast<std::size_t>(peer.count))));
+    pending_.push_back(comm.isend(peer.rank, tags::kReverse, contrib_of(peer)));
   }
 }
 
 void GhostExchange::reverse_end(simmpi::Comm& comm, std::span<double> owned) {
   HYMV_TRACE_SCOPE("exchange.reverse_end", "exchange");
-  HYMV_CHECK_MSG(static_cast<std::int64_t>(owned.size()) == layout_.owned(),
+  HYMV_CHECK_MSG(static_cast<std::int64_t>(owned.size()) ==
+                     layout_.owned() * width_,
                  "reverse_end: owned span size mismatch");
   if (prot_.checksum) {
-    protected_end(comm, kReverseTag, kReverseCtrlTag);
+    protected_end(comm, tags::kReverse);
   } else {
     comm.waitall(pending_);
     pending_.clear();
   }
+  const auto w = static_cast<std::size_t>(width_);
   for (const SendPeer& peer : send_peers_) {
     for (std::size_t i = 0; i < peer.owned_locals.size(); ++i) {
-      owned[static_cast<std::size_t>(peer.owned_locals[i])] += peer.buf[i];
+      const auto dst = static_cast<std::size_t>(peer.owned_locals[i]) * w;
+      for (std::size_t j = 0; j < w; ++j) {
+        owned[dst + j] += peer.buf[i * w + j];
+      }
     }
   }
 }

@@ -4,10 +4,15 @@
 #      common/env.hpp) are exactly the rows of README.md's knob table;
 #   2. src/core and src/pla call no getenv or env_* reader, except inside
 #      ExchangeProtection::from_env (the fault drill's exchange protection,
-#      read by the GhostExchange constructor).
+#      read by the GhostExchange constructor), which reads the three
+#      HYMV_FAULT_CHECKSUM/MAX_RETRIES/TIMEOUT_MS knobs and nothing else;
+#   3. every rejected value prints through common/env's one formatter: the
+#      literal "hymv: ignoring" appears in the code (comments aside) of
+#      src/common/src/env.cpp and of no other source.
 #
 #   cmake -DSOURCE_DIR=. -P tests/check_env_edge.cmake
 
+get_filename_component(SOURCE_DIR "${SOURCE_DIR}" ABSOLUTE)
 set(reader_call "(getenv|env_[a-z_]+)[ \t\r\n]*\\(")
 
 file(GLOB_RECURSE sources
@@ -65,8 +70,25 @@ foreach(file IN LISTS sources)
     endif()
     string(SUBSTRING "${text}" ${begin} -1 body)
     string(FIND "${body}" "\n}\n" end)
+    if(end EQUAL -1)
+      message(FATAL_ERROR "${file}: end of ExchangeProtection::from_env not "
+                          "found")
+    endif()
+    math(EXPR body_length "${end} + 3")
+    string(SUBSTRING "${body}" 0 ${body_length} body)
+    string(REGEX MATCHALL "${reader_call}" body_calls "${body}")
+    set(fault_name "HYMV_FAULT_(CHECKSUM|MAX_RETRIES|TIMEOUT_MS)")
+    string(REGEX MATCHALL "${reader_call}[ \t\r\n]*\"${fault_name}\""
+           fault_calls "${body}")
+    list(LENGTH body_calls body_count)
+    list(LENGTH fault_calls fault_count)
+    if(NOT body_count EQUAL fault_count)
+      message(FATAL_ERROR "${file}: ExchangeProtection::from_env may read "
+                          "only HYMV_FAULT_CHECKSUM, HYMV_FAULT_MAX_RETRIES "
+                          "and HYMV_FAULT_TIMEOUT_MS; it calls: ${body_calls}")
+    endif()
     string(SUBSTRING "${text}" 0 ${begin} head)
-    math(EXPR after "${begin} + ${end} + 3")
+    math(EXPR after "${begin} + ${body_length}")
     string(SUBSTRING "${text}" ${after} -1 tail)
     set(text "${head}${tail}")
   endif()
@@ -84,6 +106,24 @@ if(library_reads)
                       "${library_reads}")
 endif()
 
+# --- 3. one rejection format -----------------------------------------------
+set(formats "")
+foreach(file IN LISTS sources)
+  file(READ "${file}" text)
+  string(REGEX REPLACE "//[^\n]*" "" text "${text}")
+  string(FIND "${text}" "hymv: ignoring" at)
+  if(NOT at EQUAL -1)
+    file(RELATIVE_PATH rel "${SOURCE_DIR}" "${file}")
+    list(APPEND formats "${rel}")
+  endif()
+endforeach()
+if(NOT formats STREQUAL "src/common/src/env.cpp")
+  message(FATAL_ERROR "the \"hymv: ignoring\" rejection line must be "
+                      "written only in src/common/src/env.cpp (call "
+                      "hymv::warn_env_rejected or an env_* reader); found "
+                      "in: [${formats}]")
+endif()
+
 list(LENGTH read_names count)
 message(STATUS "${count} HYMV_* knobs, each with a README row; src/core and "
-               "src/pla read no environment")
+               "src/pla read no environment; one rejection format")

@@ -335,6 +335,30 @@ TEST(Env, IntInRangeKeepsFallbackOutsideTheRange) {
   ::unsetenv("HYMV_TEST_BOUNDED");
 }
 
+TEST(Env, DoubleAboveKeepsFallbackAtOrBelowTheBound) {
+  const auto read = [](double fallback) {
+    return read_and_capture([&] {
+      return hymv::env_double_above("HYMV_TEST_ABOVE", fallback, 1.0);
+    });
+  };
+  ::unsetenv("HYMV_TEST_ABOVE");
+  EXPECT_EQ(read(0.5), std::make_pair(0.5, std::string()));
+  for (const char* ok : {"1.5", " 2e3 ", "inf"}) {
+    ::setenv("HYMV_TEST_ABOVE", ok, 1);
+    EXPECT_EQ(read(3.0), std::make_pair(std::strtod(ok, nullptr),
+                                        std::string()))
+        << ok;
+  }
+  for (const char* bad : {"1", "0.5", "-2", "nan", "2.5x", "", "1e999"}) {
+    ::setenv("HYMV_TEST_ABOVE", bad, 1);
+    const auto [value, err] = read(3.0);
+    EXPECT_EQ(value, 3.0) << bad;
+    EXPECT_EQ(err, "hymv: ignoring HYMV_TEST_ABOVE='" + std::string(bad) +
+                       "' (expected a number > 1); using fallback\n");
+  }
+  ::unsetenv("HYMV_TEST_ABOVE");
+}
+
 TEST(Env, EnumReadsNamesAndKeepsFallbackOtherwise) {
   enum class Fruit { kApple, kPear, kNone };
   const auto name_of = [](Fruit f) {

@@ -194,10 +194,16 @@ TEST(ExchangeProtectionTest, EnvValidationKeepsDefaultsOnGarbage) {
   EnvGuard retries("HYMV_FAULT_MAX_RETRIES", "garbage");
   EnvGuard timeout("HYMV_FAULT_TIMEOUT_MS", "-5");
   EnvGuard checksum("HYMV_FAULT_CHECKSUM", "2");
+  ::testing::internal::CaptureStderr();
   const auto prot = pla::ExchangeProtection::from_env();
+  const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_FALSE(prot.checksum);
   EXPECT_EQ(prot.max_retries, 2);
   EXPECT_DOUBLE_EQ(prot.recv_timeout_s, 0.25);
+  EXPECT_NE(err.find("hymv: ignoring HYMV_FAULT_TIMEOUT_MS='-5' (expected a "
+                     "number > 0); using fallback\n"),
+            std::string::npos)
+      << err;
 }
 
 TEST(ExchangeProtectionTest, EnvValidationAcceptsGoodValues) {
@@ -382,14 +388,14 @@ TEST(AbortPropagationTest, PanelPathThrowBetweenBeginAndEndDoesNotDeadlock) {
       const Layout layout = Layout::from_owned_count(comm, 4);
       GhostExchange ex(comm, layout, straddle_ghosts(layout));
       std::vector<double> owned(4 * kWidth, 1.0);
-      ex.forward_begin_multi(comm, owned, kWidth);
+      ex.forward_begin(comm, owned, kWidth);
       if (comm.rank() == 1) {
         throw hymv::Error("boom-panel");
       }
-      ex.forward_end_multi(comm);
+      ex.forward_end(comm);
       std::vector<double> contrib(ex.ghost_ids().size() * kWidth, 1.0);
-      ex.reverse_begin_multi(comm, contrib, kWidth);
-      ex.reverse_end_multi(comm, owned);
+      ex.reverse_begin(comm, contrib, kWidth);
+      ex.reverse_end(comm, owned);
     });
     FAIL() << "expected the rank-1 failure to propagate";
   } catch (const hymv::Error& e) {
@@ -480,7 +486,7 @@ TEST(ChecksumExchangeTest, PanelPathRecoversFromBitFlip) {
   constexpr int kWidth = 4;
   simmpi::RunOptions options;
   options.faults =
-      simmpi::FaultPlan::parse("flip:src=0,dest=1,tag=1003,nth=1,bit=17", 11);
+      simmpi::FaultPlan::parse("flip:src=0,dest=1,tag=1001,nth=1,bit=17", 11);
   simmpi::run(
       2,
       [&](Comm& comm) {
@@ -492,9 +498,9 @@ TEST(ChecksumExchangeTest, PanelPathRecoversFromBitFlip) {
           owned[i] = static_cast<double>(layout.begin) +
                      static_cast<double>(i) * 0.25;
         }
-        ex.forward_begin_multi(comm, owned, kWidth);
-        ex.forward_end_multi(comm);
-        const auto panel = ex.ghost_panel();
+        ex.forward_begin(comm, owned, kWidth);
+        ex.forward_end(comm);
+        const auto panel = ex.ghost_values();
         for (std::size_t g = 0; g < ex.ghost_ids().size(); ++g) {
           // The ghost id's owner filled lane values from ITS owned array.
           const std::int64_t gid = ex.ghost_ids()[g];
@@ -512,6 +518,54 @@ TEST(ChecksumExchangeTest, PanelPathRecoversFromBitFlip) {
         }
       },
       options);
+}
+
+TEST(ChecksumExchangeTest, StaleWiderDuplicateIsDiscarded) {
+  // Every width shares the forward stream, so a late retransmission of a
+  // wider message can meet the receive of a narrower one. The protected
+  // receive is sized for the widest width the stream has carried, and a
+  // message of any other size than the current one is discarded, not
+  // delivered into a buffer it overflows.
+  constexpr int kWide = 4;
+  simmpi::run(2, [](Comm& comm) {
+    const Layout layout = Layout::from_owned_count(comm, 4);
+    GhostExchange ex(comm, layout, straddle_ghosts(layout));
+    ex.set_protection(fast_protection());
+    // Lane j of global id g carries base + g·width + j.
+    const auto forward_lands = [&](int width, double base) {
+      const auto w = static_cast<std::size_t>(width);
+      std::vector<double> owned(4 * w);
+      for (std::size_t i = 0; i < owned.size(); ++i) {
+        owned[i] = base + static_cast<double>(
+                              static_cast<std::size_t>(layout.begin) * w + i);
+      }
+      ex.forward_begin(comm, owned, width);
+      ex.forward_end(comm);
+      const auto vals = ex.ghost_values();
+      ASSERT_EQ(vals.size(), ex.ghost_ids().size() * w);
+      for (std::size_t g = 0; g < ex.ghost_ids().size(); ++g) {
+        for (std::size_t j = 0; j < w; ++j) {
+          EXPECT_EQ(vals[g * w + j],
+                    base + static_cast<double>(
+                               static_cast<std::size_t>(ex.ghost_ids()[g]) *
+                                   w +
+                               j))
+              << "width " << width << ", ghost " << g << ", lane " << j;
+        }
+      }
+    };
+    forward_lands(kWide, 100.0);
+    if (comm.rank() == 0) {
+      // What a late retransmission of that width-4 message would leave in
+      // rank 1's queue: rank 1 takes one ghost from rank 0, so the wire is
+      // kWide doubles plus the 16-byte {epoch, checksum} trailer.
+      const std::vector<std::byte> stale(kWide * sizeof(double) + 16,
+                                         std::byte{0xFF});
+      comm.isend_bytes(1, pla::tags::kForward, stale.data(), stale.size());
+    }
+    forward_lands(1, 200.0);
+    forward_lands(kWide, 300.0);
+  });
 }
 
 TEST(ChecksumExchangeTest, ReversePathSumsCorrectlyUnderDrop) {

@@ -133,7 +133,11 @@ TEST(IsaTest, EnvOverrideParsesAndClamps) {
             std::min(isa::IsaLevel::kAvx2, isa::detected()));
   ::setenv("HYMV_ISA", "not-an-isa", 1);  // warns, ignored
   isa::reset();
+  ::testing::internal::CaptureStderr();
   EXPECT_EQ(isa::active(), isa::detected());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "hymv: ignoring HYMV_ISA='not-an-isa' (expected "
+            "scalar|avx2|avx512); using fallback\n");
   ::unsetenv("HYMV_ISA");
   isa::reset();
   EXPECT_EQ(isa::active(), isa::detected());
@@ -211,6 +215,21 @@ TEST(NumaTest, MeasuredTriadFeedsCpuSpec) {
     EXPECT_EQ(measured.mem_bytes_per_s, triad);
     EXPECT_EQ(numa::report().triad_bytes_per_s, triad);
   }
+  // A ceiling at or below zero warns in the one env format and keeps what
+  // the spec reads unset.
+  ::setenv("HYMV_CPU_PEAK_GFLOPS", "-1", 1);
+  ::setenv("HYMV_CPU_MEM_GBPS", "0", 1);
+  ::testing::internal::CaptureStderr();
+  const perf::CpuSpec rejected = perf::CpuSpec::from_env();
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "hymv: ignoring HYMV_CPU_PEAK_GFLOPS='-1' (expected a number > "
+            "0); using fallback\n"
+            "hymv: ignoring HYMV_CPU_MEM_GBPS='0' (expected a number > 0); "
+            "using fallback\n");
+  EXPECT_EQ(rejected.peak_flops_per_s, measured.peak_flops_per_s);
+  EXPECT_EQ(rejected.mem_bytes_per_s, measured.mem_bytes_per_s);
+  ::unsetenv("HYMV_CPU_PEAK_GFLOPS");
+  ::unsetenv("HYMV_CPU_MEM_GBPS");
 }
 
 // ---------------------------------------------------------------------------

@@ -313,10 +313,10 @@ TEST(PanelGhostExchangeTest, ForwardMatchesPerLaneWithOneMessagePerPeer) {
       }
     }
     const auto c0 = comm.counters();
-    ex.forward_begin_multi(comm, owned, k);
-    ex.forward_end_multi(comm);
+    ex.forward_begin(comm, owned, k);
+    ex.forward_end(comm);
     const auto msgs_panel = comm.counters().messages_sent - c0.messages_sent;
-    const auto panel = ex.ghost_panel();
+    const auto panel = ex.ghost_values();
     for (std::size_t g = 0; g < ghosts.size(); ++g) {
       for (int j = 0; j < k; ++j) {
         EXPECT_DOUBLE_EQ(panel[g * k + static_cast<std::size_t>(j)],
@@ -355,8 +355,8 @@ TEST(PanelGhostExchangeTest, ReverseAccumulatesEveryLane) {
       contrib[g * 2 + 1] = 0.5;
     }
     std::vector<double> owned(static_cast<std::size_t>(3 * k), 100.0);
-    ex.reverse_begin_multi(comm, contrib, k);
-    ex.reverse_end_multi(comm, owned);
+    ex.reverse_begin(comm, contrib, k);
+    ex.reverse_end(comm, owned);
     const bool has_lower = comm.rank() > 0;
     const bool has_upper = comm.rank() < comm.size() - 1;
     EXPECT_DOUBLE_EQ(owned[0], has_lower ? 101.0 : 100.0);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -455,8 +456,21 @@ TEST(PrecondEnvTest, ChebyshevOptionsValidateRanges) {
   EXPECT_EQ(mset.smoother, pla::MultigridOptions::Smoother::kJacobi);
   ASSERT_EQ(setenv("HYMV_CHEB_DEGREE", "65", 1), 0);
   EXPECT_EQ(driver::chebyshev_options_from_env(fallback).degree, 5);
-  for (const char* name :
-       {"HYMV_CHEB_DEGREE", "HYMV_MG_SWEEPS", "HYMV_MG_SMOOTHER"}) {
+
+  // The ratio must exceed 1; a rejected value prints the one env format
+  // with the text as given.
+  fallback.eig_ratio = 10.0;
+  ASSERT_EQ(setenv("HYMV_CHEB_EIG_RATIO", "4.5", 1), 0);
+  EXPECT_EQ(driver::chebyshev_options_from_env(fallback).eig_ratio, 4.5);
+  ASSERT_EQ(setenv("HYMV_CHEB_EIG_RATIO", "1.0", 1), 0);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(driver::chebyshev_options_from_env(fallback).eig_ratio, 10.0);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "hymv: ignoring HYMV_CHEB_EIG_RATIO='1.0' (expected a number "
+                "> 1); using fallback\n"),
+            std::string::npos);
+  for (const char* name : {"HYMV_CHEB_DEGREE", "HYMV_CHEB_EIG_RATIO",
+                           "HYMV_MG_SWEEPS", "HYMV_MG_SMOOTHER"}) {
     ASSERT_EQ(unsetenv(name), 0);
   }
 }

@@ -347,10 +347,8 @@ TEST(CommTagsTest, RegistryIsConsistent) {
   // pins the runtime helpers a fault spec or trace consumer relies on.
   EXPECT_EQ(data_stream_index(kForward), 0);
   EXPECT_EQ(data_stream_index(kReverse), 1);
-  EXPECT_EQ(data_stream_index(kForwardPanel), 2);
-  EXPECT_EQ(data_stream_index(kReversePanel), 3);
   EXPECT_EQ(ctrl_tag_of(kForward), kForwardCtrl);
-  EXPECT_EQ(ctrl_tag_of(kReversePanel), kReversePanelCtrl);
+  EXPECT_EQ(ctrl_tag_of(kReverse), kReverseCtrl);
 }
 
 // ---------------------------------------------------------------------------
