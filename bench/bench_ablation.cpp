@@ -493,19 +493,17 @@ int main(int argc, char** argv) {
     pspec.partitioner = mesh::Partitioner::kSlab;
     const driver::ProblemSetup psetup = driver::ProblemSetup::build(pspec, 4);
 
-    // The GhostExchange reads HYMV_FAULT_CHECKSUM at operator
-    // construction; toggle it around each run and restore the caller's
-    // setting afterwards.
-    const char* saved_env = std::getenv("HYMV_FAULT_CHECKSUM");
-    const std::string saved_val = saved_env != nullptr ? saved_env : "";
     std::printf("  %-18s %-11s %-11s %s\n", "mode", "wall (s)", "overhead",
                 "events");
     double plain_apply_s = 0.0;
     const int apply_reps = 50;  // the per-apply wall is ~1 ms; average hard
+    // Each mode's job arms its ghost exchanges or not; the rest of the
+    // caller's drill stays.
+    simmpi::RunOptions job = simmpi::RunOptions::from_env();
     for (const bool checksum : {false, true}) {
-      setenv("HYMV_FAULT_CHECKSUM", checksum ? "1" : "0", 1);
+      job.protection.checksum = checksum;
       const AggResult r = run_backend(
-          psetup, {.backend = driver::Backend::kHymv}, apply_reps);
+          psetup, {.backend = driver::Backend::kHymv}, apply_reps, job);
       if (!checksum) plain_apply_s = r.spmv_wall_s;
       std::printf("  %-18s %-11.4f %-11s %s\n",
                   checksum ? "apply+checksum" : "apply", r.spmv_wall_s,
@@ -519,11 +517,6 @@ int main(int argc, char** argv) {
       json.add("\"ablation\": \"resilience\", \"mode\": \"%s\", "
                "\"wall_s\": %.6g, \"iterations\": 0, \"events\": 0",
                checksum ? "apply_checksum" : "apply_plain", r.spmv_wall_s);
-    }
-    if (saved_env != nullptr) {
-      setenv("HYMV_FAULT_CHECKSUM", saved_val.c_str(), 1);
-    } else {
-      unsetenv("HYMV_FAULT_CHECKSUM");
     }
 
     driver::ProblemSpec espec = pspec;

@@ -156,11 +156,13 @@ struct BackendRun {
   double thread_efficiency = 0.95;
 };
 
-/// Run `napplies` SPMVs of one backend on a prebuilt problem and aggregate
-/// per-rank reports into paper-style numbers.
-inline AggResult run_backend(const driver::ProblemSetup& setup,
-                             const BackendRun& run, int napplies,
-                             const perf::ClusterSpec& cluster = {}) {
+/// Run `napplies` SPMVs of one backend on a prebuilt problem, as one
+/// simmpi job run with `job`, and aggregate per-rank reports into
+/// paper-style numbers.
+inline AggResult run_backend(
+    const driver::ProblemSetup& setup, const BackendRun& run, int napplies,
+    const simmpi::RunOptions& job = simmpi::RunOptions::from_env()) {
+  const perf::ClusterSpec cluster;
   const int p = setup.nranks;
   std::vector<driver::SpmvReport> reports(static_cast<std::size_t>(p));
   std::vector<double> gpu_modeled(static_cast<std::size_t>(p), 0.0);
@@ -179,7 +181,7 @@ inline AggResult run_backend(const driver::ProblemSetup& setup,
         driver::measure_spmv(comm, ctx, run.backend, napplies, options);
     std::lock_guard<std::mutex> lock(mutex);
     reports[static_cast<std::size_t>(comm.rank())] = report;
-  });
+  }, job);
 
   AggResult agg;
   agg.napplies = napplies;

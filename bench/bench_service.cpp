@@ -66,6 +66,14 @@ svc::SolveRequest make_request(int i, const LoadConfig& cfg) {
 }
 
 LoadResult run_load(const LoadConfig& cfg) {
+  svc::ServiceOptions opt = svc::ServiceOptions::from_env();
+  opt.workers = 2;
+  opt.ranks = cfg.faults ? 2 : 1;
+  opt.store_checksums = cfg.faults;
+  // Fault-free loads run no fault plan and no checksummed exchange,
+  // whatever the environment holds.
+  opt.run.faults = {};
+  opt.run.protection.checksum = cfg.faults;
   if (cfg.faults) {
     // Two-pronged fault campaign (2-rank jobs so messages actually fly):
     //  * a low-mantissa-bit flip pinned to the allreduce tag perturbs a
@@ -75,22 +83,8 @@ LoadResult run_load(const LoadConfig& cfg) {
     //    block on attempt 1 of every batch — CG breaks down, the service
     //    scrubs the store against its checksums and retries, and the
     //    retry converges to fault-free accuracy.
-    ::setenv("HYMV_FAULT_SPEC", "flip:src=0,dest=1,tag=268435463,nth=3,bit=12",
-             1);
-    ::setenv("HYMV_FAULT_SEED", "1234", 1);
-    ::setenv("HYMV_FAULT_CHECKSUM", "1", 1);
-    ::setenv("HYMV_STORE_CHECKSUM", "1", 1);
-  } else {
-    ::unsetenv("HYMV_FAULT_SPEC");
-    ::unsetenv("HYMV_FAULT_CHECKSUM");
-    ::unsetenv("HYMV_STORE_CHECKSUM");
-  }
-
-  svc::ServiceOptions opt = svc::ServiceOptions::from_env();
-  opt.workers = 2;
-  opt.ranks = cfg.faults ? 2 : 1;
-  opt.store_checksums = cfg.faults;
-  if (cfg.faults) {
+    opt.run.faults = simmpi::FaultPlan::parse(
+        "flip:src=0,dest=1,tag=268435463,nth=3,bit=12", 1234);
     opt.attempt_hook = [](pla::LinearOperator& op, int attempt) {
       if (attempt != 1) {
         return;

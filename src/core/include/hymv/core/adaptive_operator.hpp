@@ -12,9 +12,9 @@
 ///                   chunked SpMV (see sell_backend.hpp).
 ///
 /// Selection combines the layout-true apply_bytes()/apply_flops() roofline
-/// model (perf::CpuSpec) with short measured probe applies on deterministic
-/// synthetic input; AdaptiveOptions::force pins every region, and a
-/// decision file (AdaptiveOptions::replay_path) records choices for
+/// model (AdaptiveOptions::cpu) with short measured probe applies on
+/// deterministic synthetic input; AdaptiveOptions::force pins every region,
+/// and a decision file (AdaptiveOptions::replay_path) records choices for
 /// deterministic replay — probes are timing-dependent, so replay is what
 /// makes an adaptive run reproducible. Decisions are published to the
 /// adaptive.* metrics namespace and traced.
@@ -50,8 +50,9 @@ enum class RegionBackendKind { kStored = 0, kMatrixFree = 1, kSell = 2 };
 
 /// Tunables of the adaptive composite, which it runs as given. Edge code
 /// resolves the HYMV_SELL_* and HYMV_ADAPTIVE_* knobs onto them with
-/// driver::adaptive_options_from_env, and the stored-path knobs onto
-/// `hymv` with driver::hymv_options_from_env.
+/// driver::adaptive_options_from_env, the stored-path knobs onto `hymv`
+/// with driver::hymv_options_from_env, and the host roofline onto `cpu`
+/// with perf::CpuSpec::from_env.
 struct AdaptiveOptions {
   /// Stored-path tunables of the embedded HymvOperator.
   HymvOptions hymv;
@@ -67,6 +68,8 @@ struct AdaptiveOptions {
   /// (deterministic); when set but missing, tuned decisions are recorded
   /// to it.
   std::string replay_path;
+  /// The host roofline every candidate's modeled time is scored against.
+  perf::CpuSpec cpu;
 };
 
 /// One region's autotuning outcome (kept for tests / reports).
@@ -142,7 +145,6 @@ class AdaptiveOperator final : public pla::LinearOperator {
   void publish_metrics();
 
   AdaptiveOptions options_;
-  perf::CpuSpec cpu_spec_;
   int comm_rank_ = -1;
   /// Maps, store, skeleton and the stored candidates of both regions.
   std::unique_ptr<HymvOperator> hymv_;

@@ -69,7 +69,6 @@ AdaptiveOperator::AdaptiveOperator(simmpi::Comm& comm,
                                    const fem::ElementOperator& op,
                                    AdaptiveOptions options)
     : options_(std::move(options)),
-      cpu_spec_(perf::CpuSpec::from_env()),
       comm_rank_(comm.rank()),
       hymv_(std::make_unique<HymvOperator>(comm, part, op, options_.hymv)),
       op_(&op),
@@ -158,8 +157,8 @@ void AdaptiveOperator::tune_region(int region,
   for (int i = 0; i < kNumKinds; ++i) {
     const RegionBackend* b =
         backend(region, static_cast<RegionBackendKind>(i));
-    d.model_s[static_cast<std::size_t>(i)] =
-        perf::modeled_apply_s(cpu_spec_, b->apply_flops(), b->apply_bytes());
+    d.model_s[static_cast<std::size_t>(i)] = perf::modeled_apply_s(
+        options_.cpu, b->apply_flops(), b->apply_bytes());
   }
 
   // Priority 1: a forced backend pins the choice (ablations, the bitwise

@@ -4,24 +4,11 @@
 #include <vector>
 
 #include "hymv/common/error.hpp"
+#include "hymv/common/hash.hpp"
 #include "hymv/common/numa.hpp"
 #include "hymv/core/dense_kernels.hpp"
 
 namespace hymv::core {
-
-namespace {
-/// FNV-1a over a byte range — the store's integrity hash (same function the
-/// ghost exchange and the golden regression tests use).
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= static_cast<std::uint64_t>(bytes[i]);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-}  // namespace
 
 const char* to_string(StoreLayout layout) {
   switch (layout) {
@@ -196,7 +183,7 @@ std::uint64_t ElementMatrixStore::element_hash(std::int64_t e) const {
   const auto n = static_cast<std::size_t>(ndofs_);
   std::vector<double> ke(n * n);
   get(e, ke);
-  return fnv1a_bytes(ke.data(), ke.size() * sizeof(double));
+  return fnv1a(ke.data(), ke.size() * sizeof(double));
 }
 
 void ElementMatrixStore::enable_checksums() {

@@ -245,7 +245,8 @@ struct SpmvReport {
   std::int64_t comm_bytes = 0;
   std::int64_t comm_messages = 0;
   /// Checksummed-exchange retransmissions during the first timed round
-  /// (0 unless HYMV_FAULT_CHECKSUM armed the protocol and faults fired).
+  /// (0 unless the job's RunOptions::protection armed the protocol and
+  /// faults fired).
   std::int64_t comm_resends = 0;
   /// Element blocks repaired by the post-measurement store scrub (0 unless
   /// HYMV_STORE_CHECKSUM=1 armed store checksums on the HYMV backend).
@@ -255,7 +256,8 @@ struct SpmvReport {
 };
 
 /// What measure_spmv runs. It resolves the per-object knobs (HYMV_NRHS,
-/// HYMV_STORE_LAYOUT, ...) onto these once, for every operator it builds.
+/// HYMV_STORE_LAYOUT, ..., and HYMV_CPU_* for kAdaptive) onto these once,
+/// for every operator it builds.
 struct MeasureOptions {
   core::HymvOptions hymv{};
   core::HymvGpuOptions gpu{};
@@ -328,7 +330,8 @@ struct SolveReport {
 /// Assemble, constrain, precondition, and CG-solve the problem. Collective.
 /// The solve's edge: it resolves the operator and preconditioner knobs
 /// (env_options.hpp) once, on top of the defaults and `options.gpu.host`,
-/// and its own solve knobs. HYMV_CG_PIPELINED=1 selects pipelined CG
+/// the host roofline for kAdaptive (perf::CpuSpec::from_env), and its own
+/// solve knobs. HYMV_CG_PIPELINED=1 selects pipelined CG
 /// (CgOptions::pipelined).
 SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
                           const SolveOptions& options = {});

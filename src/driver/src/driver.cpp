@@ -391,18 +391,23 @@ SpmvReport measure_spmv(simmpi::Comm& comm, RankContext& ctx, Backend backend,
   numa::pin_threads_from_env();
 
   // The measurement's knobs, resolved once for every operator it builds.
+  // Only the adaptive backend models the host, so only it runs the triad
+  // probe behind CpuSpec::from_env.
   core::HymvGpuOptions gpu = options.gpu;
+  core::AdaptiveOptions adaptive = adaptive_options_from_env();
   if (backend == Backend::kHymvGpu) {
     gpu.host = hymv_options_from_env(gpu.host);
+  } else if (backend == Backend::kAdaptive) {
+    adaptive.cpu = perf::CpuSpec::from_env();
   }
   const int nrhs = nrhs_from_env(options.nrhs);
   report.nrhs = nrhs;
 
   const auto counters_setup0 = comm.counters();
   // One construction path for all backends (setup breakdown + typed views).
-  BuiltBackend built = build_backend(
-      comm, ctx, backend, options.device, gpu,
-      hymv_options_from_env(options.hymv), adaptive_options_from_env());
+  BuiltBackend built =
+      build_backend(comm, ctx, backend, options.device, gpu,
+                    hymv_options_from_env(options.hymv), adaptive);
   report.setup = built.setup;
   std::unique_ptr<pla::LinearOperator>& op = built.op;
   core::HymvOperator* const hymv_cpu = built.hymv_cpu;
@@ -549,16 +554,20 @@ SolveReport solve_problem(simmpi::Comm& comm, RankContext& ctx,
   // first-touch fills fault pages from their final cores (numa.hpp).
   numa::pin_threads_from_env();
 
-  // The operator and preconditioner knobs, resolved once for the solve.
+  // The operator and preconditioner knobs, resolved once for the solve
+  // (the host roofline, and with it the triad probe, for kAdaptive only).
   core::HymvGpuOptions gpu = options.gpu;
+  core::AdaptiveOptions adaptive = adaptive_options_from_env();
   if (options.backend == Backend::kHymvGpu) {
     gpu.host = hymv_options_from_env(gpu.host);
+  } else if (options.backend == Backend::kAdaptive) {
+    adaptive.cpu = perf::CpuSpec::from_env();
   }
 
   hymv::Timer setup_timer;
   std::unique_ptr<pla::LinearOperator> a =
       make_backend(comm, ctx, options.backend, options.device, gpu,
-                   hymv_options_from_env(), adaptive_options_from_env());
+                   hymv_options_from_env(), adaptive);
   report.setup_s = setup_timer.elapsed_s();
 
   pla::ConstrainedOperator ac(*a, ctx.constraints());

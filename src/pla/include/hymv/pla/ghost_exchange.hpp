@@ -15,6 +15,8 @@
 /// communication with computation (independent-element EMV, diag-block
 /// SpMV), exactly as Algorithm 2 of the paper prescribes. Both pairs take a
 /// lane width; a single vector is the width-1 panel.
+/// An exchange runs the integrity protection of the job that built it
+/// (simmpi::ExchangeProtection, off by default).
 
 #include <array>
 #include <cstdint>
@@ -27,26 +29,6 @@
 
 namespace hymv::pla {
 
-/// End-to-end integrity protection for the ghost exchange. When `checksum`
-/// is on, every data message carries a 16-byte trailer {epoch, FNV-1a
-/// checksum}; the receiver verifies it and answers with a one-byte ACK, or
-/// a NACK that makes the sender retransmit (bounded by `max_retries` failed
-/// attempts per message). Receive waits are bounded by `recv_timeout_s`, so
-/// a dropped message surfaces as a NACK-triggered resend instead of a hang;
-/// exhausting the budget throws hymv::TimeoutError (silence) or
-/// hymv::IntegrityError (persistent corruption). Off by default — the
-/// unprotected path is byte-identical to the pre-protection exchange.
-struct ExchangeProtection {
-  bool checksum = false;
-  int max_retries = 2;          ///< failed attempts allowed per message
-  double recv_timeout_s = 0.25; ///< per-attempt wait bound (seconds)
-
-  /// Resolve from the environment (all validated; bad values warn to
-  /// stderr and keep the default): HYMV_FAULT_CHECKSUM (0/1),
-  /// HYMV_FAULT_MAX_RETRIES (0..1000), HYMV_FAULT_TIMEOUT_MS (> 0).
-  static ExchangeProtection from_env();
-};
-
 /// Communication plan for one set of ghost indices against one Layout.
 /// Construction is collective over the communicator.
 class GhostExchange {
@@ -54,7 +36,8 @@ class GhostExchange {
   GhostExchange() = default;
 
   /// `ghosts` must be sorted, unique global ids NOT owned by this rank.
-  /// Collective: every rank must construct with its own ghost list.
+  /// Collective: every rank must construct with its own ghost list. The
+  /// plan keeps comm.exchange_protection() for its lifetime.
   GhostExchange(simmpi::Comm& comm, const Layout& layout,
                 std::vector<std::int64_t> ghosts);
 
@@ -137,14 +120,6 @@ class GhostExchange {
 
   // --- integrity protection ----------------------------------------------
 
-  /// Install a protection policy (construction resolves
-  /// ExchangeProtection::from_env(), so env-driven campaigns need no code
-  /// change; tests override programmatically). Must not be called while an
-  /// exchange is in flight.
-  void set_protection(const ExchangeProtection& protection) {
-    prot_ = protection;
-  }
-  [[nodiscard]] const ExchangeProtection& protection() const { return prot_; }
   /// Data retransmissions this plan performed (sender side).
   [[nodiscard]] std::int64_t resends() const { return resends_; }
   /// Checksum mismatches this plan detected (receiver side).
@@ -211,7 +186,7 @@ class GhostExchange {
   /// requests so forward_complete_any can waitany over receives alone.
   std::vector<simmpi::Request> recv_reqs_;
   std::vector<simmpi::Request> pending_;  ///< sends + reverse receives
-  ExchangeProtection prot_{};
+  simmpi::ExchangeProtection prot_{};
   /// Per-data-stream protected-phase counters (stale-dup filter), indexed
   /// by tags::data_stream_index. One shared counter was an epoch-aliasing
   /// hazard: a stream's epoch sequence depended on how the other stream

@@ -4,8 +4,8 @@
 #include <cstring>
 #include <string>
 
-#include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
+#include "hymv/common/hash.hpp"
 #include "hymv/obs/metrics.hpp"
 #include "hymv/obs/trace.hpp"
 
@@ -17,22 +17,11 @@ namespace {
 /// after the payload so a bit-flip anywhere in the message is detected.
 constexpr std::size_t kTrailerBytes = 16;
 
-std::uint64_t fnv1a(const std::byte* data, std::size_t n,
-                    std::uint64_t hash = 1469598103934665603ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= static_cast<std::uint64_t>(data[i]);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 /// Checksum of payload ‖ epoch — folding the epoch in means a trailer whose
 /// epoch bits were flipped also fails verification.
 std::uint64_t wire_checksum(const std::byte* payload, std::size_t bytes,
                             std::uint64_t epoch) {
-  std::byte epoch_bytes[8];
-  std::memcpy(epoch_bytes, &epoch, 8);
-  return fnv1a(epoch_bytes, 8, fnv1a(payload, bytes));
+  return fnv1a(&epoch, sizeof epoch, fnv1a(payload, bytes));
 }
 
 void append_trailer(std::vector<std::byte>& wire, std::uint64_t epoch) {
@@ -44,21 +33,11 @@ void append_trailer(std::vector<std::byte>& wire, std::uint64_t epoch) {
 }
 }  // namespace
 
-ExchangeProtection ExchangeProtection::from_env() {
-  ExchangeProtection prot;
-  prot.checksum = hymv::env_flag("HYMV_FAULT_CHECKSUM", prot.checksum);
-  prot.max_retries = static_cast<int>(hymv::env_int_in_range(
-      "HYMV_FAULT_MAX_RETRIES", prot.max_retries, 0, 1000));
-  prot.recv_timeout_s =
-      hymv::env_double_above("HYMV_FAULT_TIMEOUT_MS",
-                             prot.recv_timeout_s * 1000.0, 0.0) /
-      1000.0;
-  return prot;
-}
-
 GhostExchange::GhostExchange(simmpi::Comm& comm, const Layout& layout,
                              std::vector<std::int64_t> ghosts)
-    : layout_(layout), ghosts_(std::move(ghosts)) {
+    : layout_(layout),
+      ghosts_(std::move(ghosts)),
+      prot_(comm.exchange_protection()) {
   HYMV_CHECK_MSG(std::is_sorted(ghosts_.begin(), ghosts_.end()),
                  "GhostExchange: ghost ids must be sorted");
   for (std::size_t i = 0; i + 1 < ghosts_.size(); ++i) {
@@ -117,11 +96,6 @@ GhostExchange::GhostExchange(simmpi::Comm& comm, const Layout& layout,
     }
     send_peers_.push_back(std::move(peer));
   }
-
-  // Env-resolved protection default, so fault campaigns can arm the
-  // checksummed protocol on existing binaries; unset env leaves it off and
-  // the exchange byte-identical to the unprotected implementation.
-  prot_ = ExchangeProtection::from_env();
 }
 
 void GhostExchange::protected_begin(simmpi::Comm& comm, int data_tag) {

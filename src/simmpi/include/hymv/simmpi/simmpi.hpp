@@ -12,7 +12,9 @@
 /// matching is real (posted receives vs. unexpected-message queue, FIFO per
 /// (source, tag)), so the ghost-exchange and assembly-migration code paths
 /// execute genuine concurrent message passing with the same ordering and
-/// deadlock semantics they would have under MPI.
+/// deadlock semantics they would have under MPI. A job runs its RunOptions
+/// (fault drill, exchange protection, metrics file) and reads no
+/// environment; `run(nranks, fn)` resolves them with RunOptions::from_env.
 ///
 /// Collectives are implemented on top of the point-to-point layer using the
 /// standard tree/dissemination algorithms, so per-rank traffic counters
@@ -137,29 +139,50 @@ struct FaultPlan {
   static FaultPlan parse(const std::string& spec, std::uint64_t seed = 0);
 
   /// Build from HYMV_FAULT_SPEC (parsed strictly; a malformed spec throws)
-  /// and HYMV_FAULT_SEED (validated via env_int). Unset env → empty plan.
+  /// and HYMV_FAULT_SEED (an integer in [0, INT64_MAX]; anything else warns
+  /// and keeps 0). Unset env → empty plan.
   static FaultPlan from_env();
 };
 
-/// Options for simmpi::run. The defaults (no faults, no timeout) leave the
-/// runtime behaviour — including message contents and counters — identical
-/// to the pre-fault-layer runtime.
+/// End-to-end integrity protection for a job's ghost exchanges
+/// (hymv::pla::GhostExchange). When `checksum` is on, every data message
+/// carries a 16-byte trailer {epoch, FNV-1a checksum}; the receiver
+/// verifies it and answers with a one-byte ACK, or a NACK that makes the
+/// sender retransmit (bounded by `max_retries` failed attempts per
+/// message). Receive waits are bounded by `recv_timeout_s`, so a dropped
+/// message surfaces as a NACK-triggered resend instead of a hang;
+/// exhausting the budget throws hymv::TimeoutError (silence) or
+/// hymv::IntegrityError (persistent corruption). Off by default — the
+/// unprotected exchange is byte-identical to the pre-protection one.
+struct ExchangeProtection {
+  bool checksum = false;
+  int max_retries = 2;          ///< failed attempts allowed per message
+  double recv_timeout_s = 0.25; ///< per-attempt wait bound (seconds)
+};
+
+/// What one simmpi::run job runs with. The defaults (no faults, no
+/// timeout, no protection, no metrics file) leave the runtime behaviour —
+/// including message contents and counters — identical to the pre-fault-
+/// layer runtime.
 struct RunOptions {
   FaultPlan faults;
   /// When > 0, every blocking wait() on this job times out after this many
   /// seconds and throws hymv::TimeoutError instead of hanging — the knob
   /// that turns dropped messages into diagnosable errors.
   double recv_timeout_s = 0.0;
+  /// The protection every ghost exchange built in this job runs with
+  /// (Comm::exchange_protection()).
+  ExchangeProtection protection;
+  /// When non-empty, the job's merged metrics are written to this path
+  /// when it completes without error. Callers running many concurrent jobs
+  /// in one process (the svc::SolveService) leave it empty so the jobs
+  /// don't race on one output file.
+  std::string metrics_path;
 
-  /// When true (default) and HYMV_METRICS_JSON is set, the job's merged
-  /// metrics are written there at job end. Callers running many concurrent
-  /// jobs in one process (the svc::SolveService) set this false so the
-  /// jobs don't race on one output file.
-  bool write_metrics_json = true;
-
-  /// Resolve from the environment: HYMV_FAULT_SPEC / HYMV_FAULT_SEED for
-  /// the plan, HYMV_FAULT_RECV_TIMEOUT_MS (validated env_double, must be
-  /// >= 0) for the wait deadline.
+  /// The one reader of a job's fault drill and metrics path:
+  /// HYMV_FAULT_SPEC / HYMV_FAULT_SEED (plan), HYMV_FAULT_RECV_TIMEOUT_MS
+  /// (>= 0), HYMV_FAULT_CHECKSUM / _MAX_RETRIES / _TIMEOUT_MS (protection;
+  /// bad values warn and keep the default) and HYMV_METRICS_JSON.
   static RunOptions from_env();
 };
 
@@ -370,9 +393,9 @@ class Comm {
   /// This rank's unified metrics registry (per job). The runtime publishes
   /// its traffic accounting here ("traffic.messages_sent", ...); higher
   /// layers (ghost exchange, CG, driver) publish their own metrics into the
-  /// same registry so one to_json() captures the whole rank. When
-  /// HYMV_METRICS_JSON is set, simmpi::run merges every rank's registry and
-  /// writes the job totals there on successful completion.
+  /// same registry so one to_json() captures the whole rank. When the job's
+  /// RunOptions::metrics_path is set, simmpi::run merges every rank's
+  /// registry and writes the job totals there on successful completion.
   [[nodiscard]] hymv::obs::MetricsRegistry& metrics() const;
 
   /// Cumulative traffic sent/received by this rank — a view over the
@@ -385,6 +408,9 @@ class Comm {
   /// Record `n` protocol retransmissions in this rank's counters (called by
   /// recovery layers such as the checksummed ghost exchange).
   void add_resent(std::int64_t n = 1);
+
+  /// The job's RunOptions::protection, which its ghost exchanges run.
+  [[nodiscard]] const ExchangeProtection& exchange_protection() const;
 
  private:
   friend void run(int, const std::function<void(Comm&)>&,
@@ -407,12 +433,12 @@ class Comm {
 /// OpenMP thread count and CPU affinity are restored after rank 0 returns.
 /// If any rank throws, the job is aborted (ranks blocked in simmpi calls
 /// receive AbortError) and the first original exception is rethrown.
-/// This overload resolves RunOptions::from_env(), so fault campaigns can
-/// target existing binaries via HYMV_FAULT_SPEC without code changes; with
-/// the environment unset it behaves exactly as before.
+/// This overload is run(nranks, fn, RunOptions::from_env()), so fault
+/// campaigns can target existing binaries via HYMV_FAULT_* without code
+/// changes; with the environment unset it behaves exactly as before.
 void run(int nranks, const std::function<void(Comm&)>& fn);
 
-/// run() with explicit fault-injection / timeout options.
+/// run() with explicit options; reads no environment.
 void run(int nranks, const std::function<void(Comm&)>& fn,
          const RunOptions& options);
 

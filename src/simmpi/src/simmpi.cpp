@@ -8,6 +8,7 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -667,6 +668,10 @@ void Comm::add_resent(std::int64_t n) {
   ctx_->robs(rank_).messages_resent->add(n);
 }
 
+const ExchangeProtection& Comm::exchange_protection() const {
+  return ctx_->options().protection;
+}
+
 // ---------------------------------------------------------------------------
 // Fault-plan parsing
 // ---------------------------------------------------------------------------
@@ -777,8 +782,8 @@ FaultPlan FaultPlan::parse(const std::string& spec, std::uint64_t seed) {
 
 FaultPlan FaultPlan::from_env() {
   const char* spec = std::getenv("HYMV_FAULT_SPEC");
-  const auto seed =
-      static_cast<std::uint64_t>(hymv::env_int("HYMV_FAULT_SEED", 0));
+  const auto seed = static_cast<std::uint64_t>(hymv::env_int_in_range(
+      "HYMV_FAULT_SEED", 0, 0, std::numeric_limits<std::int64_t>::max()));
   if (spec == nullptr || *spec == '\0') {
     return FaultPlan{.seed = seed, .faults = {}};
   }
@@ -792,6 +797,17 @@ RunOptions RunOptions::from_env() {
   HYMV_CHECK_MSG(timeout_ms >= 0.0,
                  "HYMV_FAULT_RECV_TIMEOUT_MS must be >= 0");
   options.recv_timeout_s = timeout_ms / 1000.0;
+  ExchangeProtection& prot = options.protection;
+  prot.checksum = hymv::env_flag("HYMV_FAULT_CHECKSUM", prot.checksum);
+  prot.max_retries = static_cast<int>(hymv::env_int_in_range(
+      "HYMV_FAULT_MAX_RETRIES", prot.max_retries, 0, 1000));
+  prot.recv_timeout_s =
+      hymv::env_double_above("HYMV_FAULT_TIMEOUT_MS",
+                             prot.recv_timeout_s * 1000.0, 0.0) /
+      1000.0;
+  if (const char* path = std::getenv("HYMV_METRICS_JSON")) {
+    options.metrics_path = path;
+  }
   return options;
 }
 
@@ -860,20 +876,18 @@ void run(int nranks, const std::function<void(Comm&)>& fn,
   for (auto& t : threads) {
     t.join();
   }
-  // HYMV_METRICS_JSON: merged job totals across ranks, written when the job
-  // completes (last simmpi::run in a process wins). Skipped on failure so a
-  // partially-populated registry never masquerades as a clean run.
-  const char* metrics_path = std::getenv("HYMV_METRICS_JSON");
+  // Merged job totals across ranks, written when the job completes (last
+  // simmpi::run in a process wins). Skipped on failure so a partially-
+  // populated registry never masquerades as a clean run.
   const bool job_failed =
       std::any_of(errors.begin(), errors.end(),
                   [](const std::exception_ptr& e) { return bool(e); });
-  if (options.write_metrics_json && metrics_path != nullptr &&
-      *metrics_path != '\0' && !job_failed) {
+  if (!options.metrics_path.empty() && !job_failed) {
     hymv::obs::MetricsRegistry merged;
     for (int r = 0; r < nranks; ++r) {
       merged.merge_from(ctx.robs(r).registry);
     }
-    merged.write_json(metrics_path);
+    merged.write_json(options.metrics_path);
   }
   // Prefer the original failure over secondary AbortErrors.
   std::exception_ptr first_abort;

@@ -39,15 +39,15 @@
 ///
 /// Execution model: each worker thread runs each solve batch as its own
 /// simmpi::run job of ServiceOptions::ranks ranks (per-job Context makes
-/// concurrent jobs safe), with RunOptions resolved from the environment so
-/// HYMV_FAULT_* campaigns flow through, and write_metrics_json disabled so
-/// concurrent jobs never race on HYMV_METRICS_JSON. Every worker, and so
-/// every rank of every job, runs at the OpenMP thread count of the thread
-/// that constructed the service. A job runs its SolveRequest and the
-/// ServiceOptions: building a rank state reads no configuration knob (the
-/// fault drill's process-wide switches aside), so a request gets the store
-/// layout, schedule and preconditioner it names whatever the environment
-/// holds.
+/// concurrent jobs safe) with ServiceOptions::run, so a fault drill
+/// (faults, timeouts, exchange protection) reaches every batch the
+/// options carry it to. Every worker, and so every rank of every job,
+/// runs at the OpenMP thread count of the thread that constructed the
+/// service. A batch runs its SolveRequest and the ServiceOptions and reads
+/// no configuration variable (the process-wide ISA, NUMA and trace
+/// switches aside), so a request gets the store layout, schedule,
+/// preconditioner and fault drill the service was given whatever the
+/// environment holds.
 
 #include <cstdint>
 #include <functional>
@@ -121,14 +121,14 @@ struct SolveResponse {
 };
 
 /// Service policy. from_env() is the service's edge resolver: every field
-/// has an HYMV_SVC_* environment override there (validated; a value
-/// outside the README range warns and keeps the default).
+/// but the attempt hook has an environment override there (validated; a
+/// value outside the README range warns and keeps the default).
 struct ServiceOptions {
   /// HYMV_SVC_WORKERS (>= 0; 0 admits but never executes, for tests).
   int workers = 2;
   /// simmpi ranks per solve job (HYMV_SVC_RANKS, in [1, 8]).
   /// 1 is cheapest; >1 exercises real ghost exchanges and allreduces, so
-  /// message-level fault campaigns (HYMV_FAULT_SPEC flips/drops/delays)
+  /// message-level fault campaigns (`run`'s flips/drops/delays)
   /// reach the service's solves. The deadline/cancel stop decision is made
   /// collective with one extra tiny allreduce per CG iteration, so ranks
   /// never disagree about stopping.
@@ -147,6 +147,11 @@ struct ServiceOptions {
   /// Arm element-store checksums so retries can scrub corrupted blocks
   /// (also armed when HYMV_STORE_CHECKSUM=1).
   bool store_checksums = false;
+  /// What every batch's simmpi job runs with: its fault plan, receive
+  /// timeout and ghost-exchange protection (simmpi::RunOptions::from_env,
+  /// the HYMV_FAULT_* drill). Its metrics_path is ignored: concurrent
+  /// batches would race on one file.
+  simmpi::RunOptions run;
   /// Test/bench fault-injection hook, mirroring
   /// driver::SolveOptions::attempt_hook: called on every rank of the solve
   /// job with the freshly built (unconstrained) operator and the 1-based

@@ -24,6 +24,7 @@
 
 #include "hymv/common/env.hpp"
 #include "hymv/common/error.hpp"
+#include "hymv/common/hash.hpp"
 #include "hymv/io/store_io.hpp"
 #include "hymv/simmpi/simmpi.hpp"
 
@@ -36,23 +37,6 @@ using Clock = std::chrono::steady_clock;
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
-
-/// FNV-1a, folding raw bytes of trivially-copyable values.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void bytes(const void* p, std::size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 1099511628211ULL;
-    }
-  }
-  template <typename T>
-  void add(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bytes(&v, sizeof v);
-  }
-};
 
 /// Panel runs cost slightly more wall time per iteration than k=1 (wider
 /// vector updates); the deadline filter inflates the EWMA estimate by this
@@ -102,34 +86,40 @@ ServiceOptions ServiceOptions::from_env() {
     o.cache_dir = dir;
   }
   o.store_checksums = env_flag("HYMV_STORE_CHECKSUM", o.store_checksums);
+  o.run = simmpi::RunOptions::from_env();
   return o;
 }
 
 std::uint64_t SolveService::problem_key(const SolveRequest& r) {
-  Fnv f;
-  f.add(static_cast<int>(r.spec.pde));
-  f.add(static_cast<int>(r.spec.element));
-  f.add(r.spec.box.nx);
-  f.add(r.spec.box.ny);
-  f.add(r.spec.box.nz);
-  f.add(r.spec.box.lx);
-  f.add(r.spec.box.ly);
-  f.add(r.spec.box.lz);
-  f.add(r.spec.box.origin);
-  f.add(r.spec.unstructured);
-  f.add(r.spec.jitter);
-  f.add(r.spec.seed);
-  f.add(static_cast<int>(r.spec.partitioner));
-  f.add(r.spec.young);
-  f.add(r.spec.poisson_ratio);
-  f.add(r.spec.density);
-  f.add(r.spec.gravity);
-  f.add(static_cast<int>(r.backend));
-  f.add(static_cast<int>(r.layout));
-  f.add(static_cast<int>(r.precond));
-  f.add(r.rtol);
-  f.add(r.max_iters);
-  return f.h;
+  // FNV-1a over the raw bytes of each field, in this order.
+  std::uint64_t h = kFnv1aBasis;
+  const auto add = [&h](const auto& v) {
+    static_assert(std::is_trivially_copyable_v<std::decay_t<decltype(v)>>);
+    h = fnv1a(&v, sizeof v, h);
+  };
+  add(static_cast<int>(r.spec.pde));
+  add(static_cast<int>(r.spec.element));
+  add(r.spec.box.nx);
+  add(r.spec.box.ny);
+  add(r.spec.box.nz);
+  add(r.spec.box.lx);
+  add(r.spec.box.ly);
+  add(r.spec.box.lz);
+  add(r.spec.box.origin);
+  add(r.spec.unstructured);
+  add(r.spec.jitter);
+  add(r.spec.seed);
+  add(static_cast<int>(r.spec.partitioner));
+  add(r.spec.young);
+  add(r.spec.poisson_ratio);
+  add(r.spec.density);
+  add(r.spec.gravity);
+  add(static_cast<int>(r.backend));
+  add(static_cast<int>(r.layout));
+  add(static_cast<int>(r.precond));
+  add(r.rtol);
+  add(r.max_iters);
+  return h;
 }
 
 namespace {
@@ -223,6 +213,7 @@ struct LaneResult {
 struct SolveService::Impl {
   explicit Impl(ServiceOptions o, obs::MetricsRegistry* m)
       : opt(std::move(o)), mets(m) {
+    opt.run.metrics_path.clear();  // concurrent jobs, one output file
 #ifdef _OPENMP
     omp_threads = omp_get_max_threads();
 #endif
@@ -842,9 +833,6 @@ struct SolveService::Impl {
     auto deadline_stop = std::make_shared<std::atomic<bool>>(false);
     std::atomic<bool> scrubbed{false};
 
-    simmpi::RunOptions run_options = simmpi::RunOptions::from_env();
-    run_options.write_metrics_json = false;  // concurrent jobs, one env path
-
     simmpi::run(nranks, [&](simmpi::Comm& comm) {
       const int rank = comm.rank();
       RankState& rs = state->ranks[static_cast<std::size_t>(rank)];
@@ -956,7 +944,7 @@ struct SolveService::Impl {
         stores_to_cache[static_cast<std::size_t>(rank)] =
             rs.hymv->shared_store();
       }
-    }, run_options);
+    }, opt.run);
 
     CacheEntry held = entry;  // the entry the state belongs to
     if (entry.empty()) {

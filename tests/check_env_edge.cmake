@@ -2,10 +2,8 @@
 #   1. the HYMV_* names that ${SOURCE_DIR}'s src, tools, examples and bench
 #      pass to an environment reader (getenv or an env_* reader of
 #      common/env.hpp) are exactly the rows of README.md's knob table;
-#   2. src/core and src/pla call no getenv or env_* reader, except inside
-#      ExchangeProtection::from_env (the fault drill's exchange protection,
-#      read by the GhostExchange constructor), which reads the three
-#      HYMV_FAULT_CHECKSUM/MAX_RETRIES/TIMEOUT_MS knobs and nothing else;
+#   2. src/core and src/pla call no getenv, no env_* reader and no
+#      from_env resolver: they take their options as arguments;
 #   3. every rejected value prints through common/env's one formatter: the
 #      literal "hymv: ignoring" appears in the code (comments aside) of
 #      src/common/src/env.cpp and of no other source.
@@ -62,37 +60,8 @@ foreach(file IN LISTS sources)
   endif()
   file(READ "${file}" text)
   string(REGEX REPLACE "//[^\n]*" "" text "${text}")
-  if(file MATCHES "/ghost_exchange\\.cpp$")
-    set(begin_marker "ExchangeProtection ExchangeProtection::from_env() {")
-    string(FIND "${text}" "${begin_marker}" begin)
-    if(begin EQUAL -1)
-      message(FATAL_ERROR "${file}: ExchangeProtection::from_env not found")
-    endif()
-    string(SUBSTRING "${text}" ${begin} -1 body)
-    string(FIND "${body}" "\n}\n" end)
-    if(end EQUAL -1)
-      message(FATAL_ERROR "${file}: end of ExchangeProtection::from_env not "
-                          "found")
-    endif()
-    math(EXPR body_length "${end} + 3")
-    string(SUBSTRING "${body}" 0 ${body_length} body)
-    string(REGEX MATCHALL "${reader_call}" body_calls "${body}")
-    set(fault_name "HYMV_FAULT_(CHECKSUM|MAX_RETRIES|TIMEOUT_MS)")
-    string(REGEX MATCHALL "${reader_call}[ \t\r\n]*\"${fault_name}\""
-           fault_calls "${body}")
-    list(LENGTH body_calls body_count)
-    list(LENGTH fault_calls fault_count)
-    if(NOT body_count EQUAL fault_count)
-      message(FATAL_ERROR "${file}: ExchangeProtection::from_env may read "
-                          "only HYMV_FAULT_CHECKSUM, HYMV_FAULT_MAX_RETRIES "
-                          "and HYMV_FAULT_TIMEOUT_MS; it calls: ${body_calls}")
-    endif()
-    string(SUBSTRING "${text}" 0 ${begin} head)
-    math(EXPR after "${begin} + ${body_length}")
-    string(SUBSTRING "${text}" ${after} -1 tail)
-    set(text "${head}${tail}")
-  endif()
-  string(REGEX MATCHALL "${reader_call}" calls "${text}")
+  string(REGEX MATCHALL "(${reader_call}|from_env[ \t\r\n]*\\()" calls
+         "${text}")
   if(calls)
     file(RELATIVE_PATH rel "${SOURCE_DIR}" "${file}")
     string(REPLACE ";" " " calls "${calls}")

@@ -637,6 +637,66 @@ TEST(AdaptiveEnvTest, BackendFromEnvValidates) {
   ASSERT_EQ(unsetenv("HYMV_BACKEND"), 0);
 }
 
+TEST(AdaptiveEnvTest, OperatorModelsWithItsOptionsNotTheEnvironment) {
+  // The roofline the autotuner scores against is AdaptiveOptions::cpu:
+  // HYMV_CPU_MEM_GBPS moves the modeled times only through the options the
+  // edge resolves (CpuSpec::from_env; measure_spmv for kAdaptive).
+  const mesh::Mesh m = mesh::build_structured_hex(
+      {.nx = 4, .ny = 3, .nz = 5}, mesh::ElementType::kHex8);
+  const auto ids = mesh::partition_elements(m, 2, mesh::Partitioner::kSlab);
+  const auto dist = mesh::distribute_mesh(m, ids, 2);
+  const auto model_gauges = [&](const AdaptiveOptions& options) {
+    std::vector<double> gauges;
+    simmpi::run(2, [&](Comm& comm) {
+      const fem::PoissonOperator op(mesh::ElementType::kHex8);
+      AdaptiveOperator aop(
+          comm, dist.parts[static_cast<std::size_t>(comm.rank())], op,
+          options);
+      if (comm.rank() != 0) {
+        return;
+      }
+      for (const char* region : {"independent", "dependent"}) {
+        for (const char* kind : {"stored", "matrixfree", "sell"}) {
+          gauges.push_back(aop.metrics().gauge_value(
+              std::string("adaptive.") + region + ".model_" + kind + "_s"));
+        }
+      }
+    });
+    return gauges;
+  };
+  ASSERT_EQ(unsetenv("HYMV_CPU_MEM_GBPS"), 0);
+  const std::vector<double> unset = model_gauges({});
+  ASSERT_EQ(setenv("HYMV_CPU_MEM_GBPS", "1", 1), 0);
+  EXPECT_EQ(model_gauges({}), unset);
+
+  // The edge resolves the variable into the options the operator runs.
+  const perf::CpuSpec slow = perf::CpuSpec::from_env();
+  EXPECT_EQ(slow.mem_bytes_per_s, 1e9);
+  const std::vector<double> modeled = model_gauges({.cpu = slow});
+  ASSERT_EQ(modeled.size(), unset.size());
+  EXPECT_GT(modeled[0], unset[0]);
+
+  // measure_spmv resolves it for kAdaptive.
+  driver::ProblemSpec spec;
+  spec.box = {.nx = 4, .ny = 4, .nz = 4};
+  const driver::ProblemSetup setup = driver::ProblemSetup::build(spec, 1);
+  const auto measured_model_s = [&] {
+    double model_s = 0.0;
+    simmpi::run(1, [&](Comm& comm) {
+      driver::RankContext ctx(comm, setup);
+      (void)driver::measure_spmv(comm, ctx, driver::Backend::kAdaptive, 1,
+                                 {.repeats = 1});
+      model_s = comm.metrics().gauge_value(
+          "adaptive.independent.model_stored_s");
+    });
+    return model_s;
+  };
+  const double at_1_gbps = measured_model_s();
+  ASSERT_EQ(setenv("HYMV_CPU_MEM_GBPS", "1000", 1), 0);
+  EXPECT_GT(at_1_gbps, measured_model_s());
+  ASSERT_EQ(unsetenv("HYMV_CPU_MEM_GBPS"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Driver integration: Backend::kAdaptive through the shared harness
 // ---------------------------------------------------------------------------

@@ -178,11 +178,23 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
 
 TEST(FaultPlanTest, FromEnvRoundTrips) {
   EnvGuard spec("HYMV_FAULT_SPEC", "flip:src=0,dest=1,nth=3");
-  EnvGuard seed("HYMV_FAULT_SEED", "7");
+  {
+    EnvGuard seed("HYMV_FAULT_SEED", "7");
+    const auto plan = simmpi::FaultPlan::from_env();
+    EXPECT_EQ(plan.seed, 7u);
+    ASSERT_EQ(plan.faults.size(), 1u);
+    EXPECT_EQ(plan.faults[0].nth, 3);
+  }
+  // The seed is a uint: a negative one warns once and keeps 0 instead of
+  // wrapping to 2^64 - 1.
+  EnvGuard seed("HYMV_FAULT_SEED", "-1");
+  ::testing::internal::CaptureStderr();
   const auto plan = simmpi::FaultPlan::from_env();
-  EXPECT_EQ(plan.seed, 7u);
-  ASSERT_EQ(plan.faults.size(), 1u);
-  EXPECT_EQ(plan.faults[0].nth, 3);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(plan.seed, 0u);
+  EXPECT_EQ(err,
+            "hymv: ignoring HYMV_FAULT_SEED='-1' (expected an integer in "
+            "[0, 9223372036854775807]); using fallback\n");
 }
 
 TEST(FaultPlanTest, EmptyEnvMeansEmptyPlan) {
@@ -195,7 +207,7 @@ TEST(ExchangeProtectionTest, EnvValidationKeepsDefaultsOnGarbage) {
   EnvGuard timeout("HYMV_FAULT_TIMEOUT_MS", "-5");
   EnvGuard checksum("HYMV_FAULT_CHECKSUM", "2");
   ::testing::internal::CaptureStderr();
-  const auto prot = pla::ExchangeProtection::from_env();
+  const auto prot = simmpi::RunOptions::from_env().protection;
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_FALSE(prot.checksum);
   EXPECT_EQ(prot.max_retries, 2);
@@ -210,7 +222,7 @@ TEST(ExchangeProtectionTest, EnvValidationAcceptsGoodValues) {
   EnvGuard retries("HYMV_FAULT_MAX_RETRIES", "5");
   EnvGuard timeout("HYMV_FAULT_TIMEOUT_MS", "50");
   EnvGuard checksum("HYMV_FAULT_CHECKSUM", "1");
-  const auto prot = pla::ExchangeProtection::from_env();
+  const auto prot = simmpi::RunOptions::from_env().protection;
   EXPECT_TRUE(prot.checksum);
   EXPECT_EQ(prot.max_retries, 5);
   EXPECT_DOUBLE_EQ(prot.recv_timeout_s, 0.05);
@@ -407,16 +419,18 @@ TEST(AbortPropagationTest, PanelPathThrowBetweenBeginAndEndDoesNotDeadlock) {
 // Checksummed exchange: detection and bounded recovery
 // ---------------------------------------------------------------------------
 
-pla::ExchangeProtection fast_protection() {
-  pla::ExchangeProtection prot;
-  prot.checksum = true;
-  prot.max_retries = 2;
-  prot.recv_timeout_s = 0.05;
-  return prot;
+/// A job whose ghost exchanges run the checksummed protocol with a short
+/// receive bound.
+simmpi::RunOptions protected_job() {
+  simmpi::RunOptions options;
+  options.protection.checksum = true;
+  options.protection.max_retries = 2;
+  options.protection.recv_timeout_s = 0.05;
+  return options;
 }
 
 TEST(ChecksumExchangeTest, RecoversFromBitFlip) {
-  simmpi::RunOptions options;
+  simmpi::RunOptions options = protected_job();
   options.faults =
       simmpi::FaultPlan::parse("flip:src=0,dest=1,tag=1001,nth=1,bit=9", 5);
   std::int64_t resent_total = 0;
@@ -425,7 +439,6 @@ TEST(ChecksumExchangeTest, RecoversFromBitFlip) {
       [&](Comm& comm) {
         const Layout layout = Layout::from_owned_count(comm, 4);
         GhostExchange ex(comm, layout, straddle_ghosts(layout));
-        ex.set_protection(fast_protection());
         std::vector<double> owned(4);
         for (int i = 0; i < 4; ++i) {
           owned[static_cast<std::size_t>(i)] =
@@ -451,7 +464,7 @@ TEST(ChecksumExchangeTest, RecoversFromBitFlip) {
 }
 
 TEST(ChecksumExchangeTest, RecoversFromDrop) {
-  simmpi::RunOptions options;
+  simmpi::RunOptions options = protected_job();
   options.faults =
       simmpi::FaultPlan::parse("drop:src=1,dest=0,tag=1001,nth=1");
   simmpi::run(
@@ -459,7 +472,6 @@ TEST(ChecksumExchangeTest, RecoversFromDrop) {
       [&](Comm& comm) {
         const Layout layout = Layout::from_owned_count(comm, 4);
         GhostExchange ex(comm, layout, straddle_ghosts(layout));
-        ex.set_protection(fast_protection());
         std::vector<double> owned(4);
         for (int i = 0; i < 4; ++i) {
           owned[static_cast<std::size_t>(i)] =
@@ -484,7 +496,7 @@ TEST(ChecksumExchangeTest, RecoversFromDrop) {
 
 TEST(ChecksumExchangeTest, PanelPathRecoversFromBitFlip) {
   constexpr int kWidth = 4;
-  simmpi::RunOptions options;
+  simmpi::RunOptions options = protected_job();
   options.faults =
       simmpi::FaultPlan::parse("flip:src=0,dest=1,tag=1001,nth=1,bit=17", 11);
   simmpi::run(
@@ -492,7 +504,6 @@ TEST(ChecksumExchangeTest, PanelPathRecoversFromBitFlip) {
       [&](Comm& comm) {
         const Layout layout = Layout::from_owned_count(comm, 4);
         GhostExchange ex(comm, layout, straddle_ghosts(layout));
-        ex.set_protection(fast_protection());
         std::vector<double> owned(4 * kWidth);
         for (std::size_t i = 0; i < owned.size(); ++i) {
           owned[i] = static_cast<double>(layout.begin) +
@@ -530,7 +541,6 @@ TEST(ChecksumExchangeTest, StaleWiderDuplicateIsDiscarded) {
   simmpi::run(2, [](Comm& comm) {
     const Layout layout = Layout::from_owned_count(comm, 4);
     GhostExchange ex(comm, layout, straddle_ghosts(layout));
-    ex.set_protection(fast_protection());
     // Lane j of global id g carries base + g·width + j.
     const auto forward_lands = [&](int width, double base) {
       const auto w = static_cast<std::size_t>(width);
@@ -565,11 +575,11 @@ TEST(ChecksumExchangeTest, StaleWiderDuplicateIsDiscarded) {
     }
     forward_lands(1, 200.0);
     forward_lands(kWide, 300.0);
-  });
+  }, protected_job());
 }
 
 TEST(ChecksumExchangeTest, ReversePathSumsCorrectlyUnderDrop) {
-  simmpi::RunOptions options;
+  simmpi::RunOptions options = protected_job();
   options.faults =
       simmpi::FaultPlan::parse("drop:src=0,dest=1,tag=1002,nth=1");
   simmpi::run(
@@ -577,7 +587,6 @@ TEST(ChecksumExchangeTest, ReversePathSumsCorrectlyUnderDrop) {
       [&](Comm& comm) {
         const Layout layout = Layout::from_owned_count(comm, 3);
         GhostExchange ex(comm, layout, straddle_ghosts(layout));
-        ex.set_protection(fast_protection());
         std::vector<double> contrib(ex.ghost_ids().size(), 1.0);
         std::vector<double> owned(3, 100.0);
         ex.reverse_begin(comm, contrib);
@@ -597,7 +606,8 @@ TEST(ChecksumExchangeTest, PersistentCorruptionExhaustsRetries) {
   // bit=3 pins every flip into the payload (a random bit could land in the
   // trailer's epoch field, which the receiver discards silently as a stale
   // duplicate — a timeout, not a checksum failure).
-  simmpi::RunOptions options;
+  simmpi::RunOptions options = protected_job();
+  options.protection.max_retries = 1;
   options.faults = simmpi::FaultPlan::parse(
       "flip:src=0,dest=1,tag=1001,nth=1,bit=3;"
       "flip:src=0,dest=1,tag=1001,nth=2,bit=3;"
@@ -609,9 +619,6 @@ TEST(ChecksumExchangeTest, PersistentCorruptionExhaustsRetries) {
           [&](Comm& comm) {
             const Layout layout = Layout::from_owned_count(comm, 4);
             GhostExchange ex(comm, layout, straddle_ghosts(layout));
-            auto prot = fast_protection();
-            prot.max_retries = 1;
-            ex.set_protection(prot);
             std::vector<double> owned(4, 2.0);
             ex.forward_begin(comm, owned);
             ex.forward_end(comm);
@@ -638,6 +645,43 @@ TEST(ChecksumExchangeTest, ProtectionOffIsByteIdentical) {
     EXPECT_EQ(after.bytes_sent - setup.bytes_sent, 8);
     EXPECT_EQ(after.messages_resent, 0);
   });
+}
+
+TEST(ChecksumExchangeTest, ProtectionComesFromTheJobNotTheEnvironment) {
+  // The variable arms only jobs whose options were resolved from it: a job
+  // run with default options sends the unprotected bytes, and the same job
+  // with RunOptions::protection.checksum set sends each payload with its
+  // 16-byte trailer and answers each with a one-byte ACK.
+  EnvGuard checksum("HYMV_FAULT_CHECKSUM", "1");
+  const auto forward_traffic = [](const simmpi::RunOptions& options) {
+    simmpi::TrafficCounters sent;
+    simmpi::run(
+        2,
+        [&](Comm& comm) {
+          const Layout layout = Layout::from_owned_count(comm, 4);
+          GhostExchange ex(comm, layout, straddle_ghosts(layout));
+          const auto setup = comm.counters();
+          std::vector<double> owned(4, 1.0);
+          ex.forward_begin(comm, owned);
+          ex.forward_end(comm);
+          const auto after = comm.counters();
+          if (comm.rank() == 0) {
+            sent.messages_sent = after.messages_sent - setup.messages_sent;
+            sent.bytes_sent = after.bytes_sent - setup.bytes_sent;
+          }
+        },
+        options);
+    return sent;
+  };
+  const simmpi::TrafficCounters plain = forward_traffic({});
+  EXPECT_EQ(plain.messages_sent, 1);
+  EXPECT_EQ(plain.bytes_sent, 8);
+
+  simmpi::RunOptions armed;
+  armed.protection.checksum = true;
+  const simmpi::TrafficCounters guarded = forward_traffic(armed);
+  EXPECT_EQ(guarded.messages_sent, 2);
+  EXPECT_EQ(guarded.bytes_sent, 8 + 16 + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1151,12 +1195,13 @@ TEST(FaultCampaignTest, SeededCampaignConvergesLikeFaultFree) {
   });
   ASSERT_TRUE(clean_converged);
 
-  // The campaign: arm the checksummed exchange via env (as a production
-  // fault drill would), corrupt one ghost message, drop one, flip a bit in
-  // one stored element block, and NaN one CG iterate mid-stream.
-  EnvGuard checksum("HYMV_FAULT_CHECKSUM", "1");
-  EnvGuard timeout("HYMV_FAULT_TIMEOUT_MS", "100");
+  // The campaign: arm the checksummed exchange through the job's options
+  // (as RunOptions::from_env does for a production fault drill), corrupt
+  // one ghost message, drop one, flip a bit in one stored element block,
+  // and NaN one CG iterate mid-stream.
   simmpi::RunOptions run_options;
+  run_options.protection.checksum = true;
+  run_options.protection.recv_timeout_s = 0.1;
   // The slab partition gives interface nodes to the LOWER rank, so forward
   // (tag 1001) data flows 0→1 and reverse (tag 1002) contributions flow
   // 1→0 — the two faults hit one real message on each edge.

@@ -445,11 +445,10 @@ TEST(FaultsTest, SeededCampaignRecoversFaultFreeAccuracyThroughRetries) {
   // solve-phase reduction in every 2-rank job, and the attempt hook NaNs
   // one element-store block on attempt 1 — CG breaks down, the service
   // scrubs against the store checksums, backs off, and the retry solves.
-  EnvGuard spec("HYMV_FAULT_SPEC", "flip:src=0,dest=1,tag=268435463,nth=3,bit=12");
-  EnvGuard seed("HYMV_FAULT_SEED", "4242");
-  EnvGuard csum("HYMV_FAULT_CHECKSUM", "1");
-
   ServiceOptions opt;
+  opt.run.faults = simmpi::FaultPlan::parse(
+      "flip:src=0,dest=1,tag=268435463,nth=3,bit=12", 4242);
+  opt.run.protection.checksum = true;
   opt.workers = 1;
   opt.ranks = 2;
   opt.max_panel = 4;
@@ -477,6 +476,30 @@ TEST(FaultsTest, SeededCampaignRecoversFaultFreeAccuracyThroughRetries) {
   EXPECT_GE(service.metrics().counter_value("svc.campaign.retries"), 1);
   EXPECT_GE(service.metrics().counter_value("svc.scrubbed_blocks"), 1);
   set_threads(1);
+}
+
+TEST(FaultsTest, BatchesRunTheServiceOptionsNotTheEnvironmentDrill) {
+  // A drill that fails every 2-rank job it reaches: rank 0's first message
+  // to rank 1 is dropped, and the receive timeout turns the silence into a
+  // failed attempt instead of a hang.
+  EnvGuard spec("HYMV_FAULT_SPEC", "drop:src=0,dest=1");
+  EnvGuard timeout("HYMV_FAULT_RECV_TIMEOUT_MS", "50");
+  const auto solve_once = [](ServiceOptions opt) {
+    opt.workers = 1;
+    opt.ranks = 2;
+    opt.batch_window_ms = 0.0;
+    SolveService service(std::move(opt));
+    return service.submit(poisson_request(4)).get();
+  };
+  const SolveResponse plain = solve_once(ServiceOptions{});
+  EXPECT_EQ(plain.outcome, Outcome::kSolved) << plain.reason;
+  const SolveResponse drilled = solve_once(ServiceOptions::from_env());
+  EXPECT_EQ(drilled.outcome, Outcome::kFailed);
+  EXPECT_EQ(drilled.reason, "exception");
+
+  // The drill is parsed where it is read: a malformed spec throws there.
+  EnvGuard bad("HYMV_FAULT_SPEC", "zap:src=0");
+  EXPECT_THROW((void)ServiceOptions::from_env(), hymv::Error);
 }
 
 // ---------------------------------------------------------------------------
